@@ -12,18 +12,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the python path
-    np = None
+from typing import Iterator, Sequence
 
 import networkx as nx
+import numpy as np
 
 from . import engine
 from .forest import PlumbingForest, canonical_code, is_minimal
-from .lattice import DEFAULT_BUDGET, EnumerationBudgetError, QFormContext
+from .lattice import _INT64_GUARD, DEFAULT_BUDGET, EnumerationBudgetError, QFormContext
 
 MAX_TREE_VERTICES = 12
 
@@ -37,8 +33,6 @@ CENSUS_BOX_CAP = 10**6
 
 SCHEMA_NAME = "plumb-census"
 SCHEMA_VERSION = 1
-
-_INT64_GUARD = 2**62
 
 
 def enumerate_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -195,68 +189,45 @@ def _negdef_from_subtrees(tables: _ShapeTables, d):
 @dataclass(frozen=True)
 class _GridScan:
     tables: _ShapeTables
-    weights: "object"  # (n, C) int64 array or list of per-vertex tuples
-    negdef: "object"  # boolean mask over combos
-    det: "object"  # root determinant per combo
-    minimal: "object"  # no -1 weight at a degree <= 2 vertex
-    has_minus_one: "object"
-    has_le_minus_three: "object"
+    weights: np.ndarray  # (n, C) int64, one column per weight assignment
+    negdef: np.ndarray  # boolean mask over combos
+    det: np.ndarray  # root determinant per combo
+    minimal: np.ndarray  # no -1 weight at a degree <= 2 vertex
+    has_minus_one: np.ndarray
+    has_le_minus_three: np.ndarray
 
 
 def _grid_scan(tables: _ShapeTables, wmin: int) -> _GridScan:
     n = tables.n
-    vals = list(range(wmin, 0))
-    if np is not None and (abs(wmin) + n) ** n < _INT64_GUARD:
-        vals_arr = np.array(vals, dtype=np.int64)
-        digits = np.indices((len(vals),) * n).reshape(n, -1)
-        weights = vals_arr[digits]
-        d = _subtree_determinants(tables, weights)
-        negdef = _negdef_from_subtrees(tables, d)
-        minimal = np.ones(weights.shape[1], dtype=bool)
-        for v in range(n):
-            if tables.degrees[v] <= 2:
-                minimal &= weights[v] != -1
-        return _GridScan(
-            tables=tables,
-            weights=weights,
-            negdef=negdef,
-            det=d[tables.postorder[-1]],
-            minimal=minimal,
-            has_minus_one=(weights == -1).any(axis=0),
-            has_le_minus_three=(weights <= -3).any(axis=0),
+    if (abs(wmin) + n) ** n >= _INT64_GUARD:
+        raise EnumerationBudgetError(
+            f"weight grid on {n} vertices with weights >= {wmin}: subtree "
+            "determinants may overflow int64"
         )
-    combos = list(itertools.product(vals, repeat=n))
-    negdef, det, minimal, has1, has3 = [], [], [], [], []
-    for w in combos:
-        d = _subtree_determinants(tables, w)
-        negdef.append(bool(_negdef_from_subtrees(tables, d)))
-        det.append(d[tables.postorder[-1]])
-        minimal.append(
-            all(w[v] != -1 for v in range(n) if tables.degrees[v] <= 2)
-        )
-        has1.append(any(x == -1 for x in w))
-        has3.append(any(x <= -3 for x in w))
+    vals = np.arange(wmin, 0, dtype=np.int64)
+    digits = np.indices((len(vals),) * n).reshape(n, -1)
+    weights = vals[digits]
+    d = _subtree_determinants(tables, weights)
+    minimal = np.ones(weights.shape[1], dtype=bool)
+    for v in range(n):
+        if tables.degrees[v] <= 2:
+            minimal &= weights[v] != -1
     return _GridScan(
         tables=tables,
-        weights=combos,
-        negdef=negdef,
-        det=det,
+        weights=weights,
+        negdef=_negdef_from_subtrees(tables, d),
+        det=d[tables.postorder[-1]],
         minimal=minimal,
-        has_minus_one=has1,
-        has_le_minus_three=has3,
+        has_minus_one=(weights == -1).any(axis=0),
+        has_le_minus_three=(weights <= -3).any(axis=0),
     )
 
 
-def _scan_weight_vector(scan: _GridScan, i: int) -> tuple[int, ...]:
-    if np is not None and isinstance(scan.weights, np.ndarray):
-        return tuple(int(x) for x in scan.weights[:, i])
-    return tuple(scan.weights[i])
-
-
-def _scan_indices(mask) -> Iterable[int]:
-    if np is not None and isinstance(mask, np.ndarray):
-        return (int(i) for i in np.flatnonzero(mask))
-    return (i for i, m in enumerate(mask) if m)
+def _masked_forests(scan: _GridScan, mask: np.ndarray) -> Iterator[PlumbingForest]:
+    """The forests of the grid columns selected by a boolean mask."""
+    t = scan.tables
+    for weights in scan.weights[:, mask].T.tolist():
+        yield _shape_forest(t.edges, t.n, weights)
 
 
 def _check_grid_budget(nmax: int, wmin: int, budget: int) -> None:
@@ -285,8 +256,7 @@ def enumerate_weighted(
         tables = _shape_tables(edges, n)
         scan = _grid_scan(tables, wmin)
         by_code: dict[str, PlumbingForest] = {}
-        for i in _scan_indices(scan.negdef):
-            forest = _shape_forest(edges, n, _scan_weight_vector(scan, i))
+        for forest in _masked_forests(scan, scan.negdef):
             by_code.setdefault(canonical_code(forest), forest)
         for code in sorted(by_code):
             yield by_code[code]
@@ -322,109 +292,6 @@ def enumerate_forests(
                 parts.pop()
 
     yield from rec(0, nmax, [])
-
-
-def _run_path_is_basic(ctx, start, neg, rows2, limit) -> bool:
-    """Inline path evaluation: True iff the path from start terminates
-    without any coordinate passing -m_v."""
-    k = list(start)
-    n = len(k)
-    steps = 0
-    while True:
-        step_v = -1
-        for v in range(n):
-            kv = k[v]
-            if kv > neg[v]:
-                return False
-            if step_v < 0 and kv == neg[v]:
-                step_v = v
-        if step_v < 0:
-            return True
-        row = rows2[step_v]
-        for u in range(n):
-            k[u] += row[u]
-        steps += 1
-        if steps > limit:
-            raise engine.SafetyLimitError(
-                f"path from {tuple(start)} exceeded {limit} steps"
-            )
-
-
-def _canonical_class_members(ctx: QFormContext) -> list[tuple[int, ...]]:
-    """Box vectors in the spin^c class of the canonical vector m+2: those
-    k = base + 2*digits with adj(Q).(k - base) = 0 mod 2|det|. Found by
-    meeting two half-coordinate residue sweeps in the middle, so the cost
-    is ~sqrt(box) + #members instead of the full box."""
-    n = ctx.n
-    weights = ctx.forest.weights
-    sizes = [abs(w) for w in weights]
-    if ctx.box_size > ctx.budget:
-        raise EnumerationBudgetError(
-            f"box of {ctx.box_size} vectors exceeds budget {ctx.budget}"
-        )
-    m = 2 * ctx.h1
-    adj = ctx.adjugate
-    base = [w + 2 for w in weights]
-    # per-coordinate residue contribution of digit d: column v of adj times 2d
-    contrib = [
-        [tuple((2 * d * adj[u][v]) % m for u in range(n)) for d in range(sizes[v])]
-        for v in range(n)
-    ]
-    split = n
-    prod = 1
-    target = math.isqrt(ctx.box_size)
-    for v in range(n):
-        if prod >= target:
-            split = v
-            break
-        prod *= sizes[v]
-
-    def sweep(coords):
-        acc = [((0,) * n, ())]
-        for v in coords:
-            acc = [
-                (tuple((r + x) % m for r, x in zip(res, c)), dg + (d,))
-                for res, dg in acc
-                for d, c in enumerate(contrib[v])
-            ]
-        return acc
-
-    left = sweep(range(split))
-    right = sweep(range(split, n))
-    by_res: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for res, dg in right:
-        by_res.setdefault(res, []).append(dg)
-    members = []
-    for res, dg_left in left:
-        want = tuple((-x) % m for x in res)
-        for dg_right in by_res.get(want, ()):
-            dg = dg_left + dg_right
-            members.append(tuple(b + 2 * d for b, d in zip(base, dg)))
-    return members
-
-
-def fast_is_rational(ctx: QFormContext) -> bool:
-    """Same verdict as engine.is_rational (the canonical spin^c class
-    holds exactly one basic vector), but the class members are listed
-    directly instead of filtering the whole box, which is decisive when
-    |H1| is large."""
-    n = ctx.n
-    if n == 0:
-        return True
-    members = _canonical_class_members(ctx)
-    weights = ctx.forest.weights
-    neg = tuple(-m for m in weights)
-    rows2 = tuple(tuple(2 * x for x in ctx.q[v]) for v in range(n))
-    limit = 10 * max(1, ctx.box_size)
-    count = 0
-    for start in members:
-        if _run_path_is_basic(ctx, start, neg, rows2, limit):
-            count += 1
-            if count > 1:
-                return False
-    if count == 0:
-        raise AssertionError("canonical spin^c class has no basic vector")
-    return True
 
 
 @dataclass(frozen=True)
@@ -619,40 +486,21 @@ def verify_classification(
         for edges in enumerate_trees(n):
             tables = _shape_tables(edges, n)
             scan = _grid_scan(tables, wmin)
-            neg = scan.negdef
-            det = scan.det
-            minimal = scan.minimal
             has1 = scan.has_minus_one
-            has3 = scan.has_le_minus_three
-            if np is not None and isinstance(neg, np.ndarray):
-                mask_a = neg & minimal & (np.abs(det) == 1)
-                mask_c = neg & minimal & has1
-                mask_b = mask_a & ~has1 & has3
-            else:
-                mask_a = [
-                    g and m and abs(dd) == 1
-                    for g, m, dd in zip(neg, minimal, det)
-                ]
-                mask_c = [g and m and h for g, m, h in zip(neg, minimal, has1)]
-                mask_b = [
-                    a and (not h1) and h3
-                    for a, h1, h3 in zip(mask_a, has1, has3)
-                ]
-            for i in _scan_indices(mask_a):
-                forest = _shape_forest(edges, n, _scan_weight_vector(scan, i))
+            mask_a = scan.negdef & scan.minimal & (np.abs(scan.det) == 1)
+            mask_b = mask_a & ~has1 & scan.has_le_minus_three
+            mask_c = scan.negdef & scan.minimal & has1
+            for forest in _masked_forests(scan, mask_a):
                 det1.setdefault(canonical_code(forest), forest)
-            for i in _scan_indices(mask_b):
-                forest = _shape_forest(edges, n, _scan_weight_vector(scan, i))
+            for forest in _masked_forests(scan, mask_b):
                 det1_case2.add(canonical_code(forest))
-            for i in _scan_indices(mask_c):
-                forest = _shape_forest(edges, n, _scan_weight_vector(scan, i))
+            for forest in _masked_forests(scan, mask_c):
                 case3.setdefault(canonical_code(forest), forest)
 
     counterexamples = []
     rational_codes = []
     for code, forest in sorted(det1.items()):
-        ctx = QFormContext(forest, budget=budget)
-        if fast_is_rational(ctx):
+        if engine.is_rational(QFormContext(forest, budget=budget)):
             rational_codes.append(code)
             if code != expected:
                 counterexamples.append(
@@ -664,8 +512,7 @@ def verify_classification(
                     f"|det| = 1: {code} weights={forest.weights}"
                 )
     for code, forest in sorted(case3.items()):
-        ctx = QFormContext(forest, budget=budget)
-        if fast_is_rational(ctx):
+        if engine.is_rational(QFormContext(forest, budget=budget)):
             counterexamples.append(
                 f"minimal graph with a -1 vertex is rational: {code} "
                 f"weights={forest.weights}"

@@ -422,7 +422,7 @@ def cmd_census(args) -> int:
     records = census.census_scan(
         args.max_vertices,
         args.min_weight,
-        filters=args.filter,
+        filters=[name for arg in args.filter for name in arg.split(",")],
         budget=_budget(args),
         threads=args.threads,
     )
@@ -555,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter",
         action="append",
         default=[],
-        help=f"record filter, one of: {', '.join(census.FILTER_NAMES)}",
+        help="record filters, comma-separated or repeated: "
+        + ", ".join(census.FILTER_NAMES),
     )
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--budget", type=int, help="enumeration budget")

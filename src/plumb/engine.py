@@ -132,15 +132,10 @@ def basic_vectors(ctx: QFormContext, strategy=None) -> BasicSet:
 
 def is_rational(ctx: QFormContext) -> bool:
     """True iff the class of the canonical vector (all pairings m(v)+2)
-    holds exactly one basic vector. Streams the box and stops at the
-    second hit."""
-    single_class = ctx.h1 == 1
-    if not single_class:
-        canonical_key = ctx.spinc_key(ctx.canonical_char())
+    holds exactly one basic vector. Runs the paths of that class's box
+    members only and stops at the second basic one."""
     count = 0
-    for k in ctx.iter_box():
-        if not single_class and ctx.spinc_key(k) != canonical_key:
-            continue
+    for k in ctx.canonical_class_members():
         if run_path(ctx, k).basic:
             count += 1
             if count > 1:

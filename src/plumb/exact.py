@@ -1,12 +1,10 @@
-"""Exact linear algebra over the integers and rationals for small matrices.
+"""Exact integer linear algebra for small matrices.
 
-Everything here works on tuples/lists of Python ints (arbitrary precision)
-or fractions.Fraction. No floating point.
+Everything here works on tuples/lists of Python ints (arbitrary
+precision). No floating point.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -57,31 +55,15 @@ def determinant(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse(rows) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Exact inverse by Gauss-Jordan over Fraction, or None if singular."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+def adjugate(rows) -> IntMatrix:
+    """Integer adjugate adj(Q) with Q @ adj(Q) = det(Q) * I.
 
-
-def _adjugate_fraction_free(rows) -> IntMatrix | None:
-    """Fraction-free Gauss-Jordan (Montante) on [Q | I]: every update is
+    Fraction-free Gauss-Jordan (Montante) on [Q | I]: every update is
     integral, the left block ends as det*I and the right block as the
-    adjugate. Returns None when a zero pivot appears (caller falls back
-    to the pivoting route)."""
+    adjugate. The pivots are the leading principal minors, all nonzero
+    for the definite forms the callers pass; a zero pivot raises
+    ValueError.
+    """
     n = len(rows)
     m = [[int(rows[i][j]) for j in range(n)]
          + [1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -89,7 +71,7 @@ def _adjugate_fraction_free(rows) -> IntMatrix | None:
     for k in range(n):
         piv = m[k][k]
         if piv == 0:
-            return None
+            raise ValueError(f"leading principal minor {k + 1} is zero")
         for i in range(n):
             if i == k:
                 continue
@@ -98,33 +80,4 @@ def _adjugate_fraction_free(rows) -> IntMatrix | None:
             for j in range(2 * n):
                 mi[j] = (mi[j] * piv - f * mk[j]) // prev
         prev = piv
-    # after full elimination row scaling leaves the left block as
-    # diag(last pivot) = diag(det); prev holds that pivot
     return tuple(tuple(m[i][n:]) for i in range(n))
-
-
-def adjugate(rows) -> IntMatrix:
-    """Integer adjugate adj(Q) with Q @ adj(Q) = det(Q) * I.
-
-    Requires det != 0 (the only case the callers ever need).
-    """
-    n = len(rows)
-    if n == 0:
-        return ()
-    adj = _adjugate_fraction_free(rows)
-    if adj is not None:
-        return adj
-    det = determinant(rows)
-    if det == 0:
-        raise ValueError("adjugate of a singular matrix is not supported")
-    inv = inverse(rows)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = inv[i][j] * det
-            if entry.denominator != 1:
-                raise AssertionError("adjugate entry is not integral")
-            row.append(int(entry))
-        adj.append(tuple(row))
-    return tuple(adj)

@@ -23,16 +23,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import CharVector, EnumerationBudgetError, QFormContext, _coords
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
-try:
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-except ImportError:  # pragma: no cover - exercised only without scipy/numpy
-    np = None
-
-_INT64_GUARD = 2**62
+from .lattice import (
+    _INT64_GUARD,
+    CharVector,
+    EnumerationBudgetError,
+    QFormContext,
+    _coords,
+)
 
 
 class NotSameClassError(ValueError):
@@ -199,9 +200,15 @@ class HFSummary:
     reduced_total: int
 
 
-def _shell_bounds(ctx: QFormContext, expansion: int):
-    lo = [w + 2 - 2 * expansion for w in ctx.weights]
-    hi = [-w + 2 * expansion for w in ctx.weights]
+def _shell_bounds(ctx: QFormContext, expansion: int, rhs: int):
+    """Per-coordinate bounds of the shell k.A.k <= rhs inside the box
+    expanded by `expansion`. A = |H1| * (-Q^-1), whose inverse has diagonal
+    -m_i/|H1|, so every shell state has |k_i| <= sqrt(rhs*|m_i|/|H1|)."""
+    lo, hi = [], []
+    for w in ctx.weights:
+        e = math.isqrt(rhs * -w // ctx.h1)
+        lo.append(max(w + 2 - 2 * expansion, -e))
+        hi.append(min(-w + 2 * expansion, e))
     return lo, hi
 
 
@@ -224,67 +231,14 @@ def _ldl(a_rows):
     return d, u
 
 
-def _exact_shell_enum(ctx, rhs, lo, hi, budget):
-    """All characteristic vectors k with lo <= k <= hi and k.A.k <= rhs,
-    where A = -sign(det) * adjugate(Q). Exact arithmetic throughout."""
-    n = ctx.n
-    sgn = 1 if ctx.det > 0 else -1
-    a_rows = [[-sgn * x for x in row] for row in ctx.adjugate]
-    d, u = _ldl(a_rows)
-    out: list[tuple[int, ...]] = []
-    coords = [0] * n
-    # pending[j] accumulates sum_{l>j} u[j][l] * k_l as coordinates are fixed
-    pending = [Fraction(0)] * n
-
-    def valid(i, x, remaining):
-        return d[i] * (x + pending[i]) ** 2 <= remaining
-
-    def rec(i, remaining):
-        if i < 0:
-            if len(out) >= budget:
-                raise EnumerationBudgetError(
-                    f"shell enumeration exceeded the budget of {budget} states"
-                )
-            out.append(tuple(coords))
-            return
-        t = pending[i]
-        # integer interval |x + t| <= sqrt(remaining / d[i]), found exactly
-        center = -t
-        guess = int(center) if center >= 0 else -int(-center)
-        x_hi = guess
-        while valid(i, x_hi + 1, remaining):
-            x_hi += 1
-        while x_hi > center and not valid(i, x_hi, remaining):
-            x_hi -= 1
-        x_lo = guess
-        while valid(i, x_lo - 1, remaining):
-            x_lo -= 1
-        while x_lo < center and not valid(i, x_lo, remaining):
-            x_lo += 1
-        if not valid(i, x_lo, remaining):
-            return
-        x_lo = max(x_lo, lo[i])
-        x_hi = min(x_hi, hi[i])
-        x_lo += (ctx.weights[i] - x_lo) % 2  # snap to characteristic parity
-        for x in range(x_lo, x_hi + 1, 2):
-            if not valid(i, x, remaining):
-                continue
-            coords[i] = x
-            for j in range(i):
-                pending[j] += u[j][i] * x
-            rec(i - 1, remaining - d[i] * (x + pending[i]) ** 2)
-            for j in range(i):
-                pending[j] -= u[j][i] * x
-        coords[i] = 0
-
-    rec(n - 1, Fraction(rhs))
-    return out
-
-
-def _int64_safe(ctx, lo, hi):
+def _check_int64(ctx, lo, hi) -> None:
+    """k.adj(Q).k stays within int64 for every k between lo and hi."""
     big = max(max(abs(a), abs(b)) for a, b in zip(lo, hi))
     wmax = max(sum(abs(x) for x in row) for row in ctx.adjugate) * big
-    return wmax * big * ctx.n < _INT64_GUARD and np is not None
+    if wmax * big * ctx.n >= _INT64_GUARD:
+        raise EnumerationBudgetError(
+            f"shell enumeration: pairings up to {big} overflow int64"
+        )
 
 
 def _np_shell_enum(ctx, rhs, lo, hi, budget):
@@ -379,7 +333,7 @@ def _row_counts_np(ctx, states, q, thresholds):
     sizes = (states.max(axis=0) - lo_arr) // 2 + 1
     space = math.prod(int(s) for s in sizes)
     if space >= _INT64_GUARD:
-        return None  # caller falls back to exact path
+        return None  # caller counts with _row_counts_python
     keys = _encode_scalar_keys(states, lo_arr, sizes)
     if space < 2**30:  # |key + shift| stays within int32
         keys = keys.astype(np.int32)
@@ -432,8 +386,9 @@ def _row_counts_np(ctx, states, q, thresholds):
 
 
 def _row_counts_python(ctx, states, q, thresholds):
-    """Pure-python fallback: per-threshold union-find over the induced
-    subgraph. states sorted by descending q (lists of tuples)."""
+    """Per-threshold union-find over the induced subgraph, for classes
+    whose keys or edge weights _row_counts_np cannot hold exactly. states
+    sorted by descending q (lists of tuples)."""
     index = {s: i for i, s in enumerate(states)}
     counts = []
     for t in thresholds:
@@ -487,56 +442,39 @@ def truncated_classes(
 
     reps, index, q_max = _class_reps_and_qmax(ctx)
     h1 = ctx.h1
-    lo, hi = _shell_bounds(ctx, expansion)
     r_global = min(q_max) - 8 * max_u * h1
     rhs = -r_global  # shell: k.A.k <= rhs, A = -sign(det) * adjugate
+    lo, hi = _shell_bounds(ctx, expansion, rhs)
+    _check_int64(ctx, lo, hi)
 
-    use_np = _int64_safe(ctx, lo, hi)
-    if use_np:
-        states_arr = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-        adj = np.array(ctx.adjugate, dtype=np.int64)
-        img = states_arr @ adj.T
-        sgn = 1 if ctx.det > 0 else -1
-        q_all = np.einsum("ij,ij->i", img, states_arr) * sgn
-        if h1 == 1:
-            cls = np.zeros(len(states_arr), dtype=np.int64)
-        else:
-            keys = img % (2 * h1)
-            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-            lut = np.array([index[tuple(int(x) for x in row)] for row in uniq])
-            cls = lut[inverse]
+    states_arr = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
+    adj = np.array(ctx.adjugate, dtype=np.int64)
+    img = states_arr @ adj.T
+    sgn = 1 if ctx.det > 0 else -1
+    q_all = np.einsum("ij,ij->i", img, states_arr) * sgn
+    if h1 == 1:
+        cls = np.zeros(len(states_arr), dtype=np.int64)
     else:
-        raw = _exact_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-        q_all, cls = [], []
-        sgn = 1 if ctx.det > 0 else -1
-        for k in raw:
-            img = ctx.adj_image(k)
-            q_all.append(sum(a * b for a, b in zip(img, k)) * sgn)
-            cls.append(index[tuple(x % (2 * h1) for x in img)])
+        keys = img % (2 * h1)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        lut = np.array([index[tuple(int(x) for x in row)] for row in uniq])
+        cls = lut[inverse]
 
     tables = []
     for ci, rep in enumerate(reps):
         qm = q_max[ci]
         bottom = -(Fraction(qm, h1) + ctx.n) / 4
         thresholds = [qm - 8 * j * h1 for j in range(max_u + 1)]
-        if use_np:
-            sel = cls == ci
-            st = states_arr[sel]
-            qs = q_all[sel]
-            if len(qs) and int(qs.max()) != qm:
-                raise AssertionError("class maximum of K^2 not attained in the box")
-            order = np.argsort(-qs, kind="stable")
-            counts = _row_counts_np(ctx, st[order], qs[order], thresholds)
-        else:
-            counts = None
+        sel = cls == ci
+        qs = q_all[sel]
+        if len(qs) and int(qs.max()) != qm:
+            raise AssertionError("class maximum of K^2 not attained in the box")
+        order = np.argsort(-qs, kind="stable")
+        st, qs = states_arr[sel][order], qs[order]
+        counts = _row_counts_np(ctx, st, qs, thresholds)
         if counts is None:
-            if use_np:
-                pairs = [(int(qv), tuple(int(x) for x in s)) for qv, s in zip(qs, st)]
-            else:
-                pairs = [(qv, s) for qv, s, c in zip(q_all, raw, cls) if c == ci]
-            pairs.sort(key=lambda p: -p[0])
             counts = _row_counts_python(
-                ctx, [s for _, s in pairs], [qv for qv, _ in pairs], thresholds
+                ctx, [tuple(s) for s in st.tolist()], qs.tolist(), thresholds
             )
         rows = tuple(
             DegreeRow(bottom + 2 * j, c) for j, c in enumerate(counts)

@@ -7,6 +7,7 @@ import pytest
 from plumb import cli
 from plumb.catalog import e8_forest, star_forest
 from plumb.forest import canonical_code, forest_to_text
+from plumb.lattice import DEFAULT_BUDGET
 
 
 @pytest.fixture()
@@ -177,6 +178,12 @@ def test_invariants_bad_env_budget_exit_2(capsys, monkeypatch):
     assert "PLUMB_BUDGET" in err
 
 
+def test_budget_default(monkeypatch):
+    monkeypatch.delenv("PLUMB_BUDGET", raising=False)
+    args = cli.build_parser().parse_args(["basic", "--chain=-2"])
+    assert cli._budget(args) == DEFAULT_BUDGET
+
+
 def test_invariants_seed_same_answer(capsys, star_file):
     a = run_json(capsys, "invariants", star_file, "--json")
     b = run_json(capsys, "invariants", star_file, "--json", "--seed", "3")
@@ -251,6 +258,16 @@ def test_census_jsonl_output(capsys):
     rec = next(r for r in records if r["code"] == star_code)
     assert rec["lspace"] == "no"
     assert rec["d"] == [["0", "1"]]
+
+
+def test_census_comma_separated_filters(capsys):
+    argv = ("census", "--max-vertices", "3", "--min-weight", "-3")
+    code, joined, _ = run(capsys, *argv, "--filter", "lspace,minimal")
+    assert code == 0
+    code, repeated, _ = run(capsys, *argv, "--filter", "lspace", "--filter", "minimal")
+    assert code == 0
+    assert joined == repeated
+    assert len(joined.strip().splitlines()) > 1
 
 
 def test_census_out_file(capsys, tmp_path):

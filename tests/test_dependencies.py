@@ -1,0 +1,39 @@
+"""Every third-party module the package imports is a declared runtime
+dependency."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_top_levels(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_third_party_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    undeclared = set()
+    for path in sorted((ROOT / "src" / "plumb").glob("*.py")):
+        for name in imported_top_levels(path):
+            if name == "plumb" or name in sys.stdlib_module_names:
+                continue
+            if name.lower() not in declared:
+                undeclared.add(f"{path.name}: {name}")
+    assert not undeclared, sorted(undeclared)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from plumb import engine, relations
+from plumb import census, engine, relations
 from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.lattice import QFormContext
 
@@ -307,6 +307,87 @@ def test_python_and_array_row_counters_agree(monkeypatch):
         monkeypatch.undo()
         results.append(got)
     assert results[0] == results[1]
+
+
+def exact_shell_enum(ctx, rhs, lo, hi):
+    """Oracle for relations._np_shell_enum: every characteristic k with
+    lo <= k <= hi and k.A.k <= rhs, A = -sign(det) * adjugate(Q), by
+    exact recursion over the LDL form."""
+    n = ctx.n
+    sgn = 1 if ctx.det > 0 else -1
+    d, u = relations._ldl([[-sgn * x for x in row] for row in ctx.adjugate])
+    out = []
+    coords = [0] * n
+    # pending[j] accumulates sum_{l>j} u[j][l] * k_l as coordinates are fixed
+    pending = [Fraction(0)] * n
+
+    def valid(i, x, remaining):
+        return d[i] * (x + pending[i]) ** 2 <= remaining
+
+    def rec(i, remaining):
+        if i < 0:
+            out.append(tuple(coords))
+            return
+        # integer interval |x + t| <= sqrt(remaining / d[i]), found exactly
+        center = -pending[i]
+        guess = int(center) if center >= 0 else -int(-center)
+        x_hi = guess
+        while valid(i, x_hi + 1, remaining):
+            x_hi += 1
+        while x_hi > center and not valid(i, x_hi, remaining):
+            x_hi -= 1
+        x_lo = guess
+        while valid(i, x_lo - 1, remaining):
+            x_lo -= 1
+        while x_lo < center and not valid(i, x_lo, remaining):
+            x_lo += 1
+        if not valid(i, x_lo, remaining):
+            return
+        x_lo = max(x_lo, lo[i])
+        x_hi = min(x_hi, hi[i])
+        x_lo += (ctx.weights[i] - x_lo) % 2  # snap to characteristic parity
+        for x in range(x_lo, x_hi + 1, 2):
+            if not valid(i, x, remaining):
+                continue
+            coords[i] = x
+            for j in range(i):
+                pending[j] += u[j][i] * x
+            rec(i - 1, remaining - d[i] * (x + pending[i]) ** 2)
+            for j in range(i):
+                pending[j] -= u[j][i] * x
+        coords[i] = 0
+
+    rec(n - 1, Fraction(rhs))
+    return out
+
+
+def test_np_shell_enum_matches_exact_oracle():
+    """The oracle searches the whole expanded box; the numpy enumeration
+    gets that box clipped to the shell's ellipsoid bounds. Four-vertex
+    graphs stop at max_u 1, where the oracle already takes seconds."""
+    graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -4)]
+    for g in graphs:
+        ctx = QFormContext(g)
+        _, _, q_max = relations._class_reps_and_qmax(ctx)
+        expansion = relations.default_expansion(ctx)
+        box_lo = [w + 2 - 2 * expansion for w in ctx.weights]
+        box_hi = [-w + 2 * expansion for w in ctx.weights]
+        for max_u in range(4 if g.n < 4 else 2):
+            rhs = 8 * max_u * ctx.h1 - min(q_max)
+            lo, hi = relations._shell_bounds(ctx, expansion, rhs)
+            got = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
+            want = exact_shell_enum(ctx, rhs, box_lo, box_hi)
+            assert sorted(map(tuple, got.tolist())) == sorted(want), (g.weights, max_u)
+
+
+def test_truncated_huge_expansion_matches_default():
+    """The shell's ellipsoid bounds, not the expansion, limit the int64
+    magnitudes, so a huge expansion stays on the numpy path."""
+    for g in (chain_forest([-2, -3]), star_forest(-1, [-2, -3, -7])):
+        ctx = QFormContext(g)
+        assert relations.truncated_classes(
+            ctx, expansion=10**9
+        ) == relations.truncated_classes(ctx)
 
 
 # ---------------------------------------------------------------- summary
