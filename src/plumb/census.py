@@ -18,7 +18,8 @@ import networkx as nx
 import numpy as np
 
 from . import engine
-from .forest import PlumbingForest, canonical_code, is_minimal
+from .exact import determinant
+from .forest import PlumbingForest, canonical_code, intersection_matrix, is_minimal
 from .lattice import _INT64_GUARD, DEFAULT_BUDGET, EnumerationBudgetError, QFormContext
 
 MAX_TREE_VERTICES = 12
@@ -310,16 +311,20 @@ class CensusRecord:
     d: tuple[Fraction, ...]
 
 
-_FILTERS = {
-    "zhs": lambda r: abs(r.det) == 1,
+# filters known from the forest alone run before classify
+_FOREST_FILTERS = {
+    "zhs": lambda f: abs(determinant(intersection_matrix(f))) == 1,
+    "minimal": is_minimal,
+}
+
+_RECORD_FILTERS = {
     "rational": lambda r: r.rational,
     "nonrational": lambda r: not r.rational,
     "lspace": lambda r: r.lspace,
     "nonlspace": lambda r: not r.lspace,
-    "minimal": lambda r: r.minimal,
 }
 
-FILTER_NAMES = tuple(sorted(_FILTERS))
+FILTER_NAMES = tuple(sorted({**_FOREST_FILTERS, **_RECORD_FILTERS}))
 
 
 def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusRecord:
@@ -375,21 +380,24 @@ def census_scan(
 ) -> list[CensusRecord]:
     """Classify every enumerated tree with n <= nmax; apply the named
     filters conjunctively; return records sorted by canonical code.
-    Graphs whose characteristic-vector box exceeds box_cap are omitted.
+    Filters read off the forest (zhs, minimal) drop graphs before they
+    are classified. Graphs whose characteristic-vector box exceeds box_cap
+    are omitted.
     threads > 1 classifies with a process pool (same records, same
     order)."""
-    preds = []
     for name in filters:
-        if name not in _FILTERS:
+        if name not in FILTER_NAMES:
             raise ValueError(
                 f"unknown filter {name!r}; known: {', '.join(FILTER_NAMES)}"
             )
-        preds.append(_FILTERS[name])
+    forest_preds = [_FOREST_FILTERS[name] for name in filters if name in _FOREST_FILTERS]
+    record_preds = [_RECORD_FILTERS[name] for name in filters if name in _RECORD_FILTERS]
     forests = [
         forest
         for n in range(1, nmax + 1)
         for forest in enumerate_weighted(n, wmin, budget=budget)
         if math.prod(abs(w) for w in forest.weights) <= box_cap
+        and all(p(forest) for p in forest_preds)
     ]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -401,7 +409,7 @@ def census_scan(
             )
     else:
         classified = [classify(f, budget=budget) for f in forests]
-    records = [r for r in classified if all(p(r) for p in preds)]
+    records = [r for r in classified if all(p(r) for p in record_preds)]
     records.sort(key=lambda r: (r.code,))
     return records
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import census, engine, relations
 from .exact import determinant
@@ -95,10 +96,10 @@ def _budget(args) -> int:
     return value
 
 
-def _strategy(args):
+def _rng(args):
     if getattr(args, "seed", None) is None:
         return None
-    return engine.random_strategy(random.Random(args.seed))
+    return np.random.default_rng(args.seed)
 
 
 def _print_json(obj) -> None:
@@ -248,7 +249,7 @@ def _invariants_table(basics, dinv, summary):
 def cmd_invariants(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    basics = engine.basic_vectors(ctx, strategy=_strategy(args))
+    basics = engine.basic_vectors(ctx, rng=_rng(args))
     verd = engine.verdicts(ctx, basics=basics, ar_bound=args.ar_bound)
     dinv = engine.d_invariants(ctx, basics=basics)
     summary = relations.hf_summary(
@@ -305,7 +306,7 @@ def cmd_invariants(args) -> int:
 def cmd_basic(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    basics = engine.basic_vectors(ctx, strategy=_strategy(args))
+    basics = engine.basic_vectors(ctx, rng=_rng(args))
     if args.dot:
         rows = [("class", "basic vectors")]
         for rep, vecs in zip(basics.classes, basics.per_class):
@@ -505,7 +506,9 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 
 def _add_knobs(p: argparse.ArgumentParser, ar: bool = False, hf: bool = False) -> None:
     p.add_argument("--budget", type=int, help="enumeration budget")
-    p.add_argument("--seed", type=int, help="randomize the path step strategy")
+    p.add_argument(
+        "--seed", type=int, help="step each path at a random eligible vertex"
+    )
     if ar:
         p.add_argument("--ar-bound", type=int, help="weight-drop search bound")
     if hf:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .lattice import CharVector, QFormContext
 
 
@@ -109,25 +111,70 @@ class BasicSet:
         return self.per_class[i]
 
 
-def basic_vectors(ctx: QFormContext, strategy=None) -> BasicSet:
+def _basic_rows(ctx: QFormContext, block: np.ndarray, rng=None) -> np.ndarray:
+    """run_path on every row of a block at once: which rows end basic.
+
+    Each numpy step advances every live row by one move under run_path's
+    rules: a row with a pairing above -m(v) overflows (tested before
+    eligibility), a row with no eligible vertex is basic, and any other
+    row moves at its lowest eligible vertex, or at a uniformly random one
+    when rng is given. The same 10 * box_size step limit applies."""
+    ceiling = -np.array(ctx.weights, dtype=np.int64)
+    moves = 2 * np.array(ctx.q, dtype=np.int64)
+    limit = 10 * max(1, ctx.box_size)
+    basic = np.zeros(len(block), dtype=bool)
+    live = np.arange(len(block))
+    k = block
+    steps = 0
+    while len(live):
+        eligible = k == ceiling
+        moving = eligible.any(axis=1)
+        overflow = (k > ceiling).any(axis=1)
+        basic[live[~overflow & ~moving]] = True
+        go = moving & ~overflow
+        live, k, eligible = live[go], k[go], eligible[go]
+        if not len(live):
+            break
+        if rng is None:
+            v = eligible.argmax(axis=1)
+        else:
+            pick = rng.integers(eligible.sum(axis=1))
+            v = (eligible.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
+        k = k + moves[v]
+        steps += 1
+        if steps > limit:
+            raise SafetyLimitError(
+                f"no termination within {limit} steps; input is likely invalid"
+            )
+    return basic
+
+
+def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> BasicSet:
     """Classify every box vector's run and group the basic ones by class.
 
-    The result does not depend on the step strategy; passing one in only
-    exercises that property."""
+    The box is swept block by block (QFormContext.box_blocks). The result
+    does not depend on the choice of eligible vertex; passing an rng (a
+    uniformly random eligible vertex per row and step) only exercises
+    that property."""
     reps = ctx.spinc_classes()
-    index = {ctx.spinc_key(rep): i for i, rep in enumerate(reps)}
-    per: list[list[CharVector]] = [[] for _ in reps]
-    overflow = 0
-    for k in ctx.iter_box():
-        result = run_path(ctx, k, strategy=strategy)
-        if result.basic:
-            per[index[ctx.spinc_key(k)]].append(CharVector(k))
-        else:
-            overflow += 1
-    if any(not b for b in per):
-        empty = reps[next(i for i, b in enumerate(per) if not b)]
+    rows, classes = [], []
+    for block in ctx.box_blocks():
+        found = block[_basic_rows(ctx, block, rng)]
+        rows.append(found)
+        classes.append(ctx.class_indices(ctx.spinc_keys(found)))
+    rows = np.concatenate(rows)
+    classes = np.concatenate(classes)
+    counts = np.bincount(classes, minlength=len(reps))
+    if not counts.all():
+        empty = reps[int(np.argmin(counts))]
         raise AssertionError(f"spin^c class of {empty} has no basic vector")
-    return BasicSet(reps, tuple(tuple(b) for b in per), overflow, ctx.box_size)
+    # a stable sort keeps each class's rows in lexicographic order
+    vectors = [CharVector(tuple(k)) for k in rows[np.argsort(classes, kind="stable")].tolist()]
+    ends = np.cumsum(counts).tolist()
+    per_class = tuple(
+        tuple(vectors[start:end]) for start, end in zip([0] + ends[:-1], ends)
+    )
+    return BasicSet(reps, per_class, ctx.box_size - len(rows), ctx.box_size)
 
 
 def is_rational(ctx: QFormContext) -> bool:
@@ -234,10 +281,11 @@ class DInvariants:
 def d_invariants(ctx: QFormContext, basics: BasicSet | None = None) -> DInvariants:
     if basics is None:
         basics = basic_vectors(ctx)
-    d = tuple(
-        max(ctx.k_square(k) + ctx.n for k in group) / 4
-        for group in basics.per_class
-    )
+    rows = np.array([k.k for group in basics.per_class for k in group], dtype=np.int64)
+    starts = np.cumsum([0] + [len(group) for group in basics.per_class[:-1]])
+    # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
+    top = np.maximum.reduceat(ctx.k_square_numerators(rows), starts).tolist()
+    d = tuple(Fraction(q + ctx.n * ctx.h1, 4 * ctx.h1) for q in top)
     return DInvariants(basics.classes, d, tuple(-x for x in d))
 
 

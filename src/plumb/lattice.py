@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from . import exact
 from .forest import PlumbingForest, intersection_matrix, is_negative_definite
 
@@ -23,6 +25,9 @@ DEFAULT_BUDGET = 10_000_000
 
 # numpy paths run in int64 only while their magnitudes stay below this
 _INT64_GUARD = 2**62
+
+# rows per block of the box layer (box_blocks)
+_BLOCK = 2**16
 
 
 class NotNegativeDefiniteError(ValueError):
@@ -210,30 +215,105 @@ class QFormContext:
         d2 = self.adj_image(k2)
         return all((a - b) % m == 0 for a, b in zip(d1, d2))
 
+    # ----------------------------------------------------------- box layer
+
     @cached_property
-    def _classes(self) -> dict[tuple[int, ...], CharVector]:
-        """spin^c key -> lexicographically least box representative."""
-        out: dict[tuple[int, ...], CharVector] = {}
-        for k in self.iter_box():
-            key = self.spinc_key(k)
-            if key not in out:
-                out[key] = CharVector(k)
-        if len(out) != self.h1:
-            raise AssertionError(
-                f"found {len(out)} spin^c classes, expected {self.h1}"
+    def _adj_np(self) -> np.ndarray:
+        return np.array(self.adjugate, dtype=np.int64).reshape(self.n, self.n)
+
+    def box_blocks(self):
+        """The box pairing vectors in lexicographic order (the order of
+        iter_box), as int64 arrays of at most _BLOCK rows.
+
+        The budget and the int64 guard are checked here, before the first
+        block is built: every box vector k has |k_v| <= |m_v|, which bounds
+        the spin^c keys adj(Q).k and k.adj(Q).k."""
+        self._check_box_budget()
+        big = max((abs(w) for w in self.weights), default=0)
+        rowsum = max((sum(abs(x) for x in row) for row in self.adjugate), default=0)
+        if self.box_size >= _INT64_GUARD or rowsum * big * big * self.n >= _INT64_GUARD:
+            raise EnumerationBudgetError(
+                f"box layer: {self.box_size} vectors with pairings up to {big} overflow int64"
             )
-        return out
+        return self._blocks()
+
+    def _blocks(self):
+        for start in range(0, self.box_size, _BLOCK):
+            yield self._box_rows(np.arange(start, min(start + _BLOCK, self.box_size)))
+
+    def _box_rows(self, flat: np.ndarray) -> np.ndarray:
+        """The box vectors at the given positions of the lexicographic order."""
+        rows = np.empty((len(flat), self.n), dtype=np.int64)
+        stride = 1
+        for v in range(self.n - 1, -1, -1):
+            size = -self.weights[v]
+            rows[:, v] = self.weights[v] + 2 + 2 * (flat // stride % size)
+            stride *= size
+        return rows
+
+    def spinc_keys(self, block: np.ndarray) -> np.ndarray:
+        """spinc_key of every row of a block, in one matmul."""
+        return block @ self._adj_np.T % (2 * self.h1)
+
+    def k_square_numerators(self, block: np.ndarray) -> np.ndarray:
+        """|det| * K^2 = sign(det) * k.adj(Q).k of every row of a block."""
+        sgn = 1 if self.det > 0 else -1
+        return np.einsum("ij,ij->i", block @ self._adj_np.T, block) * sgn
+
+    @cached_property
+    def _classes(self):
+        """The box sweep behind spinc_classes() and class_indices():
+        (representatives, sorted key rows, class index of each sorted key).
+
+        np.unique reports each key's first row in a block. Over the blocks'
+        keys, concatenated in box order, it reports the first block that
+        holds the key, so that row is the class's lexicographically least
+        box vector. Classes are numbered in the order of those rows."""
+        keys, firsts = [], []
+        offset = 0
+        for block in self.box_blocks():
+            uniq, first = np.unique(_key_rows(self.spinc_keys(block)), return_index=True)
+            keys.append(uniq)
+            firsts.append(offset + first)
+            offset += len(block)
+        table, pick = np.unique(np.concatenate(keys), return_index=True)
+        if len(table) != self.h1:
+            raise AssertionError(
+                f"found {len(table)} spin^c classes, expected {self.h1}"
+            )
+        first = np.concatenate(firsts)[pick]
+        order = np.argsort(first)
+        index = np.empty(len(first), dtype=np.int64)
+        index[order] = np.arange(len(first))
+        reps = tuple(CharVector(tuple(k)) for k in self._box_rows(first[order]).tolist())
+        return reps, table, index
 
     def spinc_classes(self) -> tuple[CharVector, ...]:
         """One representative per spin^c class: the lexicographically least
         box vector, classes sorted by that representative."""
-        return tuple(sorted(self._classes.values()))
+        return self._classes[0]
+
+    def class_indices(self, keys: np.ndarray) -> np.ndarray:
+        """spinc_classes() index of each row of spin^c keys (spinc_keys).
+        Raises ValueError on a key of no class."""
+        _, table, index = self._classes
+        rows = _key_rows(keys)
+        pos = np.minimum(np.searchsorted(table, rows), len(table) - 1)
+        if not (table[pos] == rows).all():
+            raise ValueError("vector's class has no box representative (not characteristic?)")
+        return index[pos]
 
     def class_index(self, k) -> int:
         """Index of k's spin^c class in the spinc_classes() ordering."""
         key = self.spinc_key(self.require_characteristic(k))
-        reps = self.spinc_classes()
-        rep = self._classes.get(key)
-        if rep is None:
-            raise ValueError("vector's class has no box representative (not characteristic?)")
-        return reps.index(rep)
+        return int(self.class_indices(np.array([key], dtype=np.int64).reshape(1, self.n))[0])
+
+
+def _key_rows(keys: np.ndarray) -> np.ndarray:
+    """Each row of an int64 key array as one opaque scalar, so that rows
+    sort, compare and search as units. A zero-width row (the empty
+    forest) becomes one zero column."""
+    if not keys.shape[1]:
+        keys = np.zeros((len(keys), 1), dtype=np.int64)
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()

@@ -289,16 +289,11 @@ def _class_reps_and_qmax(ctx):
     q = K^2 * |det| over the box, per class. The class-wide maximum of K^2
     is attained inside the box."""
     reps = ctx.spinc_classes()
-    index = {ctx.spinc_key(rep): i for i, rep in enumerate(reps)}
-    q_max = [None] * len(reps)
-    sgn = 1 if ctx.det > 0 else -1
-    for k in ctx.iter_box():
-        img = ctx.adj_image(k)
-        q = sum(a * b for a, b in zip(img, k)) * sgn
-        i = index[tuple(x % (2 * ctx.h1) for x in img)]
-        if q_max[i] is None or q > q_max[i]:
-            q_max[i] = q
-    return reps, index, q_max
+    q_max = np.full(len(reps), np.iinfo(np.int64).min, dtype=np.int64)
+    for block in ctx.box_blocks():
+        classes = ctx.class_indices(ctx.spinc_keys(block))
+        np.maximum.at(q_max, classes, ctx.k_square_numerators(block))
+    return reps, q_max.tolist()
 
 
 def _encode_scalar_keys(states, lo_arr, sizes):
@@ -440,7 +435,7 @@ def truncated_classes(
         rows = tuple(DegreeRow(Fraction(2 * j), 1) for j in range(max_u + 1))
         return (ClassTable(CharVector(()), Fraction(0), rows, True, 0),)
 
-    reps, index, q_max = _class_reps_and_qmax(ctx)
+    reps, q_max = _class_reps_and_qmax(ctx)
     h1 = ctx.h1
     r_global = min(q_max) - 8 * max_u * h1
     rhs = -r_global  # shell: k.A.k <= rhs, A = -sign(det) * adjugate
@@ -448,17 +443,8 @@ def truncated_classes(
     _check_int64(ctx, lo, hi)
 
     states_arr = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-    adj = np.array(ctx.adjugate, dtype=np.int64)
-    img = states_arr @ adj.T
-    sgn = 1 if ctx.det > 0 else -1
-    q_all = np.einsum("ij,ij->i", img, states_arr) * sgn
-    if h1 == 1:
-        cls = np.zeros(len(states_arr), dtype=np.int64)
-    else:
-        keys = img % (2 * h1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        lut = np.array([index[tuple(int(x) for x in row)] for row in uniq])
-        cls = lut[inverse]
+    q_all = ctx.k_square_numerators(states_arr)
+    cls = ctx.class_indices(ctx.spinc_keys(states_arr))
 
     tables = []
     for ci, rep in enumerate(reps):

@@ -192,6 +192,31 @@ def test_census_scan_filters_conjunctive():
         census.census_scan(2, -2, filters=("nope",))
 
 
+def test_census_forest_filters_run_before_classify(monkeypatch):
+    """zhs and minimal are read off the forest: filtering the scan gives
+    the records of an unfiltered scan filtered afterwards, and classify
+    runs only on the graphs that pass them."""
+    everything = census.census_scan(4, -4)
+    post = {
+        "zhs": lambda r: abs(r.det) == 1,
+        "minimal": lambda r: r.minimal,
+        "nonrational": lambda r: not r.rational,
+    }
+    for filters in (("zhs",), ("minimal",), ("zhs", "minimal"), ("minimal", "nonrational")):
+        want = [r for r in everything if all(post[f](r) for f in filters)]
+        assert census.census_scan(4, -4, filters=filters) == want, filters
+    classified = []
+    real = census.classify
+
+    def counting(forest, budget):
+        classified.append(forest)
+        return real(forest, budget=budget)
+
+    monkeypatch.setattr(census, "classify", counting)
+    recs = census.census_scan(4, -7, filters=("zhs",))
+    assert len(classified) == len(recs) == 16
+
+
 def test_census_scan_threads_match_sequential():
     seq = census.census_scan(3, -3)
     par = census.census_scan(3, -3, threads=2)

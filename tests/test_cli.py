@@ -159,6 +159,15 @@ def test_invariants_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_invariants_int64_guard_exit_3(capsys):
+    # the box (2^31 + 1 vectors) is within budget; its K^2 overflows int64
+    code, _, err = run(
+        capsys, "invariants", f"--chain=-{2**31 + 1}", "--budget", str(2**32)
+    )
+    assert code == 3
+    assert "box layer" in err
+
+
 def test_invariants_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("PLUMB_BUDGET", "100")
     code, _, err = run(capsys, "invariants", "--chain=-9,-9,-9,-9,-9,-9,-9,-9")

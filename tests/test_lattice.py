@@ -77,6 +77,8 @@ def test_budget_refuses_large_box():
         list(ctx.iter_box())
     with pytest.raises(EnumerationBudgetError):
         next(ctx.canonical_class_members())
+    with pytest.raises(EnumerationBudgetError):
+        ctx.box_blocks()
 
 
 def test_canonical_class_members_match_box_filter():

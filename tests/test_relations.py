@@ -368,7 +368,7 @@ def test_np_shell_enum_matches_exact_oracle():
     graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -4)]
     for g in graphs:
         ctx = QFormContext(g)
-        _, _, q_max = relations._class_reps_and_qmax(ctx)
+        _, q_max = relations._class_reps_and_qmax(ctx)
         expansion = relations.default_expansion(ctx)
         box_lo = [w + 2 - 2 * expansion for w in ctx.weights]
         box_hi = [-w + 2 * expansion for w in ctx.weights]
