@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -333,6 +334,10 @@ def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusReco
     basics = engine.basic_vectors(ctx)
     verd = engine.verdicts(ctx, basics=basics)
     dinv = engine.d_invariants(ctx, basics=basics)
+    # one common denominator: sorting the numerators sorts the d-invariants;
+    # conjugate classes share a value, so each distinct one is built once
+    value = {q: Fraction(q, dinv.denominator) for q in set(dinv.numerators)}
+    d = tuple(value[q] for q in sorted(dinv.numerators))
     return CensusRecord(
         code=canonical_code(forest),
         n=forest.n,
@@ -345,7 +350,7 @@ def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusReco
         lspace=verd.lspace,
         certified=verd.certified,
         minimal=is_minimal(forest),
-        d=tuple(sorted(dinv.d)),
+        d=d,
     )
 
 
@@ -384,7 +389,10 @@ def census_scan(
     are classified. Graphs whose characteristic-vector box exceeds box_cap
     are omitted.
     threads > 1 classifies with a process pool (same records, same
-    order)."""
+    order) of at most min(threads, CPU count, graphs to classify)
+    workers; threads < 1 raises ValueError."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     for name in filters:
         if name not in FILTER_NAMES:
             raise ValueError(
@@ -399,11 +407,12 @@ def census_scan(
         if math.prod(abs(w) for w in forest.weights) <= box_cap
         and all(p(forest) for p in forest_preds)
     ]
-    if threads > 1:
+    workers = min(threads, os.cpu_count() or 1, len(forests))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             classified = list(
                 pool.map(partial(classify, budget=budget), forests, chunksize=16)
             )

@@ -237,7 +237,7 @@ def _invariants_table(basics, dinv, summary):
         rows.append(
             (
                 " ".join(str(x) for x in _vec(rep)),
-                str(len(basics.per_class[i])),
+                str(basics.counts[i]),
                 _frac_str(dinv.d[i]),
                 _frac_str(summary.classes[i].bottom),
                 str(summary.classes[i].reduced_rank),
@@ -291,7 +291,7 @@ def cmd_invariants(args) -> int:
     print(f"rational: {'yes' if verd.rational else 'no'}")
     for i, rep in enumerate(dinv.classes):
         print(
-            f"  class {_vec(rep)}: {len(basics.per_class[i])} basic, "
+            f"  class {_vec(rep)}: {basics.counts[i]} basic, "
             f"d = {_frac_str(dinv.d[i])}, bottom {_frac_str(summary.classes[i].bottom)}, "
             f"reduced rank {summary.classes[i].reduced_rank}"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -89,26 +90,50 @@ def run_path(ctx: QFormContext, k, strategy=None) -> TerminationResult:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasicSet:
     """Basic initial vectors of the box, grouped by spin^c class.
 
-    classes[i] is the class representative; per_class[i] lists, in
-    lexicographic order, the box vectors of that class whose runs
-    terminate basic.
-    """
+    classes[i] is the class representative. rows holds the basic vectors
+    as one read-only int64 array, grouped by class and in lexicographic
+    order inside each class; counts[i] is the number of rows of class i.
+    per_class[i] lists the same vectors of class i as CharVectors; those
+    are built on first read."""
 
     classes: tuple[CharVector, ...]
-    per_class: tuple[tuple[CharVector, ...], ...]
+    rows: np.ndarray
+    counts: np.ndarray
     overflow_count: int
     box_size: int
 
     @property
     def total(self) -> int:
-        return sum(len(b) for b in self.per_class)
+        return len(self.rows)
+
+    @cached_property
+    def per_class(self) -> tuple[tuple[CharVector, ...], ...]:
+        vectors = [CharVector(tuple(k)) for k in self.rows.tolist()]
+        ends = np.cumsum(self.counts).tolist()
+        return tuple(
+            tuple(vectors[start:end]) for start, end in zip([0] + ends[:-1], ends)
+        )
 
     def for_class(self, i: int) -> tuple[CharVector, ...]:
         return self.per_class[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, BasicSet):
+            return NotImplemented
+        return (
+            self.classes == other.classes
+            and self.overflow_count == other.overflow_count
+            and self.box_size == other.box_size
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.rows, other.rows)
+        )
+
+    def __hash__(self):
+        return hash((self.classes, self.overflow_count, self.box_size, self.total))
 
 
 def _basic_rows(ctx: QFormContext, block: np.ndarray, rng=None) -> np.ndarray:
@@ -169,12 +194,10 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
         empty = reps[int(np.argmin(counts))]
         raise AssertionError(f"spin^c class of {empty} has no basic vector")
     # a stable sort keeps each class's rows in lexicographic order
-    vectors = [CharVector(tuple(k)) for k in rows[np.argsort(classes, kind="stable")].tolist()]
-    ends = np.cumsum(counts).tolist()
-    per_class = tuple(
-        tuple(vectors[start:end]) for start, end in zip([0] + ends[:-1], ends)
-    )
-    return BasicSet(reps, per_class, ctx.box_size - len(rows), ctx.box_size)
+    grouped = rows[np.argsort(classes, kind="stable")]
+    grouped.flags.writeable = False
+    counts.flags.writeable = False
+    return BasicSet(reps, grouped, counts, ctx.box_size - len(rows), ctx.box_size)
 
 
 def is_rational(ctx: QFormContext) -> bool:
@@ -252,7 +275,7 @@ def verdicts(
         rational = True
     else:
         canonical_index = ctx.class_index(ctx.canonical_char())
-        rational = len(basics.per_class[canonical_index]) == 1
+        rational = int(basics.counts[canonical_index]) == 1
     ar = ar_status(ctx, bound=ar_bound)
     return Verdicts(
         lspace=basics.total == ctx.h1,
@@ -270,23 +293,32 @@ class DInvariants:
 
     d[i] = max over basic K in class i of (K^2 + |V|)/4; dual[i] = -d[i]
     is the value for the reversed orientation, the side the lens-space
-    oracle computes.
+    oracle computes. They are held exactly as integer numerators over
+    one common denominator 4|H1|, numerators[i] = |det| * max K^2 +
+    |V| * |H1|; the d and dual Fractions are built on first read.
     """
 
     classes: tuple[CharVector, ...]
-    d: tuple[Fraction, ...]
-    dual: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @cached_property
+    def d(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q, self.denominator) for q in self.numerators)
+
+    @cached_property
+    def dual(self) -> tuple[Fraction, ...]:
+        return tuple(-x for x in self.d)
 
 
 def d_invariants(ctx: QFormContext, basics: BasicSet | None = None) -> DInvariants:
     if basics is None:
         basics = basic_vectors(ctx)
-    rows = np.array([k.k for group in basics.per_class for k in group], dtype=np.int64)
-    starts = np.cumsum([0] + [len(group) for group in basics.per_class[:-1]])
+    starts = np.cumsum(basics.counts) - basics.counts
     # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
-    top = np.maximum.reduceat(ctx.k_square_numerators(rows), starts).tolist()
-    d = tuple(Fraction(q + ctx.n * ctx.h1, 4 * ctx.h1) for q in top)
-    return DInvariants(basics.classes, d, tuple(-x for x in d))
+    top = np.maximum.reduceat(ctx.k_square_numerators(basics.rows), starts).tolist()
+    shift = ctx.n * ctx.h1
+    return DInvariants(basics.classes, tuple(q + shift for q in top), 4 * ctx.h1)
 
 
 def lens_d_oracle(p: int, q: int, i: int) -> Fraction:

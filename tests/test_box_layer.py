@@ -3,6 +3,8 @@ on it) against the scalar oracles iter_box, run_path, spinc_key and
 k_square. Blocks are shrunk to 7 rows so that block boundaries cut
 through spin^c classes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,14 @@ def test_box_layer_matches_scalar_oracles(small_blocks, trees):
         assert basics.classes == classes, g.weights
         assert basics.per_class == per_class, g.weights
         assert basics.overflow_count == overflow, g.weights
-        assert engine.d_invariants(ctx, basics=basics).d == d, g.weights
+        assert basics.counts.tolist() == [len(group) for group in per_class]
+        assert basics.rows.tolist() == [list(k) for group in per_class for k in group]
+        assert basics.total == len(basics.rows)
+        dinv = engine.d_invariants(ctx, basics=basics)
+        assert dinv.d == d, g.weights
+        assert dinv.dual == tuple(-x for x in d)
+        assert dinv.denominator == 4 * ctx.h1
+        assert [Fraction(q, dinv.denominator) for q in dinv.numerators] == list(d)
         assert [ctx.class_index(rep) for rep in classes] == list(range(len(classes)))
 
 
@@ -71,6 +80,42 @@ def test_basic_vectors_rng_matches_lowest_eligible(small_blocks, trees):
         want = engine.basic_vectors(ctx)
         for seed in (0, 1, 2):
             assert engine.basic_vectors(ctx, rng=np.random.default_rng(seed)) == want, g.weights
+
+
+def test_classify_matches_public_objects(small_blocks, trees):
+    """classify sorts the integer d-numerators and reads the class counts;
+    its record must equal what the public BasicSet and DInvariants give."""
+    for g in trees:
+        ctx = QFormContext(g)
+        basics = engine.basic_vectors(ctx)
+        canonical = basics.per_class[ctx.class_index(ctx.canonical_char())]
+        record = census.classify(g)
+        assert record.d == tuple(sorted(engine.d_invariants(ctx).d)), g.weights
+        assert record.basic == basics.total, g.weights
+        assert record.rational == (len(canonical) == 1), g.weights
+        assert record.lspace == (basics.total == ctx.h1), g.weights
+
+
+def test_basic_set_builds_char_vectors_only_on_read(monkeypatch):
+    """basic_vectors and d_invariants keep the basic vectors as one array:
+    the only CharVectors they build are the class representatives. Reading
+    per_class builds one per basic vector, once."""
+    ctx = QFormContext(chain_forest([-5] * 5))
+    built = []
+    init = CharVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CharVector, "__init__", counting)
+    basics = engine.basic_vectors(ctx)
+    engine.d_invariants(ctx, basics=basics)
+    assert basics.total >= ctx.h1 > 1
+    assert len(built) <= ctx.h1
+    built.clear()
+    assert basics.per_class is basics.per_class
+    assert len(built) == basics.total
 
 
 def test_class_index_rejects_foreign_key():

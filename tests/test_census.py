@@ -223,6 +223,47 @@ def test_census_scan_threads_match_sequential():
     assert seq == par
 
 
+def test_census_scan_threads_bounds(monkeypatch):
+    """threads < 1 is refused; the pool has at most min(threads, CPU
+    count, graphs) workers, and there is no pool when nothing is left to
+    classify. A stand-in executor records max_workers and maps in this
+    process, so no worker is started."""
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            census.census_scan(2, -3, threads=bad)
+    want = census.census_scan(2, -3)
+    graphs = sum(1 for n in (1, 2) for _ in census.enumerate_weighted(n, -3))
+    assert made == []
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    assert census.census_scan(2, -3, threads=1000) == want
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1000)
+    assert census.census_scan(2, -3, threads=1000) == want
+    assert census.census_scan(2, -3, threads=4) == want
+    assert made == [3, graphs, 4]
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert census.census_scan(2, -3, threads=1000) == want
+    assert census.census_scan(2, -3, threads=1000, box_cap=0) == []
+    assert made == [3, graphs, 4]
+
+
 def test_census_scan_contains_star_zhs_witness():
     recs = census.census_scan(4, -7, filters=("zhs", "nonrational"))
     codes = {r.code for r in recs}

@@ -269,6 +269,13 @@ def test_census_jsonl_output(capsys):
     assert rec["d"] == [["0", "1"]]
 
 
+def test_census_threads_below_one_exit_2(capsys):
+    code, _, err = run(capsys, "census", "--max-vertices", "2", "--min-weight", "-2",
+                       "--threads", "0")
+    assert code == 2
+    assert "threads" in err
+
+
 def test_census_comma_separated_filters(capsys):
     argv = ("census", "--max-vertices", "3", "--min-weight", "-3")
     code, joined, _ = run(capsys, *argv, "--filter", "lspace,minimal")
