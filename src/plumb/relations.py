@@ -13,7 +13,9 @@ one forced exponent a >= 0). Row state sets therefore grow with delta,
 and each row's class count is the number of connected components of the
 graph induced on it by the single-step moves. This module enumerates the
 K^2 shell directly instead of sweeping the full expanded product box; the
-two descriptions coincide on every reported row.
+two descriptions coincide on every reported row. A step never leaves its
+spin^c class, so one minimum spanning forest over the shell states of all
+classes counts every class's rows at once.
 """
 
 from __future__ import annotations
@@ -296,123 +298,53 @@ def _class_reps_and_qmax(ctx):
     return reps, q_max.tolist()
 
 
-def _encode_scalar_keys(states, lo_arr, sizes):
-    digits = (states - lo_arr) // 2
-    key = digits[:, 0].astype(np.int64)
-    for i in range(1, digits.shape[1]):
-        key *= int(sizes[i])
-        key += digits[:, i]
-    return key
+def _row_counts(ctx, states, cls, level, nclasses, max_u):
+    """Connected-component counts of every class's rows: entry [c, j]
+    counts the components of the states of class c with level <= j.
 
-
-def _horner_shift(row, sizes):
-    shift = int(row[0])
-    for i in range(1, len(sizes)):
-        shift = shift * int(sizes[i]) + int(row[i])
-    return shift
-
-
-def _row_counts_np(ctx, states, q, thresholds):
-    """Connected-component counts of the induced subgraph at each
-    threshold. states must be sorted by descending q.
-
-    The row state sets are nested (thresholds only decrease), so one
-    maximum spanning forest over edge activation = min endpoint q gives
-    every row count at once: count(t) = #states(q >= t) - #forest edges
-    with activation >= t.
+    A move K -> K + 2*PD[v] never leaves a spin^c class, so one minimum
+    spanning forest over all states, each edge weighted by its deeper
+    endpoint's level + 1, holds a spanning forest of every row (Kruskal):
+    count[c, j] = #states of c up to level j - #forest edges of c up to
+    weight j + 1. states must be in _np_shell_enum's order (last
+    coordinate outermost), so their mixed-radix keys already increase.
     """
-    n = ctx.n
-    if not len(states):
-        return [0] * len(thresholds)
-    lo_arr = states.min(axis=0)
-    sizes = (states.max(axis=0) - lo_arr) // 2 + 1
-    space = math.prod(int(s) for s in sizes)
+    lo, hi = states.min(axis=0), states.max(axis=0)
+    sizes = ((hi - lo) // 2 + 1).tolist()
+    place = [math.prod(sizes[:i]) for i in range(ctx.n)]  # exact ints
+    space = place[-1] * sizes[-1]
     if space >= _INT64_GUARD:
-        return None  # caller counts with _row_counts_python
-    keys = _encode_scalar_keys(states, lo_arr, sizes)
-    if space < 2**30:  # |key + shift| stays within int32
-        keys = keys.astype(np.int32)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    q_rows = np.array(ctx.q, dtype=np.int64)
-    hi_arr = lo_arr + 2 * (sizes - 1)
-    srcs, nks = [], []
-    for v in range(n):
-        # digits move only where Q[v] is nonzero; the rest stay in range
-        nz = np.flatnonzero(q_rows[v])
-        sub = states[:, nz] + 2 * q_rows[v][nz]
-        ok = ((sub >= lo_arr[nz]) & (sub <= hi_arr[nz])).all(axis=1)
-        # moving by 2*Q[v] shifts every digit by Q[v], i.e. the key by a constant
-        shift = _horner_shift(q_rows[v], sizes)
-        srcs.append(np.flatnonzero(ok))
-        nks.append(keys[ok] + keys.dtype.type(shift))
-    src = np.concatenate(srcs)
-    nk = np.concatenate(nks)
-    pos = np.searchsorted(sorted_keys, nk)
-    pos[pos == len(sorted_keys)] = 0
-    hit = sorted_keys[pos] == nk
-    src = src[hit]
-    dst = order[pos[hit]]
-    counts = []
-    if len(src):
-        activation = np.minimum(q[src], q[dst])
-        # minimum spanning tree on (qmax + 1 - activation) = maximum
-        # spanning forest on activation; forest edge weights recover the
-        # merge level of each union in the filtration
-        wmax = int(q[0])
-        span = wmax - int(activation.min())
-        if span >= 2**52:  # keep the float edge weights exact
-            return None
-        graph = csr_matrix(
-            ((wmax + 1.0) - activation, (src, dst)),
-            shape=(len(states), len(states)),
+        raise EnumerationBudgetError(
+            f"row counts: a key space of {space} overflows int64"
         )
-        forest = minimum_spanning_tree(graph)
-        merge_acts = np.sort(wmax + 1 - np.rint(forest.data).astype(np.int64))[::-1]
-    else:
-        merge_acts = np.zeros(0, dtype=np.int64)
-    neg_q = -q
-    neg_acts = -merge_acts
-    for t in thresholds:
-        nstates = int(np.searchsorted(neg_q, -t, side="right"))
-        merges = int(np.searchsorted(neg_acts, -t, side="right"))
-        counts.append(nstates - merges)
-    return counts
-
-
-def _row_counts_python(ctx, states, q, thresholds):
-    """Per-threshold union-find over the induced subgraph, for classes
-    whose keys or edge weights _row_counts_np cannot hold exactly. states
-    sorted by descending q (lists of tuples)."""
-    index = {s: i for i, s in enumerate(states)}
-    counts = []
-    for t in thresholds:
-        nstates = 0
-        while nstates < len(states) and q[nstates] >= t:
-            nstates += 1
-        parent = list(range(nstates))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comp = nstates
-        for i in range(nstates):
-            s = states[i]
-            for v in range(ctx.n):
-                row = ctx.q[v]
-                nbr = tuple(x + 2 * r for x, r in zip(s, row))
-                j = index.get(nbr)
-                if j is None or j >= nstates:
-                    continue
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                    comp -= 1
-        counts.append(comp)
-    return counts
+    keys = (states - lo) // 2 @ np.array(place, dtype=np.int64)
+    assert (np.diff(keys) > 0).all(), "shell states out of order"
+    q_rows = np.array(ctx.q, dtype=np.int64)
+    edges = [np.zeros((2, 0), dtype=np.int64)]
+    for v, row in enumerate(ctx.q):
+        # digits move only where Q[v] is nonzero; one moved out of range
+        # has no state, and its key would alias another state's
+        nz = np.flatnonzero(q_rows[v])
+        moved = states[:, nz] + 2 * q_rows[v, nz]
+        ok = np.flatnonzero(((moved >= lo[nz]) & (moved <= hi[nz])).all(axis=1))
+        if len(ok):  # then every moved key lies in [0, space)
+            nk = keys[ok] + sum(r * p for r, p in zip(row, place))
+            pos = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
+            hit = keys[pos] == nk
+            edges.append(np.stack((ok[hit], pos[hit])))
+    src, dst = np.concatenate(edges, axis=1)
+    graph = csr_matrix(
+        (np.maximum(level[src], level[dst]) + 1.0, (src, dst)),
+        shape=(len(states), len(states)),
+    )
+    forest = minimum_spanning_tree(graph).tocoo()
+    width = max_u + 1
+    merge_level = forest.data.astype(np.int64) - 1
+    at = np.bincount(cls * width + level, minlength=nclasses * width)
+    merged = np.bincount(
+        cls[forest.row] * width + merge_level, minlength=nclasses * width
+    )
+    return np.cumsum((at - merged).reshape(nclasses, width), axis=1)
 
 
 def truncated_classes(
@@ -442,31 +374,26 @@ def truncated_classes(
     lo, hi = _shell_bounds(ctx, expansion, rhs)
     _check_int64(ctx, lo, hi)
 
-    states_arr = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-    q_all = ctx.k_square_numerators(states_arr)
-    cls = ctx.class_indices(ctx.spinc_keys(states_arr))
+    states = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
+    cls = ctx.class_indices(ctx.spinc_keys(states))
+    # within a class, |det| * K^2 moves in steps of 8|H1|: exact levels
+    level = (np.array(q_max)[cls] - ctx.k_square_numerators(states)) // (8 * h1)
+    seen = np.bincount(cls, minlength=len(reps)) > 0
+    keep = level <= max_u  # deeper states belong to no row
+    states, cls, level = states[keep], cls[keep], level[keep]
+    at_top = np.bincount(cls[level == 0], minlength=len(reps)) > 0
+    if (level < 0).any() or (seen & ~at_top).any():
+        raise AssertionError("class maximum of K^2 not attained in the box")
+    if not at_top.all():
+        raise AssertionError("bottom row of a spin^c class is empty")
+    counts = _row_counts(ctx, states, cls, level, len(reps), max_u).tolist()
 
     tables = []
-    for ci, rep in enumerate(reps):
-        qm = q_max[ci]
+    for rep, qm, row_counts in zip(reps, q_max, counts):
         bottom = -(Fraction(qm, h1) + ctx.n) / 4
-        thresholds = [qm - 8 * j * h1 for j in range(max_u + 1)]
-        sel = cls == ci
-        qs = q_all[sel]
-        if len(qs) and int(qs.max()) != qm:
-            raise AssertionError("class maximum of K^2 not attained in the box")
-        order = np.argsort(-qs, kind="stable")
-        st, qs = states_arr[sel][order], qs[order]
-        counts = _row_counts_np(ctx, st, qs, thresholds)
-        if counts is None:
-            counts = _row_counts_python(
-                ctx, [tuple(s) for s in st.tolist()], qs.tolist(), thresholds
-            )
         rows = tuple(
-            DegreeRow(bottom + 2 * j, c) for j, c in enumerate(counts)
+            DegreeRow(bottom + 2 * j, c) for j, c in enumerate(row_counts)
         )
-        if rows[0].count < 1:
-            raise AssertionError("bottom row of a spin^c class is empty")
         tables.append(
             ClassTable(
                 rep=rep,

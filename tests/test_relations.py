@@ -5,11 +5,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from plumb import census, engine, relations
+from plumb import census, cli, engine, relations
 from plumb.catalog import chain_forest, e8_forest, star_forest
-from plumb.lattice import QFormContext
+from plumb.lattice import EnumerationBudgetError, QFormContext
 
 
 def star237():
@@ -287,26 +288,78 @@ def test_truncated_monotone_in_window_and_expansion():
         ]
 
 
-def test_python_and_array_row_counters_agree(monkeypatch):
+def row_counts_oracle(ctx, states, q, thresholds):
+    """Per-threshold union-find over the single-step graph induced on the
+    states with q >= t. states sorted by descending q (lists of tuples)."""
+    index = {s: i for i, s in enumerate(states)}
+    counts = []
+    for t in thresholds:
+        nstates = 0
+        while nstates < len(states) and q[nstates] >= t:
+            nstates += 1
+        parent = list(range(nstates))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        comp = nstates
+        for i in range(nstates):
+            s = states[i]
+            for v in range(ctx.n):
+                row = ctx.q[v]
+                nbr = tuple(x + 2 * r for x, r in zip(s, row))
+                j = index.get(nbr)
+                if j is None or j >= nstates:
+                    continue
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+                    comp -= 1
+        counts.append(comp)
+    return counts
+
+
+def test_row_counts_match_union_find_oracle():
+    """Every class's rows from the one spanning forest over all classes
+    equal a union-find run on that class's shell states alone."""
     graphs = [chain_forest([-3, -2]), star_forest(-1, [-2, -3, -7])]
-    results = []
-    for use_np in (True, False):
-        got = []
-        for g in graphs:
-            if not use_np:
-                monkeypatch.setattr(
-                    relations, "_row_counts_np", lambda *a, **k: None
-                )
-            tabs = relations.truncated_classes(QFormContext(g), max_u=5)
-            got.append(
-                [
-                    (tuple(t.rep), t.bottom, [(r.degree, r.count) for r in t.rows])
-                    for t in tabs
-                ]
-            )
-        monkeypatch.undo()
-        results.append(got)
-    assert results[0] == results[1]
+    graphs += [g for n in range(1, 4) for g in census.enumerate_weighted(n, -4)]
+    for g in graphs:
+        ctx = QFormContext(g)
+        _, q_max = relations._class_reps_and_qmax(ctx)
+        expansion = relations.default_expansion(ctx)
+        for max_u in range(6):
+            tabs = relations.truncated_classes(ctx, max_u=max_u)
+            rhs = 8 * max_u * ctx.h1 - min(q_max)
+            lo, hi = relations._shell_bounds(ctx, expansion, rhs)
+            states = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
+            q = ctx.k_square_numerators(states)
+            cls = ctx.class_indices(ctx.spinc_keys(states))
+            assert len(tabs) == len(q_max)
+            for ci, (tab, qm) in enumerate(zip(tabs, q_max)):
+                sel = cls == ci
+                order = np.argsort(-q[sel], kind="stable")
+                st = [tuple(s) for s in states[sel][order].tolist()]
+                qs = q[sel][order].tolist()
+                thresholds = [qm - 8 * j * ctx.h1 for j in range(max_u + 1)]
+                want = row_counts_oracle(ctx, st, qs, thresholds)
+                assert [r.count for r in tab.rows] == want, (g.weights, max_u, ci)
+
+
+def test_row_key_guard_raises_budget_error(monkeypatch, capsys):
+    """A row-count key space at or above the int64 guard raises before any
+    key is built. On the (-2)^4 chain at max_u 8 the shell guard's figure
+    is 7,260 and the row keys span 14,641, so 10,000 trips only the new
+    guard."""
+    monkeypatch.setattr(relations, "_INT64_GUARD", 10_000)
+    ctx = QFormContext(chain_forest([-2, -2, -2, -2]))
+    with pytest.raises(EnumerationBudgetError, match="row counts"):
+        relations.truncated_classes(ctx)
+    assert cli.main(["hf", "--chain=-2,-2,-2,-2"]) == 3
+    assert "row counts" in capsys.readouterr().err
 
 
 def exact_shell_enum(ctx, rhs, lo, hi):
@@ -378,6 +431,9 @@ def test_np_shell_enum_matches_exact_oracle():
             got = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
             want = exact_shell_enum(ctx, rhs, box_lo, box_hi)
             assert sorted(map(tuple, got.tolist())) == sorted(want), (g.weights, max_u)
+            # reverse-lexicographic (last coordinate outermost): the row
+            # counter's keys rely on this order
+            assert (np.lexsort(got.T) == np.arange(len(got))).all()
 
 
 def test_truncated_huge_expansion_matches_default():
@@ -410,7 +466,8 @@ def test_hf_summary_unconverged_window():
 
 
 def test_hf_summary_rational_graphs_have_no_reduced_part():
-    for weights in ([-2], [-3], [-2, -2], [-2, -3], [-4, -2, -3]):
+    # (-7)^4 presents L(2255, 329): 2,255 classes, each an L-space class
+    for weights in ([-2], [-3], [-2, -2], [-2, -3], [-4, -2, -3], [-7] * 4):
         s = relations.hf_summary(QFormContext(chain_forest(weights)))
         assert s.converged
         assert s.reduced_total == 0
