@@ -259,7 +259,7 @@ def enumerate_weighted(
         scan = _grid_scan(tables, wmin)
         by_code: dict[str, PlumbingForest] = {}
         for forest in _masked_forests(scan, scan.negdef):
-            by_code.setdefault(canonical_code(forest), forest)
+            by_code.setdefault(forest.code, forest)
         for code in sorted(by_code):
             yield by_code[code]
 
@@ -339,7 +339,7 @@ def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusReco
     value = {q: Fraction(q, dinv.denominator) for q in set(dinv.numerators)}
     d = tuple(value[q] for q in sorted(dinv.numerators))
     return CensusRecord(
-        code=canonical_code(forest),
+        code=forest.code,
         n=forest.n,
         weights=forest.weights,
         negdef=True,
@@ -493,6 +493,9 @@ def verify_classification(
         |det| > 1 (checked as: such graphs with |det| = 1 are never
         rational);
     (c) every minimal graph containing a -1 vertex is non-rational.
+
+    A graph on which Laufer's test and the canonical-class basic count
+    disagree (engine.RationalityDisagreementError) is a counterexample.
     """
     _check_grid_budget(nmax, wmin, budget)
     expected = e8_code()
@@ -505,19 +508,28 @@ def verify_classification(
             scan = _grid_scan(tables, wmin)
             has1 = scan.has_minus_one
             mask_a = scan.negdef & scan.minimal & (np.abs(scan.det) == 1)
-            mask_b = mask_a & ~has1 & scan.has_le_minus_three
+            # case (b) is a sub-mask of case (a): flag its columns among (a)'s
+            in_b = (~has1 & scan.has_le_minus_three)[mask_a].tolist()
             mask_c = scan.negdef & scan.minimal & has1
-            for forest in _masked_forests(scan, mask_a):
-                det1.setdefault(canonical_code(forest), forest)
-            for forest in _masked_forests(scan, mask_b):
-                det1_case2.add(canonical_code(forest))
+            for forest, b in zip(_masked_forests(scan, mask_a), in_b):
+                det1.setdefault(forest.code, forest)
+                if b:
+                    det1_case2.add(forest.code)
             for forest in _masked_forests(scan, mask_c):
-                case3.setdefault(canonical_code(forest), forest)
+                case3.setdefault(forest.code, forest)
 
     counterexamples = []
+
+    def rational(code: str, forest: PlumbingForest) -> bool:
+        try:
+            return engine.is_rational(QFormContext(forest, budget=budget))
+        except engine.RationalityDisagreementError as e:
+            counterexamples.append(f"{e}: {code} weights={forest.weights}")
+            return False
+
     rational_codes = []
     for code, forest in sorted(det1.items()):
-        if engine.is_rational(QFormContext(forest, budget=budget)):
+        if rational(code, forest):
             rational_codes.append(code)
             if code != expected:
                 counterexamples.append(
@@ -529,7 +541,7 @@ def verify_classification(
                     f"|det| = 1: {code} weights={forest.weights}"
                 )
     for code, forest in sorted(case3.items()):
-        if engine.is_rational(QFormContext(forest, budget=budget)):
+        if rational(code, forest):
             counterexamples.append(
                 f"minimal graph with a -1 vertex is rational: {code} "
                 f"weights={forest.weights}"

@@ -600,7 +600,7 @@ def main(argv=None) -> int:
     except (EnumerationBudgetError, BoundExceededError) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except engine.SafetyLimitError as e:
+    except (engine.SafetyLimitError, engine.RationalityDisagreementError) as e:
         print(f"computation failed: {e}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as e:

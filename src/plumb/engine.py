@@ -12,6 +12,8 @@ choice of vertex at each step; the test suite exercises that empirically.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,50 +41,31 @@ class TerminationResult:
         return self.outcome == "basic"
 
 
-def lowest_eligible(eligible, k):
-    """Default vertex-selection rule: smallest vertex index."""
-    return eligible[0]
-
-
-def random_strategy(rng):
-    """A vertex-selection rule choosing uniformly among eligible vertices."""
-
-    def pick(eligible, k):
-        return rng.choice(eligible)
-
-    return pick
-
-
-def run_path(ctx: QFormContext, k, strategy=None) -> TerminationResult:
-    """Run the vector sequence from k until it terminates.
+def run_path(ctx: QFormContext, k) -> TerminationResult:
+    """Run the vector sequence from k until it terminates, moving at the
+    lowest eligible vertex each step.
 
     The safety limit of 10 * box_size steps can only trip on inputs that
     violate the preconditions (k a box vector of a negative-definite form).
     """
     k = list(ctx.require_characteristic(k))
     weights = ctx.weights
-    q = ctx.q
+    nb = ctx.neighbors
     limit = 10 * max(1, ctx.box_size)
     steps = 0
     while True:
-        witness = None
-        eligible = []
+        move = None
         for v, (x, w) in enumerate(zip(k, weights)):
             if x > -w:
-                witness = v
-                break
-            if x == -w:
-                eligible.append(v)
-        if witness is not None:
-            return TerminationResult("overflow", CharVector(tuple(k)), witness, steps)
-        if not eligible:
+                return TerminationResult("overflow", CharVector(tuple(k)), v, steps)
+            if x == -w and move is None:
+                move = v
+        if move is None:
             return TerminationResult("basic", CharVector(tuple(k)), None, steps)
-        v = lowest_eligible(eligible, k) if strategy is None else strategy(tuple(eligible), tuple(k))
-        if v not in eligible:
-            raise ValueError(f"strategy chose vertex {v}, not among eligible {eligible}")
-        row = q[v]
-        for i in range(len(k)):
-            k[i] += 2 * row[i]
+        # twice row `move` of Q: 2 m_v at the vertex, 2 at each neighbour
+        k[move] += 2 * weights[move]
+        for u in nb[move]:
+            k[u] += 2
         steps += 1
         if steps > limit:
             raise SafetyLimitError(
@@ -200,19 +183,137 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     return BasicSet(reps, grouped, counts, ctx.box_size - len(rows), ctx.box_size)
 
 
-def is_rational(ctx: QFormContext) -> bool:
-    """True iff the class of the canonical vector (all pairings m(v)+2)
-    holds exactly one basic vector. Runs the paths of that class's box
-    members only and stops at the second basic one."""
+# canonical-class members run_path tries before is_rational falls back to
+# the full canonical-class count
+_WALK_LIMIT = 64
+
+
+class RationalityDisagreementError(RuntimeError):
+    """Laufer's algorithm and the canonical-class basic count disagree."""
+
+
+def _add_vertex(ctx: QFormContext, z: list[int], pairing: list[int], v: int) -> None:
+    """z += E_v, keeping pairing = Q z: E_v pairs to m_v with itself and
+    to 1 with each neighbour."""
+    z[v] += 1
+    pairing[v] += ctx.weights[v]
+    for u in ctx.neighbors[v]:
+        pairing[u] += 1
+
+
+def laufer_steps(ctx: QFormContext, z: list[int], pairing: list[int]):
+    """Add E_v to the cycle z while some vertex v has z.E_v > 0, yielding
+    that pairing before each addition.
+
+    z and pairing (= Q z) are lists updated in place. On a negative-definite
+    form the additions end, in any order, at the least cycle >= z that
+    pairs non-positively with every vertex."""
+    nb = ctx.neighbors
+    # every positive vertex is on the stack exactly once
+    stack = [v for v in range(ctx.n) if pairing[v] > 0]
+    while stack:
+        v = stack.pop()
+        yield pairing[v]
+        _add_vertex(ctx, z, pairing, v)
+        if pairing[v] > 0:
+            stack.append(v)
+        for u in nb[v]:
+            if pairing[u] == 1:
+                stack.append(u)
+
+
+def laufer_rational(ctx: QFormContext) -> bool:
+    """Laufer's test: from Z = sum of E_v, add E_v while (Z.E_v) = 1. A step
+    with (Z.E_v) >= 2 proves the graph non-rational; a sequence of unit
+    steps ends at the fundamental cycle of a rational graph.
+
+    The argument is per component: steps in one component leave the
+    pairings of the others unchanged, and the restriction of Z to v's
+    component C starts as the sum of C's vertices, with chi = 1. A step
+    with (Z.E_v) >= 2 makes chi(Z|C + E_v) <= 0, so C is non-rational,
+    and the canonical class's basic count, a product over components, is
+    then at least 2."""
+    z = [1] * ctx.n
+    pairing = [sum(row) for row in ctx.q]
+    return all(step == 1 for step in laufer_steps(ctx, z, pairing))
+
+
+def _canonical_walk(ctx: QFormContext):
+    """Box members of the canonical class, breadth-first.
+
+    The members are k = canonical_char - 2 Q z, z a cycle with z.E_v <= 0
+    and -z.E_v <= |m_v| - 1 at every vertex. The walk starts at z = 0 and
+    steps from z to the closure (laufer_steps) of z + E_v; a child is
+    built only when the caller asks for the next member."""
+    base = ctx.canonical_char().k
+    room = [-w - 1 for w in ctx.weights]
+    start = (0,) * ctx.n
+    seen = {start}
+    queue = deque([(start, start)])
+    yield base
+    while queue:
+        z, pairing = queue.popleft()
+        for v in range(ctx.n):
+            cz, cp = list(z), list(pairing)
+            _add_vertex(ctx, cz, cp, v)
+            for _ in laufer_steps(ctx, cz, cp):
+                pass
+            key = tuple(cz)
+            if key in seen or any(-x > r for x, r in zip(cp, room)):
+                continue
+            seen.add(key)
+            queue.append((key, tuple(cp)))
+            yield tuple(b - 2 * x for b, x in zip(base, cp))
+
+
+def canonical_basic_pair(ctx: QFormContext) -> tuple[CharVector, CharVector] | None:
+    """Two distinct box vectors of the canonical class whose runs end
+    basic, found among the first _WALK_LIMIT members of the walk; None if
+    the walk finds fewer. Such a pair shows the graph is not rational."""
+    found = []
+    for k in itertools.islice(_canonical_walk(ctx), _WALK_LIMIT):
+        if run_path(ctx, k).basic:
+            found.append(CharVector(k))
+            if len(found) == 2:
+                return found[0], found[1]
+    return None
+
+
+def _canonical_basic_count(ctx: QFormContext) -> int:
+    """Basic vectors of the canonical class, counted up to 2 over the
+    meet-in-the-middle member list."""
     count = 0
     for k in ctx.canonical_class_members():
         if run_path(ctx, k).basic:
             count += 1
-            if count > 1:
-                return False
+            if count == 2:
+                return count
     if count == 0:
         raise AssertionError("canonical spin^c class has no basic vector")
-    return True
+    return count
+
+
+def is_rational(ctx: QFormContext) -> bool:
+    """True iff the class of the canonical vector (all pairings m(v)+2)
+    holds exactly one basic vector.
+
+    Laufer's test decides. A non-rational verdict is certified by two
+    basic members of the canonical class (canonical_basic_pair); a
+    rational one, or a non-rational one the walk cannot certify, by the
+    full canonical-class count. A count that contradicts Laufer raises
+    RationalityDisagreementError. The box budget is checked first."""
+    ctx.check_box_budget()
+    laufer = laufer_rational(ctx)
+    if not laufer and canonical_basic_pair(ctx) is not None:
+        return False
+    count = _canonical_basic_count(ctx)
+    if (count == 1) != laufer:
+        verdict = "rational" if laufer else "non-rational"
+        held = "one basic vector" if count == 1 else "two or more basic vectors"
+        raise RationalityDisagreementError(
+            f"Laufer's test says {verdict}, but the canonical class holds {held}"
+        )
+    return laufer
 
 
 @dataclass(frozen=True)

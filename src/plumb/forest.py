@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import exact
 
@@ -66,6 +67,11 @@ class PlumbingForest:
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def code(self) -> str:
+        """canonical_code(self), computed once per forest."""
+        return canonical_code(self)
 
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         nb = [[] for _ in range(self.n)]

@@ -87,6 +87,10 @@ class QFormContext:
         return exact.adjugate(self.q)
 
     @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return self.forest.neighbors()
+
+    @cached_property
     def box_size(self) -> int:
         return math.prod(abs(w) for w in self.weights)
 
@@ -122,7 +126,7 @@ class QFormContext:
         """m_v <= k_v <= -m_v - 2 for every vertex."""
         return all(w <= x <= -w - 2 for x, w in zip(_coords(k), self.weights))
 
-    def _check_box_budget(self) -> None:
+    def check_box_budget(self) -> None:
         if self.box_size > self.budget:
             raise EnumerationBudgetError(
                 f"box holds {self.box_size} vectors, budget is {self.budget}"
@@ -130,7 +134,7 @@ class QFormContext:
 
     def iter_box(self):
         """Yield the box pairing tuples in lexicographic order."""
-        self._check_box_budget()
+        self.check_box_budget()
         ranges = [range(w + 2, -w + 1, 2) for w in self.weights]
         return itertools.product(*ranges)
 
@@ -143,7 +147,7 @@ class QFormContext:
         half is indexed by residue, the left half is matched against it,
         and matches are yielded as found. About sqrt(box) digit tuples are
         held at once, even when |H1| = 1 and every box vector is a member."""
-        self._check_box_budget()
+        self.check_box_budget()
         n = self.n
         sizes = [abs(w) for w in self.weights]
         m = 2 * self.h1
@@ -228,7 +232,7 @@ class QFormContext:
         The budget and the int64 guard are checked here, before the first
         block is built: every box vector k has |k_v| <= |m_v|, which bounds
         the spin^c keys adj(Q).k and k.adj(Q).k."""
-        self._check_box_budget()
+        self.check_box_budget()
         big = max((abs(w) for w in self.weights), default=0)
         rowsum = max((sum(abs(x) for x in row) for row in self.adjugate), default=0)
         if self.box_size >= _INT64_GUARD or rowsum * big * big * self.n >= _INT64_GUARD:

@@ -22,6 +22,8 @@ from plumb.forest import (
 )
 from plumb.lattice import QFormContext
 
+from oracles import random_strategy, strategy_run_path
+
 
 def report(criterion, ok, detail, capfd):
     line = f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}"
@@ -338,8 +340,8 @@ def test_criterion_7_property_suites(capfd):
         k = box[rng.randrange(len(box))]
         base = engine.run_path(ctx, k)
         for _ in range(2):
-            strat = engine.random_strategy(random.Random(rng.getrandbits(32)))
-            r = engine.run_path(ctx, k, strategy=strat)
+            strat = random_strategy(random.Random(rng.getrandbits(32)))
+            r = strategy_run_path(ctx, k, strategy=strat)
             if r.outcome != base.outcome or (base.basic and r.final != base.final):
                 failures.append(f"strategy dependence on {forest.weights} {k}")
         counts["strategy"] += 1

@@ -334,3 +334,17 @@ def test_verify_classification_cli(capsys):
     )
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_verify_classification_reports_laufer_disagreement(capsys, monkeypatch):
+    from plumb import engine
+
+    right = engine.laufer_rational
+    monkeypatch.setattr(engine, "laufer_rational", lambda ctx: not right(ctx))
+    code, out, _ = run(
+        capsys, "verify-classification", "--max-vertices", "4",
+        "--min-weight", "-7",
+    )
+    assert code == 1
+    assert out.startswith("FAIL")
+    assert "counterexample: Laufer's test says" in out

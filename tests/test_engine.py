@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from plumb import engine
+from plumb import census, engine
 from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
-from plumb.forest import parse_forest
+from plumb.forest import PlumbingForest, parse_forest
 from plumb.lattice import QFormContext
+
+from oracles import random_strategy, strategy_run_path
 
 
 def star237():
@@ -54,16 +56,18 @@ def test_run_path_overflow_records_witness():
 def test_run_path_rejects_bad_strategy_choice():
     ctx = QFormContext(chain_forest([-2, -2]))
     with pytest.raises(ValueError, match="strategy chose"):
-        engine.run_path(ctx, (2, 0), strategy=lambda elig, k: 99)
+        strategy_run_path(ctx, (2, 0), strategy=lambda elig, k: 99)
 
 
 def test_run_path_strategy_changes_nothing():
     ctx = QFormContext(star_forest(-2, [-2, -3, -2]))
     rng = random.Random(11)
-    strat = engine.random_strategy(rng)
+    strat = random_strategy(rng)
     for k in ctx.iter_box():
         a = engine.run_path(ctx, k)
-        b = engine.run_path(ctx, k, strategy=strat)
+        # the oracle with its default rule retraces the library's run
+        assert strategy_run_path(ctx, k) == a
+        b = strategy_run_path(ctx, k, strategy=strat)
         assert a.outcome == b.outcome
         if a.basic:
             assert a.final == b.final
@@ -121,6 +125,101 @@ def test_is_rational_empty_forest():
     assert engine.run_path(ctx, ()).basic
     # no canonical class to inspect, but verdicts treat it as rational
     assert engine.verdicts(ctx).rational
+
+
+def _canonical_basic_total(ctx):
+    """Every basic vector of the canonical class, over the full
+    meet-in-the-middle member list."""
+    return sum(engine.run_path(ctx, k).basic for k in ctx.canonical_class_members())
+
+
+def _disjoint(a, b):
+    """The forest with components a and b, b's vertices renamed."""
+    return PlumbingForest(
+        a.ids + tuple(f"b{v}" for v in b.ids),
+        a.weights + b.weights,
+        a.edges + tuple((i + a.n, j + a.n) for i, j in b.edges),
+    )
+
+
+def _laufer_cases():
+    e8, s237 = e8_forest(), star_forest(-1, [-2, -3, -7])
+    graphs = [e8, s237, parse_forest("")]
+    # two components: Laufer's argument and the basic count go per component
+    a2 = chain_forest([-2, -2])
+    graphs += [_disjoint(e8, s237), _disjoint(a2, s237), _disjoint(e8, a2)]
+    for n in range(1, 6):
+        graphs.extend(census.enumerate_weighted(n, -5))
+    return graphs
+
+
+def test_laufer_agrees_with_basic_count_and_certificates_hold():
+    """Laufer's test against the canonical-class basic count on every tree
+    with n <= 5 and weights >= -5 (3,533 graphs), E8, Sigma(2,3,7), the
+    empty forest and three two-component forests; every non-rational verdict has a valid two-basic
+    certificate from the walk."""
+    rational = nonrational = 0
+    for g in _laufer_cases():
+        ctx = QFormContext(g)
+        laufer = engine.laufer_rational(ctx)
+        assert laufer == (_canonical_basic_total(ctx) == 1), g
+        assert engine.is_rational(ctx) == laufer, g
+        if laufer:
+            rational += 1
+            continue
+        nonrational += 1
+        pair = engine.canonical_basic_pair(ctx)
+        assert pair is not None, g
+        a, b = pair
+        assert a != b
+        canonical = ctx.spinc_key(ctx.canonical_char())
+        for k in pair:
+            assert ctx.in_box(k)
+            assert ctx.spinc_key(k) == canonical
+            assert engine.run_path(ctx, k).basic
+    assert rational == 3364 and nonrational == 175
+
+
+def test_laufer_steps_reach_the_fundamental_cycle():
+    # E8's fundamental cycle is its highest root, of height 29; every step pairs to 1
+    ctx = QFormContext(e8_forest())
+    z, pairing = [1] * 8, [sum(row) for row in ctx.q]
+    steps = list(engine.laufer_steps(ctx, z, pairing))
+    assert set(steps) == {1} and sum(z) == 29
+    assert all(p <= 0 for p in pairing)
+    # the -1 centre of Sigma(2,3,7) pairs to -1 + 3 = 2 at the first step
+    star = star237()
+    z, pairing = [1] * 4, [sum(row) for row in star.q]
+    assert next(engine.laufer_steps(star, z, pairing)) == 2
+
+
+def test_wrong_laufer_verdict_raises(monkeypatch):
+    right = engine.laufer_rational
+    monkeypatch.setattr(engine, "laufer_rational", lambda ctx: not right(ctx))
+    # rational E8 sent down the non-rational branch: the walk finds one
+    # basic vector, the fallback count confirms one
+    with pytest.raises(engine.RationalityDisagreementError, match="non-rational"):
+        engine.is_rational(QFormContext(e8_forest()))
+    # non-rational Sigma(2,3,7) sent to the confirming count
+    with pytest.raises(engine.RationalityDisagreementError, match="says rational"):
+        engine.is_rational(star237())
+
+
+def test_walk_limit_zero_falls_back_to_the_count(monkeypatch):
+    graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -5)]
+    want = [engine.is_rational(QFormContext(g)) for g in graphs]
+    sweeps = []
+    members = QFormContext.canonical_class_members
+
+    def counted(ctx):
+        sweeps.append(ctx.forest)
+        return members(ctx)
+
+    monkeypatch.setattr(engine, "_WALK_LIMIT", 0)
+    monkeypatch.setattr(QFormContext, "canonical_class_members", counted)
+    assert [engine.is_rational(QFormContext(g)) for g in graphs] == want
+    assert sweeps == graphs
+    assert not all(want)
 
 
 # ---------------------------------------------------------------- verdicts

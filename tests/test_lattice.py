@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from plumb import engine
 from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import parse_forest
 from plumb.lattice import (
@@ -79,6 +80,8 @@ def test_budget_refuses_large_box():
         next(ctx.canonical_class_members())
     with pytest.raises(EnumerationBudgetError):
         ctx.box_blocks()
+    with pytest.raises(EnumerationBudgetError):
+        engine.is_rational(ctx)
 
 
 def test_canonical_class_members_match_box_filter():

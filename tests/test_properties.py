@@ -16,6 +16,8 @@ from plumb.forest import (
 )
 from plumb.lattice import QFormContext
 
+from oracles import random_strategy, strategy_run_path
+
 COMMON = settings(
     max_examples=120,
     deadline=None,
@@ -61,7 +63,7 @@ def test_run_path_strategy_independent(forest, pick, seed):
     base = engine.run_path(ctx, k)
     for s in range(3):
         rng = random.Random(seed + s)
-        r = engine.run_path(ctx, k, strategy=engine.random_strategy(rng))
+        r = strategy_run_path(ctx, k, strategy=random_strategy(rng))
         assert r.outcome == base.outcome
         if base.basic:
             assert r.final == base.final
