@@ -1,14 +1,13 @@
 """Exhaustive scans over small negative-definite weighted trees.
 
 Trees are enumerated one isomorphism class of shapes at a time; weight
-assignments are swept as a (wmin..-1)^n grid per shape with a vectorized
-subtree-determinant recursion, so definiteness, determinant and
-minimality filters run before any graph object is materialized.
+assignments are swept as a (wmin..-1)^n grid per shape, with the
+subtree-determinant recursion of forest.py run on whole columns, so
+definiteness, determinant and minimality filters run before any graph
+object is materialized.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -19,8 +18,15 @@ import networkx as nx
 import numpy as np
 
 from . import engine
-from .exact import determinant
-from .forest import PlumbingForest, canonical_code, intersection_matrix, is_minimal
+from .forest import (
+    PlumbingForest,
+    _det_negdef,
+    _shape_tables,
+    _ShapeTables,
+    canonical_code,
+    h1_order,
+    is_minimal,
+)
 from .lattice import _INT64_GUARD, DEFAULT_BUDGET, EnumerationBudgetError, QFormContext
 
 MAX_TREE_VERTICES = 12
@@ -61,44 +67,6 @@ def enumerate_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     return shapes
 
 
-def labeled_tree_codes(n: int, weights: Sequence[int] | None = None) -> set[str]:
-    """Independent cross-check generator: canonical codes of all labeled
-    trees on n vertices (sequence decoding), optionally with a fixed
-    weight vector applied by label. Exponential; intended for small n."""
-    if n == 1:
-        trees = [()]
-    elif n == 2:
-        trees = [((0, 1),)]
-    else:
-        trees = []
-        for seq in itertools.product(range(n), repeat=n - 2):
-            trees.append(_decode_tree_sequence(seq, n))
-    w = tuple(weights) if weights is not None else (-2,) * n
-    codes = set()
-    for edges in trees:
-        codes.add(canonical_code(_shape_forest(edges, n, w)))
-    return codes
-
-
-def _decode_tree_sequence(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return tuple(sorted(edges))
-
-
 def _shape_forest(
     edges: Sequence[tuple[int, int]], n: int, weights: Sequence[int]
 ) -> PlumbingForest:
@@ -107,93 +75,11 @@ def _shape_forest(
 
 
 @dataclass(frozen=True)
-class _ShapeTables:
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    children: tuple[tuple[int, ...], ...]
-    postorder: tuple[int, ...]
-    sizes: tuple[int, ...]
-    degrees: tuple[int, ...]
-
-
-def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [-1] * n
-    order = [0]
-    seen = {0}
-    for v in order:
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-    sizes = [1] * n
-    for v in reversed(order):
-        for c in children[v]:
-            sizes[v] += sizes[c]
-    return _ShapeTables(
-        n=n,
-        edges=tuple(edges),
-        children=tuple(tuple(c) for c in children),
-        postorder=tuple(reversed(order)),
-        sizes=tuple(sizes),
-        degrees=tuple(len(a) for a in adj),
-    )
-
-
-def _subtree_determinants(tables: _ShapeTables, weights):
-    """Determinant of every rooted subtree via the leaf-to-root
-    recursion; weights may be per-vertex scalars or equal-length arrays
-    (the recursion is elementwise)."""
-    d = [None] * tables.n
-    p = [None] * tables.n
-    for v in tables.postorder:
-        cs = tables.children[v]
-        if not cs:
-            d[v] = weights[v] * 1
-            p[v] = weights[v] * 0 + 1
-            continue
-        pre = [weights[v] * 0 + 1]
-        for c in cs:
-            pre.append(pre[-1] * d[c])
-        suf = [None] * (len(cs) + 1)
-        suf[len(cs)] = weights[v] * 0 + 1
-        for i in range(len(cs) - 1, -1, -1):
-            suf[i] = suf[i + 1] * d[cs[i]]
-        a = pre[len(cs)]
-        b = weights[v] * 0
-        for i, c in enumerate(cs):
-            b = b + p[c] * pre[i] * suf[i + 1]
-        d[v] = weights[v] * a - b
-        p[v] = a
-    return d
-
-
-def _negdef_from_subtrees(tables: _ShapeTables, d):
-    """Elementwise: all rooted-subtree determinants carry the alternating
-    sign (-1)^size, which is the leading-principal-minor test in a
-    children-first vertex order."""
-    ok = None
-    for v in range(tables.n):
-        want_neg = tables.sizes[v] % 2 == 1
-        cond = (d[v] < 0) if want_neg else (d[v] > 0)
-        ok = cond if ok is None else (ok & cond)
-    return ok
-
-
-@dataclass(frozen=True)
 class _GridScan:
     tables: _ShapeTables
     weights: np.ndarray  # (n, C) int64, one column per weight assignment
     negdef: np.ndarray  # boolean mask over combos
-    det: np.ndarray  # root determinant per combo
+    det: np.ndarray  # determinant per combo
     minimal: np.ndarray  # no -1 weight at a degree <= 2 vertex
     has_minus_one: np.ndarray
     has_le_minus_three: np.ndarray
@@ -209,7 +95,7 @@ def _grid_scan(tables: _ShapeTables, wmin: int) -> _GridScan:
     vals = np.arange(wmin, 0, dtype=np.int64)
     digits = np.indices((len(vals),) * n).reshape(n, -1)
     weights = vals[digits]
-    d = _subtree_determinants(tables, weights)
+    det, negdef = _det_negdef(tables, weights)
     minimal = np.ones(weights.shape[1], dtype=bool)
     for v in range(n):
         if tables.degrees[v] <= 2:
@@ -217,8 +103,8 @@ def _grid_scan(tables: _ShapeTables, wmin: int) -> _GridScan:
     return _GridScan(
         tables=tables,
         weights=weights,
-        negdef=_negdef_from_subtrees(tables, d),
-        det=d[tables.postorder[-1]],
+        negdef=negdef,
+        det=det,
         minimal=minimal,
         has_minus_one=(weights == -1).any(axis=0),
         has_le_minus_three=(weights <= -3).any(axis=0),
@@ -314,7 +200,7 @@ class CensusRecord:
 
 # filters known from the forest alone run before classify
 _FOREST_FILTERS = {
-    "zhs": lambda f: abs(determinant(intersection_matrix(f))) == 1,
+    "zhs": lambda f: h1_order(f) == 1,
     "minimal": is_minimal,
 }
 
@@ -452,11 +338,11 @@ def verify_e8_unique(nmax: int) -> E8Report:
         for edges in enumerate_trees(n):
             scanned += 1
             tables = _shape_tables(edges, n)
-            d = _subtree_determinants(tables, (-2,) * n)
-            if not _negdef_from_subtrees(tables, d):
+            det, negdef = _det_negdef(tables, (-2,) * n)
+            if not negdef:
                 continue
             negdef_count += 1
-            if abs(d[tables.postorder[-1]]) == 1:
+            if abs(det) == 1:
                 hits.append(canonical_code(_shape_forest(edges, n, (-2,) * n)))
     hits.sort()
     ok = hits == [expected]

@@ -15,16 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import census, engine, relations
-from .exact import determinant
 from .forest import (
     ParseError,
     PlumbingForest,
+    _forest_det_negdef,
     canonical_code,
     forest_to_json_obj,
     forest_to_text,
-    intersection_matrix,
     is_minimal,
-    is_negative_definite,
     parse_forest,
     parse_forest_json,
     reduce_forest,
@@ -142,9 +140,7 @@ def _frac_str(x: Fraction) -> str:
 
 def cmd_check(args) -> int:
     forest = _read_forest(args)
-    q = intersection_matrix(forest)
-    det = determinant(q)
-    negdef = is_negative_definite(forest)
+    det, negdef = _forest_det_negdef(forest)
     obj = {
         "vertices": forest.n,
         "components": len(forest.components()),

@@ -1,58 +1,13 @@
-"""Exact integer linear algebra for small matrices.
+"""The exact integer adjugate of a small matrix.
 
-Everything here works on tuples/lists of Python ints (arbitrary
-precision). No floating point.
+It works on tuples/lists of Python ints (arbitrary precision), with no
+floating point. Determinants and definiteness of plumbing forms come
+from the subtree recursion in forest.py.
 """
 
 from __future__ import annotations
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def leading_minors(rows) -> list[int]:
-    """Leading principal minors m_1..m_n via fraction-free Bareiss elimination.
-
-    If a zero minor is encountered the list ends with that zero and the
-    remaining minors are left uncomputed (they are not needed by callers,
-    which only use the prefix to decide definiteness).
-    """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    minors = []
-    prev = 1
-    for k in range(n):
-        piv = m[k][k]
-        minors.append(piv)
-        if piv == 0:
-            return minors
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-        prev = piv
-    return minors
-
-
-def determinant(rows) -> int:
-    """Exact determinant via Bareiss elimination with row pivoting."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    prev = 1
-    sign = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-        prev = piv
-    return sign * m[n - 1][n - 1]
 
 
 def adjugate(rows) -> IntMatrix:

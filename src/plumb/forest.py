@@ -8,10 +8,10 @@ matrices and enumerations use that order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-from . import exact
+from typing import Sequence
 
 
 class ParseError(ValueError):
@@ -265,20 +265,114 @@ def intersection_matrix(forest: PlumbingForest) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+@dataclass(frozen=True)
+class _ShapeTables:
+    """A forest shape rooted at the least vertex of each component."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    roots: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    postorder: tuple[int, ...]
+    sizes: tuple[int, ...]
+    degrees: tuple[int, ...]
+
+
+def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-1] * n
+    seen = [False] * n
+    roots, order = [], []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        queue = [root]
+        for v in queue:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    queue.append(u)
+        order += queue
+    children = [[] for _ in range(n)]
+    for v in range(n):
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+    sizes = [1] * n
+    for v in reversed(order):
+        for c in children[v]:
+            sizes[v] += sizes[c]
+    return _ShapeTables(
+        n=n,
+        edges=tuple(edges),
+        roots=tuple(roots),
+        children=tuple(tuple(c) for c in children),
+        postorder=tuple(reversed(order)),
+        sizes=tuple(sizes),
+        degrees=tuple(len(a) for a in adj),
+    )
+
+
+def _subtree_determinants(tables: _ShapeTables, weights):
+    """Determinant of every rooted subtree via the leaf-to-root
+    recursion; weights may be per-vertex scalars or equal-length arrays
+    (the recursion is elementwise)."""
+    d = [None] * tables.n
+    p = [None] * tables.n
+    for v in tables.postorder:
+        cs = tables.children[v]
+        if not cs:
+            d[v] = weights[v] * 1
+            p[v] = weights[v] * 0 + 1
+            continue
+        pre = [weights[v] * 0 + 1]
+        for c in cs:
+            pre.append(pre[-1] * d[c])
+        suf = [None] * (len(cs) + 1)
+        suf[len(cs)] = weights[v] * 0 + 1
+        for i in range(len(cs) - 1, -1, -1):
+            suf[i] = suf[i + 1] * d[cs[i]]
+        a = pre[len(cs)]
+        b = weights[v] * 0
+        for i, c in enumerate(cs):
+            b = b + p[c] * pre[i] * suf[i + 1]
+        d[v] = weights[v] * a - b
+        p[v] = a
+    return d
+
+
+def _det_negdef(tables: _ShapeTables, weights):
+    """det Q and whether Q is negative definite, elementwise like
+    _subtree_determinants. det Q is the product of the roots' subtree
+    determinants. In the children-first order every prefix of the
+    vertices is a disjoint union of whole rooted subtrees, so Sylvester's
+    criterion reads: every subtree determinant has the sign (-1)^size.
+    The empty forest is definite, with det 1."""
+    d = _subtree_determinants(tables, weights)
+    negdef = True
+    for v in range(tables.n):
+        negdef = negdef & ((d[v] < 0) if tables.sizes[v] % 2 else (d[v] > 0))
+    return math.prod(d[r] for r in tables.roots), negdef
+
+
+def _forest_det_negdef(forest: PlumbingForest) -> tuple[int, bool]:
+    """(det Q, Q negative definite) of a forest, from one recursion."""
+    return _det_negdef(_shape_tables(forest.edges, forest.n), forest.weights)
+
+
 def is_negative_definite(forest: PlumbingForest) -> bool:
-    """True iff the leading principal minors alternate in sign starting negative."""
-    minors = exact.leading_minors(intersection_matrix(forest))
-    if len(minors) < forest.n:
-        return False
-    for k, m in enumerate(minors, start=1):
-        if m == 0 or (m > 0) != (k % 2 == 0):
-            return False
-    return True
+    """True iff the intersection form is negative definite."""
+    return _forest_det_negdef(forest)[1]
 
 
 def h1_order(forest: PlumbingForest) -> int:
     """|det Q|; the order of H_1 of the boundary when Q is nondegenerate, else 0."""
-    return abs(exact.determinant(intersection_matrix(forest)))
+    return abs(_forest_det_negdef(forest)[0])
 
 
 @dataclass(frozen=True)

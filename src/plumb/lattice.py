@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import exact
-from .forest import PlumbingForest, intersection_matrix, is_negative_definite
+from .forest import PlumbingForest, _forest_det_negdef, intersection_matrix
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -60,23 +59,20 @@ class QFormContext:
 
     Holds the intersection matrix, its determinant and adjugate, the
     characteristic-vector box bounds, and the spin^c classification. All
-    arithmetic is exact (int / Fraction).
+    arithmetic is exact (int).
     """
 
     def __init__(self, forest: PlumbingForest, budget: int = DEFAULT_BUDGET):
         self.forest = forest
         self.budget = budget
         self.q = intersection_matrix(forest)
-        if not is_negative_definite(forest):
+        self.det, negdef = _forest_det_negdef(forest)
+        if not negdef:
             raise NotNegativeDefiniteError(
                 "intersection form is not negative definite"
             )
         self.n = forest.n
         self.weights = forest.weights
-
-    @cached_property
-    def det(self) -> int:
-        return exact.determinant(self.q)
 
     @cached_property
     def h1(self) -> int:
@@ -121,10 +117,6 @@ class QFormContext:
     def in_box(self, k) -> bool:
         """m_v + 2 <= k_v <= -m_v for every vertex."""
         return all(w + 2 <= x <= -w for x, w in zip(_coords(k), self.weights))
-
-    def in_terminal_box(self, k) -> bool:
-        """m_v <= k_v <= -m_v - 2 for every vertex."""
-        return all(w <= x <= -w - 2 for x, w in zip(_coords(k), self.weights))
 
     def check_box_budget(self) -> None:
         if self.box_size > self.budget:
@@ -185,23 +177,6 @@ class QFormContext:
             for dg_right in by_res.get(want, ()):
                 yield tuple(b + 2 * d for b, d in zip(base, dg_left + dg_right))
 
-    def char_box(self) -> list[CharVector]:
-        """All characteristic vectors K with m_v + 2 <= k_v <= -m_v, sorted."""
-        return [CharVector(k) for k in self.iter_box()]
-
-    # ------------------------------------------------------------ invariants
-
-    def k_square(self, k) -> Fraction:
-        """K^2 = k^T Q^{-1} k, exactly."""
-        k = _coords(k)
-        adj = self.adjugate
-        total = 0
-        for i, ki in enumerate(k):
-            if ki:
-                row = adj[i]
-                total += ki * sum(r * kj for r, kj in zip(row, k))
-        return Fraction(total, self.det)
-
     def adj_image(self, k) -> tuple[int, ...]:
         """adj(Q) . k — integer vector, det * Q^{-1} k."""
         k = _coords(k)
@@ -211,13 +186,6 @@ class QFormContext:
         """Hashable spin^c invariant: adj(Q).k reduced mod 2|det Q|."""
         m = 2 * self.h1
         return tuple(x % m for x in self.adj_image(k))
-
-    def same_spinc(self, k1, k2) -> bool:
-        """True iff K1 - K2 is twice an integer combination of matrix rows."""
-        m = 2 * self.h1
-        d1 = self.adj_image(k1)
-        d2 = self.adj_image(k2)
-        return all((a - b) % m == 0 for a, b in zip(d1, d2))
 
     # ----------------------------------------------------------- box layer
 

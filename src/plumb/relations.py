@@ -245,7 +245,8 @@ def _check_int64(ctx, lo, hi) -> None:
 
 def _np_shell_enum(ctx, rhs, lo, hi, budget):
     """Vectorized shell enumeration: float LDL bounds widened by one step,
-    then an exact int64 filter. Returns an (N, n) int64 array."""
+    then an exact int64 filter on the K^2 numerators. Returns the (N, n)
+    int64 states and their ctx.k_square_numerators."""
     n = ctx.n
     sgn = 1 if ctx.det > 0 else -1
     a_rows = [[-sgn * x for x in row] for row in ctx.adjugate]
@@ -280,10 +281,9 @@ def _np_shell_enum(ctx, rhs, lo, hi, budget):
         remaining = remaining[idx] - term
         ks = np.concatenate([newk[:, None], ks[idx]], axis=1)
     # ks columns are now coordinates 0..n-1 in order; exact filter
-    adj = np.array(ctx.adjugate, dtype=np.int64)
-    q = np.einsum("ij,ij->i", ks @ adj.T, ks) * sgn
+    q = ctx.k_square_numerators(ks)
     keep = q >= -rhs
-    return ks[keep]
+    return ks[keep], q[keep]
 
 
 def _class_reps_and_qmax(ctx):
@@ -374,10 +374,11 @@ def truncated_classes(
     lo, hi = _shell_bounds(ctx, expansion, rhs)
     _check_int64(ctx, lo, hi)
 
-    states = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
+    states, q = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
     cls = ctx.class_indices(ctx.spinc_keys(states))
     # within a class, |det| * K^2 moves in steps of 8|H1|: exact levels
-    level = (np.array(q_max)[cls] - ctx.k_square_numerators(states)) // (8 * h1)
+    level = (np.array(q_max)[cls] - q) // (8 * h1)
+    del q  # not held through the row counts, which set the peak memory
     seen = np.bincount(cls, minlength=len(reps)) > 0
     keep = level <= max_u  # deeper states belong to no row
     states, cls, level = states[keep], cls[keep], level[keep]

@@ -4,10 +4,76 @@ strategy_run_path is engine.run_path with a pluggable vertex-selection
 rule: the library always moves at the lowest eligible vertex, and the
 tests use this runner to check that the outcome, and a basic run's final
 vector, do not depend on that choice.
+
+char_box, in_terminal_box, k_square and same_spinc are the scalar
+counterparts of the box layer's blocks, K^2 numerators and spin^c keys;
+labeled_tree_codes cross-checks census.enumerate_trees.
 """
 
+import heapq
+import itertools
+from fractions import Fraction
+
 from plumb.engine import SafetyLimitError, TerminationResult
+from plumb.forest import PlumbingForest, canonical_code
 from plumb.lattice import CharVector
+
+
+def char_box(ctx) -> list[CharVector]:
+    """All characteristic vectors K with m_v + 2 <= k_v <= -m_v, sorted."""
+    return [CharVector(k) for k in ctx.iter_box()]
+
+
+def in_terminal_box(ctx, k) -> bool:
+    """m_v <= k_v <= -m_v - 2 for every vertex."""
+    return all(w <= x <= -w - 2 for x, w in zip(k, ctx.weights))
+
+
+def k_square(ctx, k) -> Fraction:
+    """K^2 = k^T Q^{-1} k, exactly."""
+    k = tuple(k)
+    total = sum(ki * sum(r * kj for r, kj in zip(row, k)) for ki, row in zip(k, ctx.adjugate))
+    return Fraction(total, ctx.det)
+
+
+def same_spinc(ctx, k1, k2) -> bool:
+    """True iff K1 - K2 is twice an integer combination of matrix rows."""
+    m = 2 * ctx.h1
+    return all((a - b) % m == 0 for a, b in zip(ctx.adj_image(k1), ctx.adj_image(k2)))
+
+
+def labeled_tree_codes(n, weights=None) -> set[str]:
+    """Canonical codes of all labeled trees on n vertices (decoded from
+    their Pruefer sequences), with a fixed weight vector applied by label
+    (all -2 by default). Exponential; for small n."""
+    if n == 1:
+        trees = [()]
+    elif n == 2:
+        trees = [((0, 1),)]
+    else:
+        trees = [_decode_tree_sequence(seq, n) for seq in itertools.product(range(n), repeat=n - 2)]
+    w = tuple(weights) if weights is not None else (-2,) * n
+    ids = tuple(f"v{i + 1}" for i in range(n))
+    return {canonical_code(PlumbingForest(ids, w, edges)) for edges in trees}
+
+
+def _decode_tree_sequence(seq, n) -> tuple[tuple[int, int], ...]:
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return tuple(sorted(edges))
 
 
 def lowest_eligible(eligible, k):

@@ -22,7 +22,7 @@ from plumb.forest import (
 )
 from plumb.lattice import QFormContext
 
-from oracles import random_strategy, strategy_run_path
+from oracles import k_square, random_strategy, strategy_run_path
 
 
 def report(criterion, ok, detail, capfd):
@@ -361,7 +361,7 @@ def test_criterion_7_property_suites(capfd):
         box = list(ctx.iter_box())
         k = box[rng.randrange(len(box))]
         v = rng.randrange(ctx.n)
-        lhs = ctx.k_square(ctx.add_pd(k, v)) - ctx.k_square(k)
+        lhs = k_square(ctx, ctx.add_pd(k, v)) - k_square(ctx, k)
         if lhs != 8 * relations.step_weight(ctx, k, v):
             failures.append(f"k_square step identity on {ctx.forest.weights}")
         counts["ksquare"] += 1

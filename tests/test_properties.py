@@ -16,7 +16,7 @@ from plumb.forest import (
 )
 from plumb.lattice import QFormContext
 
-from oracles import random_strategy, strategy_run_path
+from oracles import k_square, random_strategy, same_spinc, strategy_run_path
 
 COMMON = settings(
     max_examples=120,
@@ -92,13 +92,13 @@ def test_k_square_add_pd_is_eight_step_weights(forest, pick, vpick, times):
     box = list(ctx.iter_box())
     k = box[pick % len(box)]
     v = vpick % ctx.n
-    expected = ctx.k_square(k)
+    expected = k_square(ctx, k)
     cur = k
     for _ in range(times):
         expected += 8 * relations.step_weight(ctx, cur, v)
         cur = tuple(ctx.add_pd(cur, v))
-    assert ctx.k_square(cur) == expected
-    assert ctx.same_spinc(k, cur)
+    assert k_square(ctx, cur) == expected
+    assert same_spinc(ctx, k, cur)
 
 
 # 4 ---------------------------------------------------- conjugation symmetry

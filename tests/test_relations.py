@@ -12,6 +12,8 @@ from plumb import census, cli, engine, relations
 from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
+from oracles import k_square, same_spinc
+
 
 def star237():
     return QFormContext(star_forest(-1, [-2, -3, -7]))
@@ -160,7 +162,7 @@ def ustate_oracle(ctx, max_u, expansion):
 
 
 def degree_of(ctx, a, k):
-    return 2 * a - (ctx.k_square(k) + ctx.n) / 4
+    return 2 * a - (k_square(ctx, k) + ctx.n) / 4
 
 
 def oracle_tables(ctx, max_u, expansion):
@@ -228,7 +230,7 @@ def test_minimal_relation_matches_oracle_merge_level():
     uf, _ = ustate_oracle(ctx, max_u, expansion)
     box = list(ctx.iter_box())
     for k1, k2 in itertools.combinations(box, 2):
-        if not ctx.same_spinc(k1, k2):
+        if not same_spinc(ctx, k1, k2):
             continue
         pw = relations.path_weight(ctx, k1, k2)
         merge = None
@@ -335,8 +337,7 @@ def test_row_counts_match_union_find_oracle():
             tabs = relations.truncated_classes(ctx, max_u=max_u)
             rhs = 8 * max_u * ctx.h1 - min(q_max)
             lo, hi = relations._shell_bounds(ctx, expansion, rhs)
-            states = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-            q = ctx.k_square_numerators(states)
+            states, q = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
             cls = ctx.class_indices(ctx.spinc_keys(states))
             assert len(tabs) == len(q_max)
             for ci, (tab, qm) in enumerate(zip(tabs, q_max)):
@@ -416,8 +417,9 @@ def exact_shell_enum(ctx, rhs, lo, hi):
 
 def test_np_shell_enum_matches_exact_oracle():
     """The oracle searches the whole expanded box; the numpy enumeration
-    gets that box clipped to the shell's ellipsoid bounds. Four-vertex
-    graphs stop at max_u 1, where the oracle already takes seconds."""
+    gets that box clipped to the shell's ellipsoid bounds, and each state's
+    K^2 numerator must be |H1| times the exact K^2. Four-vertex graphs stop
+    at max_u 1, where the oracle already takes seconds."""
     graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -4)]
     for g in graphs:
         ctx = QFormContext(g)
@@ -428,9 +430,10 @@ def test_np_shell_enum_matches_exact_oracle():
         for max_u in range(4 if g.n < 4 else 2):
             rhs = 8 * max_u * ctx.h1 - min(q_max)
             lo, hi = relations._shell_bounds(ctx, expansion, rhs)
-            got = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
+            got, q = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
             want = exact_shell_enum(ctx, rhs, box_lo, box_hi)
             assert sorted(map(tuple, got.tolist())) == sorted(want), (g.weights, max_u)
+            assert q.tolist() == [ctx.h1 * k_square(ctx, k) for k in got.tolist()]
             # reverse-lexicographic (last coordinate outermost): the row
             # counter's keys rely on this order
             assert (np.lexsort(got.T) == np.arange(len(got))).all()
