@@ -119,6 +119,14 @@ def _masked_forests(scan: _GridScan, mask: np.ndarray) -> Iterator[PlumbingFores
 
 
 def _check_grid_budget(nmax: int, wmin: int, budget: int) -> None:
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    if wmin > -1:
+        raise ValueError("wmin must be <= -1")
+    if nmax > MAX_TREE_VERTICES:
+        raise EnumerationBudgetError(
+            f"tree enumeration is budgeted to {MAX_TREE_VERTICES} vertices, got {nmax}"
+        )
     total = sum(
         _FREE_TREE_COUNTS[n - 1] * abs(wmin) ** n for n in range(1, nmax + 1)
     )

@@ -280,14 +280,16 @@ def canonical_basic_pair(ctx: QFormContext) -> tuple[CharVector, CharVector] | N
 
 
 def _canonical_basic_count(ctx: QFormContext) -> int:
-    """Basic vectors of the canonical class, counted up to 2 over the
-    meet-in-the-middle member list."""
+    """Basic vectors of the canonical class, counted up to 2: each box
+    block's canonical-class rows go through _basic_rows, and the sweep
+    stops at the block that brings the count to 2."""
+    canonical = np.array(ctx.spinc_key(ctx.canonical_char()), dtype=np.int64)
     count = 0
-    for k in ctx.canonical_class_members():
-        if run_path(ctx, k).basic:
-            count += 1
-            if count == 2:
-                return count
+    for block in ctx.box_blocks():
+        members = block[(ctx.spinc_keys(block) == canonical).all(axis=1)]
+        count += int(_basic_rows(ctx, members).sum())
+        if count >= 2:
+            return 2
     if count == 0:
         raise AssertionError("canonical spin^c class has no basic vector")
     return count
@@ -338,6 +340,8 @@ def ar_status(ctx: QFormContext, bound: int | None = None) -> ArStatus:
     delta is the smallest that works."""
     if bound is None:
         bound = default_ar_bound(ctx)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     if ctx.n == 0:
         # the empty graph is rational as it stands; decreasing nothing is moot
         return ArStatus(True, None, 0, bound)

@@ -130,53 +130,6 @@ class QFormContext:
         ranges = [range(w + 2, -w + 1, 2) for w in self.weights]
         return itertools.product(*ranges)
 
-    def canonical_class_members(self):
-        """Yield, in lexicographic order, the box vectors in the spin^c
-        class of canonical_char(): the k = base + 2*digits with
-        adj(Q).(k - base) = 0 mod 2|det|.
-
-        Two half-coordinate residue sweeps meet in the middle: the right
-        half is indexed by residue, the left half is matched against it,
-        and matches are yielded as found. About sqrt(box) digit tuples are
-        held at once, even when |H1| = 1 and every box vector is a member."""
-        self.check_box_budget()
-        n = self.n
-        sizes = [abs(w) for w in self.weights]
-        m = 2 * self.h1
-        adj = self.adjugate
-        base = self.canonical_char().k
-        # residue contribution of digit d at coordinate v: column v of adj times 2d
-        contrib = [
-            [tuple((2 * d * adj[u][v]) % m for u in range(n)) for d in range(sizes[v])]
-            for v in range(n)
-        ]
-        split = n
-        prod = 1
-        target = math.isqrt(self.box_size)
-        for v in range(n):
-            if prod >= target:
-                split = v
-                break
-            prod *= sizes[v]
-
-        def sweep(coords):
-            acc = [((0,) * n, ())]
-            for v in coords:
-                acc = [
-                    (tuple((r + x) % m for r, x in zip(res, c)), dg + (d,))
-                    for res, dg in acc
-                    for d, c in enumerate(contrib[v])
-                ]
-            return acc
-
-        by_res: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for res, dg in sweep(range(split, n)):
-            by_res.setdefault(res, []).append(dg)
-        for res, dg_left in sweep(range(split)):
-            want = tuple((-x) % m for x in res)
-            for dg_right in by_res.get(want, ()):
-                yield tuple(b + 2 * d for b, d in zip(base, dg_left + dg_right))
-
     def adj_image(self, k) -> tuple[int, ...]:
         """adj(Q) . k — integer vector, det * Q^{-1} k."""
         k = _coords(k)

@@ -273,7 +273,7 @@ def _np_shell_enum(ctx, rhs, lo, hi, budget):
                 f"shell enumeration exceeded the budget of {budget} states"
             )
         if total == 0:
-            return np.zeros((0, n), dtype=np.int64)
+            return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
         idx = np.repeat(np.arange(len(ks)), counts)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         newk = np.repeat(lo_b, counts) + 2 * (np.arange(total) - np.repeat(starts, counts))
@@ -363,6 +363,8 @@ def truncated_classes(
         expansion = default_expansion(ctx)
     if max_u < 0:
         raise ValueError("max_u must be nonnegative")
+    if expansion < 0:
+        raise ValueError("expansion must be nonnegative")
     if ctx.n == 0:
         rows = tuple(DegreeRow(Fraction(2 * j), 1) for j in range(max_u + 1))
         return (ClassTable(CharVector(()), Fraction(0), rows, True, 0),)

@@ -381,3 +381,28 @@ def test_verify_classification_reports_laufer_disagreement(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL")
     assert "counterexample: Laufer's test says" in out
+
+
+# -------------------------------------------------------- argument checks
+
+# (argv, exit code): 2 for a bad argument, 3 for one over a budget
+BAD_ARGUMENTS = [
+    (("hf", "--chain=-2,-3", "--expansion", "-5"), 2),
+    (("hf", "--chain=-2,-3", "--max-u", "-1"), 2),
+    (("invariants", "--chain=-2,-3", "--ar-bound", "-3"), 2),
+    (("verify-classification", "--max-vertices", "13", "--min-weight", "-2"), 3),
+    (("verify-classification", "--max-vertices", "6", "--min-weight", "0"), 2),
+    (("verify-classification", "--max-vertices", "0", "--min-weight", "-3"), 2),
+    (("verify-e8", "--max-vertices", "3"), 2),
+    (("census", "--max-vertices", "13", "--min-weight", "-1"), 3),
+    (("census", "--max-vertices", "2", "--min-weight", "-2", "--threads", "0"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", BAD_ARGUMENTS, ids=[" ".join(a) for a, _ in BAD_ARGUMENTS]
+)
+def test_bad_arguments_exit_code(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Path runs, basic vectors, verdicts, d-invariants, lens calibration."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from plumb import census, engine
 from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
 from plumb.forest import PlumbingForest, parse_forest
-from plumb.lattice import QFormContext
+from plumb.lattice import EnumerationBudgetError, QFormContext
 
 from oracles import in_terminal_box, random_strategy, strategy_run_path
 
@@ -128,9 +129,11 @@ def test_is_rational_empty_forest():
 
 
 def _canonical_basic_total(ctx):
-    """Every basic vector of the canonical class, over the full
-    meet-in-the-middle member list."""
-    return sum(engine.run_path(ctx, k).basic for k in ctx.canonical_class_members())
+    """Every basic vector of the canonical class, read off the full
+    BasicSet (1 for the empty forest, which has no class table)."""
+    if ctx.n == 0:
+        return 1
+    return int(engine.basic_vectors(ctx).counts[ctx.class_index(ctx.canonical_char())])
 
 
 def _disjoint(a, b):
@@ -209,17 +212,34 @@ def test_walk_limit_zero_falls_back_to_the_count(monkeypatch):
     graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -5)]
     want = [engine.is_rational(QFormContext(g)) for g in graphs]
     sweeps = []
-    members = QFormContext.canonical_class_members
+    count = engine._canonical_basic_count
 
     def counted(ctx):
         sweeps.append(ctx.forest)
-        return members(ctx)
+        return count(ctx)
 
     monkeypatch.setattr(engine, "_WALK_LIMIT", 0)
-    monkeypatch.setattr(QFormContext, "canonical_class_members", counted)
+    monkeypatch.setattr(engine, "_canonical_basic_count", counted)
     assert [engine.is_rational(QFormContext(g)) for g in graphs] == want
     assert sweeps == graphs
     assert not all(want)
+
+
+def test_is_rational_on_a_skewed_box_stays_small():
+    # one dominant weight: the count holds one box block at a time
+    tracemalloc.start()
+    try:
+        assert engine.is_rational(QFormContext(chain_forest([-500000])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
+
+
+def test_is_rational_shares_the_box_layer_int64_guard():
+    ctx = QFormContext(chain_forest([-(2**31 + 1)]), budget=2**32)
+    with pytest.raises(EnumerationBudgetError, match="box layer"):
+        engine.is_rational(ctx)
 
 
 # ---------------------------------------------------------------- verdicts
@@ -241,6 +261,8 @@ def test_ar_status_bound_exhaustion_is_a_value():
     st = engine.ar_status(ctx, bound=0)
     assert not st.found
     assert st.bound == 0
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        engine.ar_status(ctx, bound=-3)
 
 
 def test_verdicts_e8():

@@ -439,6 +439,18 @@ def test_np_shell_enum_matches_exact_oracle():
             assert (np.lexsort(got.T) == np.arange(len(got))).all()
 
 
+def test_empty_shell_returns_states_and_numerators():
+    ctx = QFormContext(chain_forest([-2, -3]))
+    # bounds that admit no coordinate: the sweep stops at the first one
+    states, q = relations._np_shell_enum(ctx, 100, [2, 2], [0, 0], ctx.budget)
+    assert states.shape == (0, 2) and q.shape == (0,)
+
+
+def test_truncated_rejects_negative_expansion():
+    with pytest.raises(ValueError, match="expansion must be nonnegative"):
+        relations.truncated_classes(QFormContext(chain_forest([-2, -3])), expansion=-5)
+
+
 def test_truncated_huge_expansion_matches_default():
     """The shell's ellipsoid bounds, not the expansion, limit the int64
     magnitudes, so a huge expansion stays on the numpy path."""
