@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the uniqueness and classification verifiers over a grid of sizes
-and weight floors, printing a timing/result row for each setting."""
+and weight floors, printing a timing/result row for each setting; the
+classification rows end with the graphs checked per second."""
 
 from __future__ import annotations
 
@@ -46,7 +47,10 @@ def main(argv=None) -> int:
         failed |= not rep.ok
 
     print("\nbasic-vector classification scan")
-    print(f"{'nmax':>6} {'wmin':>6} {'unimod':>8} {'case2':>8} {'case3':>8} {'ok':>4} {'time':>9}")
+    print(
+        f"{'nmax':>6} {'wmin':>6} {'unimod':>8} {'case2':>8} {'case3':>8} "
+        f"{'ok':>4} {'time':>9} {'graphs/s':>10}"
+    )
     for nmax in range(4, cfg.class_max + 1):
         t0 = time.perf_counter()
         rep = census.verify_classification(nmax, cfg.min_weight)
@@ -54,7 +58,8 @@ def main(argv=None) -> int:
         print(
             f"{rep.nmax:>6} {rep.wmin:>6} {rep.unimodular_checked:>8} "
             f"{rep.case2_checked:>8} {rep.case3_checked:>8} "
-            f"{'yes' if rep.ok else 'NO':>4} {dt:>8.2f}s"
+            f"{'yes' if rep.ok else 'NO':>4} {dt:>8.2f}s "
+            f"{(rep.unimodular_checked + rep.case3_checked) / dt:>10.0f}"
         )
         if rep.counterexamples:
             for code in rep.counterexamples:

@@ -4,7 +4,7 @@ Trees are enumerated one isomorphism class of shapes at a time; weight
 assignments are swept as a (wmin..-1)^n grid per shape, with the
 subtree-determinant recursion of forest.py run on whole columns, so
 definiteness, determinant and minimality filters run before any graph
-object is materialized.
+object is materialized; columns are coded from their shape's tables.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from . import engine
 from .forest import (
     PlumbingForest,
     _det_negdef,
+    _shape_code,
     _shape_tables,
     _ShapeTables,
     canonical_code,
@@ -81,8 +82,6 @@ class _GridScan:
     negdef: np.ndarray  # boolean mask over combos
     det: np.ndarray  # determinant per combo
     minimal: np.ndarray  # no -1 weight at a degree <= 2 vertex
-    has_minus_one: np.ndarray
-    has_le_minus_three: np.ndarray
 
 
 def _grid_scan(tables: _ShapeTables, wmin: int) -> _GridScan:
@@ -106,16 +105,16 @@ def _grid_scan(tables: _ShapeTables, wmin: int) -> _GridScan:
         negdef=negdef,
         det=det,
         minimal=minimal,
-        has_minus_one=(weights == -1).any(axis=0),
-        has_le_minus_three=(weights <= -3).any(axis=0),
     )
 
 
-def _masked_forests(scan: _GridScan, mask: np.ndarray) -> Iterator[PlumbingForest]:
-    """The forests of the grid columns selected by a boolean mask."""
-    t = scan.tables
-    for weights in scan.weights[:, mask].T.tolist():
-        yield _shape_forest(t.edges, t.n, weights)
+def _distinct_columns(scan: _GridScan, mask: np.ndarray) -> dict[str, tuple[int, ...]]:
+    """The masked grid columns as weight tuples, keyed by canonical code
+    (read off the shape's tables); the first column of each code is kept."""
+    by_code: dict[str, tuple[int, ...]] = {}
+    for weights in map(tuple, scan.weights[:, mask].T.tolist()):
+        by_code.setdefault(_shape_code(scan.tables, weights), weights)
+    return by_code
 
 
 def _check_grid_budget(nmax: int, wmin: int, budget: int) -> None:
@@ -149,13 +148,10 @@ def enumerate_weighted(
             f"{abs(wmin) ** n} weight assignments per shape exceeds budget {budget}"
         )
     for edges in enumerate_trees(n):
-        tables = _shape_tables(edges, n)
-        scan = _grid_scan(tables, wmin)
-        by_code: dict[str, PlumbingForest] = {}
-        for forest in _masked_forests(scan, scan.negdef):
-            by_code.setdefault(forest.code, forest)
+        scan = _grid_scan(_shape_tables(edges, n), wmin)
+        by_code = _distinct_columns(scan, scan.negdef)
         for code in sorted(by_code):
-            yield by_code[code]
+            yield _shape_forest(edges, n, by_code[code])
 
 
 def enumerate_forests(
@@ -284,9 +280,11 @@ def census_scan(
     are omitted.
     threads > 1 classifies with a process pool (same records, same
     order) of at most min(threads, CPU count, graphs to classify)
-    workers; threads < 1 raises ValueError."""
+    workers. threads < 1, nmax < 1 and wmin > -1 raise ValueError; a grid
+    larger than budget raises EnumerationBudgetError."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_grid_budget(nmax, wmin, budget)
     for name in filters:
         if name not in FILTER_NAMES:
             raise ValueError(
@@ -351,7 +349,7 @@ def verify_e8_unique(nmax: int) -> E8Report:
                 continue
             negdef_count += 1
             if abs(det) == 1:
-                hits.append(canonical_code(_shape_forest(edges, n, (-2,) * n)))
+                hits.append(_shape_code(tables, (-2,) * n))
     hits.sort()
     ok = hits == [expected]
     return E8Report(
@@ -393,52 +391,50 @@ def verify_classification(
     """
     _check_grid_budget(nmax, wmin, budget)
     expected = e8_code()
-    det1: dict[str, PlumbingForest] = {}
-    det1_case2: set[str] = set()
-    case3: dict[str, PlumbingForest] = {}
+    # code -> (edges, first weight column); forests are built when checked
+    det1: dict[str, tuple] = {}
+    case3: dict[str, tuple] = {}
     for n in range(1, nmax + 1):
         for edges in enumerate_trees(n):
-            tables = _shape_tables(edges, n)
-            scan = _grid_scan(tables, wmin)
-            has1 = scan.has_minus_one
+            scan = _grid_scan(_shape_tables(edges, n), wmin)
             mask_a = scan.negdef & scan.minimal & (np.abs(scan.det) == 1)
-            # case (b) is a sub-mask of case (a): flag its columns among (a)'s
-            in_b = (~has1 & scan.has_le_minus_three)[mask_a].tolist()
-            mask_c = scan.negdef & scan.minimal & has1
-            for forest, b in zip(_masked_forests(scan, mask_a), in_b):
-                det1.setdefault(forest.code, forest)
-                if b:
-                    det1_case2.add(forest.code)
-            for forest in _masked_forests(scan, mask_c):
-                case3.setdefault(forest.code, forest)
+            mask_c = scan.negdef & scan.minimal & (scan.weights == -1).any(axis=0)
+            for by_code, mask in ((det1, mask_a), (case3, mask_c)):
+                for code, w in _distinct_columns(scan, mask).items():
+                    by_code[code] = (edges, w)
 
     counterexamples = []
 
-    def rational(code: str, forest: PlumbingForest) -> bool:
+    def rational(code: str, edges, weights) -> bool:
+        forest = _shape_forest(edges, len(weights), weights)
         try:
             return engine.is_rational(QFormContext(forest, budget=budget))
         except engine.RationalityDisagreementError as e:
             counterexamples.append(f"{e}: {code} weights={forest.weights}")
             return False
 
+    def case2(weights) -> bool:
+        # isomorphism-invariant, so read off the kept column
+        return -1 not in weights and min(weights) <= -3
+
     rational_codes = []
-    for code, forest in sorted(det1.items()):
-        if rational(code, forest):
+    for code, (edges, w) in sorted(det1.items()):
+        if rational(code, edges, w):
             rational_codes.append(code)
             if code != expected:
                 counterexamples.append(
-                    f"rational |det|=1 graph is not E8: {code} weights={forest.weights}"
+                    f"rational |det|=1 graph is not E8: {code} weights={w}"
                 )
-            if code in det1_case2:
+            if case2(w):
                 counterexamples.append(
                     f"rational graph without -1 and with a weight <= -3 has "
-                    f"|det| = 1: {code} weights={forest.weights}"
+                    f"|det| = 1: {code} weights={w}"
                 )
-    for code, forest in sorted(case3.items()):
-        if rational(code, forest):
+    for code, (edges, w) in sorted(case3.items()):
+        if rational(code, edges, w):
             counterexamples.append(
                 f"minimal graph with a -1 vertex is rational: {code} "
-                f"weights={forest.weights}"
+                f"weights={w}"
             )
     return ClassificationReport(
         ok=not counterexamples,
@@ -446,7 +442,7 @@ def verify_classification(
         wmin=wmin,
         unimodular_checked=len(det1),
         unimodular_rational_codes=tuple(rational_codes),
-        case2_checked=len(det1_case2),
+        case2_checked=sum(case2(w) for _, w in det1.values()),
         case3_checked=len(case3),
         counterexamples=tuple(counterexamples),
     )

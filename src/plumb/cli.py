@@ -332,7 +332,7 @@ def cmd_basic(args) -> int:
 def cmd_dinv(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    dinv = engine.d_invariants(ctx)
+    dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx, rng=_rng(args)))
     if args.dot:
         rows = [("class", "d", "dual")]
         for rep, d, dual in zip(dinv.classes, dinv.d, dinv.dual):
@@ -357,7 +357,10 @@ def cmd_dinv(args) -> int:
 def cmd_hf(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    summary = relations.hf_summary(ctx, max_u=args.max_u, expansion=args.expansion)
+    dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx, rng=_rng(args)))
+    summary = relations.hf_summary(
+        ctx, max_u=args.max_u, expansion=args.expansion, d_inv=dinv
+    )
     if args.dot:
         rows = [("class", "bottom", "degree:count", "reduced")]
         for t in summary.classes:

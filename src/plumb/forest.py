@@ -73,19 +73,15 @@ class PlumbingForest:
         """canonical_code(self), computed once per forest."""
         return canonical_code(self)
 
+    @cached_property
+    def _tables(self) -> _ShapeTables:
+        return _shape_tables(self.edges, self.n)
+
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nb = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            nb[a].append(b)
-            nb[b].append(a)
-        return tuple(tuple(sorted(x)) for x in nb)
+        return self._tables.neighbors
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
+        return self._tables.degrees
 
     def index_of(self, vertex_id) -> int:
         try:
@@ -100,23 +96,7 @@ class PlumbingForest:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index sets of connected components, in first-seen order."""
-        nb = self.neighbors()
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in nb[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+        return self._tables.components
 
 
 def parse_forest(text: str) -> PlumbingForest:
@@ -267,15 +247,23 @@ def intersection_matrix(forest: PlumbingForest) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class _ShapeTables:
-    """A forest shape rooted at the least vertex of each component."""
+    """A forest shape rooted at the least vertex of each component: the
+    one traversal behind a forest's neighbours, components, determinant
+    and canonical code."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    neighbors: tuple[tuple[int, ...], ...]
+    components: tuple[tuple[int, ...], ...]
     roots: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     postorder: tuple[int, ...]
     sizes: tuple[int, ...]
     degrees: tuple[int, ...]
+
+    @cached_property
+    def centers(self) -> tuple[tuple[int, ...], ...]:
+        """The one or two centers of each component."""
+        return tuple(_tree_centers(comp, self.neighbors) for comp in self.components)
 
 
 def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
@@ -283,9 +271,10 @@ def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
+    nb = tuple(tuple(sorted(x)) for x in adj)
     parent = [-1] * n
     seen = [False] * n
-    roots, order = [], []
+    roots, order, components = [], [], []
     for root in range(n):
         if seen[root]:
             continue
@@ -293,12 +282,13 @@ def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
         roots.append(root)
         queue = [root]
         for v in queue:
-            for u in adj[v]:
+            for u in nb[v]:
                 if not seen[u]:
                     seen[u] = True
                     parent[u] = v
                     queue.append(u)
         order += queue
+        components.append(tuple(sorted(queue)))
     children = [[] for _ in range(n)]
     for v in range(n):
         if parent[v] >= 0:
@@ -309,12 +299,13 @@ def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
             sizes[v] += sizes[c]
     return _ShapeTables(
         n=n,
-        edges=tuple(edges),
+        neighbors=nb,
+        components=tuple(components),
         roots=tuple(roots),
         children=tuple(tuple(c) for c in children),
         postorder=tuple(reversed(order)),
         sizes=tuple(sizes),
-        degrees=tuple(len(a) for a in adj),
+        degrees=tuple(len(x) for x in nb),
     )
 
 
@@ -362,7 +353,7 @@ def _det_negdef(tables: _ShapeTables, weights):
 
 def _forest_det_negdef(forest: PlumbingForest) -> tuple[int, bool]:
     """(det Q, Q negative definite) of a forest, from one recursion."""
-    return _det_negdef(_shape_tables(forest.edges, forest.n), forest.weights)
+    return _det_negdef(forest._tables, forest.weights)
 
 
 def is_negative_definite(forest: PlumbingForest) -> bool:
@@ -484,23 +475,32 @@ def _rooted_code(root, parent, nb, weights):
     return f"({weights[root]};{''.join(children)})"
 
 
-def _tree_centers(vertices, nb):
-    # iterative leaf stripping; returns 1 or 2 center vertices
-    deg = {v: len([w for w in nb[v] if w in vertices]) for v in vertices}
-    alive = set(vertices)
-    layer = [v for v in alive if deg[v] <= 1]
-    while len(alive) > 2:
+def _tree_centers(comp, nb):
+    # strip one component's leaves layer by layer; each layer is the leaf
+    # set of what remains, so the last one holds the 1 or 2 centers
+    deg = {v: len(nb[v]) for v in comp}
+    layer = [v for v in comp if deg[v] <= 1]
+    left = len(comp)
+    while left > 2:
+        left -= len(layer)
         nxt = []
         for v in layer:
-            alive.discard(v)
-        for v in layer:
             for w in nb[v]:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
         layer = nxt
-    return sorted(alive)
+    return tuple(sorted(layer))
+
+
+def _shape_code(tables: _ShapeTables, weights: Sequence[int]) -> str:
+    """canonical_code of the forest with this shape and these weights."""
+    nb = tables.neighbors
+    codes = sorted(
+        min(_rooted_code(c, -1, nb, weights) for c in centers)
+        for centers in tables.centers
+    )
+    return "[" + "|".join(codes) + "]"
 
 
 def canonical_code(forest: PlumbingForest) -> str:
@@ -510,9 +510,4 @@ def canonical_code(forest: PlumbingForest) -> str:
     bicentral trees) and encoded by recursively sorted subtree codes with
     weights as labels; component codes are sorted and joined.
     """
-    nb = forest.neighbors()
-    codes = []
-    for comp in forest.components():
-        centers = _tree_centers(set(comp), nb)
-        codes.append(min(_rooted_code(c, -1, nb, forest.weights) for c in centers))
-    return "[" + "|".join(sorted(codes)) + "]"
+    return _shape_code(forest._tables, forest.weights)

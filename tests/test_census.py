@@ -2,13 +2,14 @@
 exhaustive verification scans."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from plumb import census, engine
 from plumb.catalog import chain_forest, e8_forest, star_forest
-from plumb.forest import canonical_code, parse_forest
+from plumb.forest import _shape_code, _shape_tables, canonical_code, parse_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
 from oracles import labeled_tree_codes
@@ -32,6 +33,29 @@ def test_trees_against_labeled_enumeration():
         }
         assert len(codes) == len(shapes)  # shapes are pairwise nonisomorphic
         assert codes == labeled_tree_codes(n)
+
+
+def test_grid_column_codes_match_canonical_code():
+    """The grid codes each weight column from its shape's tables: on every
+    column of the n <= 6, wmin -3 grids that code is canonical_code of the
+    column's forest, and of the same forest with its labels shuffled."""
+    rng = random.Random(7)
+    bicentral = 0
+    for n in range(1, 7):
+        for edges in census.enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            bicentral += len(tables.centers[0]) == 2
+            for w in census._grid_scan(tables, -3).weights.T.tolist():
+                code = _shape_code(tables, w)
+                assert code == canonical_code(census._shape_forest(edges, n, w))
+                p = list(range(n))
+                rng.shuffle(p)
+                moved = [0] * n
+                for v in range(n):
+                    moved[p[v]] = w[v]
+                shuffled = [(p[a], p[b]) for a, b in edges]
+                assert code == canonical_code(census._shape_forest(shuffled, n, moved))
+    assert bicentral > 0
 
 
 def test_enumerate_trees_rejects_out_of_range():
@@ -302,3 +326,19 @@ def test_verify_classification_includes_e8_when_reachable():
     rep = census.verify_classification(8, -2)
     assert rep.ok
     assert census.e8_code() in rep.unimodular_rational_codes
+
+
+def test_verify_classification_builds_one_forest_per_graph(monkeypatch):
+    """Grid columns are coded from their shape's tables; a forest is built
+    only for each distinct graph the scan checks."""
+    built = []
+    real = census._shape_forest
+
+    def counting(edges, n, weights):
+        built.append(weights)
+        return real(edges, n, weights)
+
+    monkeypatch.setattr(census, "_shape_forest", counting)
+    rep = census.verify_classification(6, -4)
+    assert rep.ok
+    assert len(built) == rep.unimodular_checked + rep.case3_checked

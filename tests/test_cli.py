@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from plumb import cli
@@ -232,6 +233,27 @@ def test_invariants_seed_same_answer(capsys, star_file):
     assert a == b
 
 
+@pytest.mark.parametrize("command", ["dinv", "hf"])
+def test_seed_reaches_basic_vectors(capsys, monkeypatch, command):
+    """--seed steps the paths of dinv and hf at random eligible vertices;
+    the output is the unseeded one, byte for byte."""
+    from plumb import engine
+
+    plain = run(capsys, command, "--chain=-3,-2,-4", "--json")
+    rngs = []
+    real = engine.basic_vectors
+
+    def spy(ctx, rng=None):
+        rngs.append(rng)
+        return real(ctx, rng=rng)
+
+    monkeypatch.setattr(engine, "basic_vectors", spy)
+    seeded = run(capsys, command, "--chain=-3,-2,-4", "--json", "--seed", "3")
+    assert plain[0] == 0
+    assert seeded == plain
+    assert any(isinstance(r, np.random.Generator) for r in rngs)
+
+
 # ------------------------------------------------- basic / dinv / hf / dot
 
 def test_basic_json(capsys):
@@ -395,6 +417,7 @@ BAD_ARGUMENTS = [
     (("verify-classification", "--max-vertices", "0", "--min-weight", "-3"), 2),
     (("verify-e8", "--max-vertices", "3"), 2),
     (("census", "--max-vertices", "13", "--min-weight", "-1"), 3),
+    (("census", "--max-vertices", "0", "--min-weight", "-2"), 2),
     (("census", "--max-vertices", "2", "--min-weight", "-2", "--threads", "0"), 2),
 ]
 

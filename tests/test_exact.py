@@ -106,6 +106,35 @@ def test_forest_definiteness_matches_sylvester():
     assert verdicts == {(c, v) for c in (1, 2, 3) for v in (False, True)} | {(0, True)}
 
 
+def test_forest_adjacency_matches_brute_force():
+    """neighbors(), degrees() and components() of forests with shuffled
+    labels and up to three components, read off the edge list directly."""
+    counts = set()
+    for f in random_forests(19):
+        nb = tuple(
+            tuple(sorted([b for a, b in f.edges if a == v] + [a for a, b in f.edges if b == v]))
+            for v in range(f.n)
+        )
+        assert f.neighbors() == nb, f.edges
+        assert f.degrees() == tuple(len(x) for x in nb), f.edges
+        # each vertex takes the least label of its component
+        label = list(range(f.n))
+        changed = True
+        while changed:
+            changed = False
+            for a, b in f.edges:
+                low = min(label[a], label[b])
+                if (label[a], label[b]) != (low, low):
+                    label[a] = label[b] = low
+                    changed = True
+        comps = tuple(
+            tuple(v for v in range(f.n) if label[v] == r) for r in sorted(set(label))
+        )
+        assert f.components() == comps, f.edges
+        counts.add(len(comps))
+    assert counts == {0, 1, 2, 3}
+
+
 def test_forest_recursion_runs_on_weight_columns():
     """The census grid runs the recursion on whole arrays of weight
     assignments; each column agrees with the scalar run."""
