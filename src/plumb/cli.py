@@ -512,7 +512,10 @@ def _add_knobs(p: argparse.ArgumentParser, ar: bool = False, hf: bool = False) -
         p.add_argument("--ar-bound", type=int, help="weight-drop search bound")
     if hf:
         p.add_argument("--max-u", type=int, default=8, help="U-power window size")
-        p.add_argument("--expansion", type=int, help="relation search expansion")
+        p.add_argument(
+            "--expansion", type=int,
+            help="box expansion of the K^2 shell (graphs that are not almost-rational)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

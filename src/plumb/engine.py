@@ -201,16 +201,19 @@ def _add_vertex(ctx: QFormContext, z: list[int], pairing: list[int], v: int) -> 
         pairing[u] += 1
 
 
-def laufer_steps(ctx: QFormContext, z: list[int], pairing: list[int]):
+def laufer_steps(ctx: QFormContext, z: list[int], pairing: list[int], skip: int | None = None):
     """Add E_v to the cycle z while some vertex v has z.E_v > 0, yielding
     that pairing before each addition.
 
     z and pairing (= Q z) are lists updated in place. On a negative-definite
     form the additions end, in any order, at the least cycle >= z that
-    pairs non-positively with every vertex."""
+    pairs non-positively with every vertex. Vertex skip, if given, never
+    steps, as if its weight were -infinity; the additions then end at the
+    least such cycle with the same skip coordinate, pairing non-positively
+    with every other vertex."""
     nb = ctx.neighbors
     # every positive vertex is on the stack exactly once
-    stack = [v for v in range(ctx.n) if pairing[v] > 0]
+    stack = [v for v in range(ctx.n) if pairing[v] > 0 and v != skip]
     while stack:
         v = stack.pop()
         yield pairing[v]
@@ -218,11 +221,11 @@ def laufer_steps(ctx: QFormContext, z: list[int], pairing: list[int]):
         if pairing[v] > 0:
             stack.append(v)
         for u in nb[v]:
-            if pairing[u] == 1:
+            if pairing[u] == 1 and u != skip:
                 stack.append(u)
 
 
-def laufer_rational(ctx: QFormContext) -> bool:
+def laufer_rational(ctx: QFormContext, skip: int | None = None) -> bool:
     """Laufer's test: from Z = sum of E_v, add E_v while (Z.E_v) = 1. A step
     with (Z.E_v) >= 2 proves the graph non-rational; a sequence of unit
     steps ends at the fundamental cycle of a rational graph.
@@ -232,10 +235,23 @@ def laufer_rational(ctx: QFormContext) -> bool:
     component C starts as the sum of C's vertices, with chi = 1. A step
     with (Z.E_v) >= 2 makes chi(Z|C + E_v) <= 0, so C is non-rational,
     and the canonical class's basic count, a product over components, is
-    then at least 2."""
+    then at least 2.
+
+    With skip, the test is for the graph with that vertex's weight
+    lowered to -infinity: the vertex never steps."""
     z = [1] * ctx.n
     pairing = [sum(row) for row in ctx.q]
-    return all(step == 1 for step in laufer_steps(ctx, z, pairing))
+    return all(step == 1 for step in laufer_steps(ctx, z, pairing, skip))
+
+
+def ar_vertex(ctx: QFormContext) -> int | None:
+    """The first vertex v such that the graph turns rational once v's
+    weight is lowered far enough, or None if there is none (the graph is
+    not almost-rational).
+
+    Lowering a weight keeps a rational graph rational, so every vertex
+    ar_status can witness passes here."""
+    return next((v for v in range(ctx.n) if laufer_rational(ctx, skip=v)), None)
 
 
 def _canonical_walk(ctx: QFormContext):

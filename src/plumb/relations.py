@@ -11,11 +11,13 @@ For a fixed spin^c class and degree row delta, the valid states are
 exactly the class members with K^2 >= -4*delta - |V| (each K appears with
 one forced exponent a >= 0). Row state sets therefore grow with delta,
 and each row's class count is the number of connected components of the
-graph induced on it by the single-step moves. This module enumerates the
-K^2 shell directly instead of sweeping the full expanded product box; the
-two descriptions coincide on every reported row. A step never leaves its
-spin^c class, so one minimum spanning forest over the shell states of all
-classes counts every class's rows at once.
+graph induced on it by the single-step moves. For an almost-rational
+graph, _tau_classes reads these counts off Nemethi's tau-function, a walk
+over one integer per class. For any other graph, truncated_classes
+enumerates the K^2 shell directly instead of sweeping the full expanded
+product box; the two descriptions coincide on every reported row. A step
+never leaves its spin^c class, so one minimum spanning forest over the
+shell states of all classes counts every class's rows at once.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
+from . import engine
 from .lattice import (
     _INT64_GUARD,
     CharVector,
@@ -309,6 +310,9 @@ def _row_counts(ctx, states, cls, level, nclasses, max_u):
     weight j + 1. states must be in _np_shell_enum's order (last
     coordinate outermost), so their mixed-radix keys already increase.
     """
+    from scipy.sparse import csr_matrix  # scipy loads only when rows are counted
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     lo, hi = states.min(axis=0), states.max(axis=0)
     sizes = ((hi - lo) // 2 + 1).tolist()
     place = [math.prod(sizes[:i]) for i in range(ctx.n)]  # exact ints
@@ -391,9 +395,14 @@ def truncated_classes(
         raise AssertionError("bottom row of a spin^c class is empty")
     counts = _row_counts(ctx, states, cls, level, len(reps), max_u).tolist()
 
+    return _tables(ctx, reps, q_max, counts)
+
+
+def _tables(ctx, reps, q_max, counts) -> tuple[ClassTable, ...]:
+    """ClassTables from each class's |H1| * max K^2 and row counts."""
     tables = []
     for rep, qm, row_counts in zip(reps, q_max, counts):
-        bottom = -(Fraction(qm, h1) + ctx.n) / 4
+        bottom = -(Fraction(qm, ctx.h1) + ctx.n) / 4
         rows = tuple(
             DegreeRow(bottom + 2 * j, c) for j, c in enumerate(row_counts)
         )
@@ -409,6 +418,131 @@ def truncated_classes(
     return tuple(tables)
 
 
+def _laufer_close(q, weights, p, tau, skip=None) -> None:
+    """Laufer closure of many cycles at once. Row r of p holds the
+    pairings Q x of a cycle x; every vertex v (other than skip) with
+    p_v > 0 gets E_v added, until no vertex pairs positively. tau[r]
+    follows chi(x), which rises by 1 - p_v when E_v alone is added.
+
+    Adding all positive vertices together reaches the same closure as
+    engine.laufer_steps: a vertex that pairs positively with x <= s has
+    x_v < s_v for every cycle s >= x of the cone. For a 0/1 set e, chi
+    rises by the sum over e of (1 - p_v), less the edges inside e."""
+    while True:
+        e = p > 0
+        if skip is not None:
+            e[:, skip] = False
+        if not e.any():
+            return
+        e = e.astype(np.int64)
+        eq = e @ q
+        tau += (e * (1 - p)).sum(axis=1) - ((eq * e).sum(axis=1) - e @ weights) // 2
+        p += eq
+
+
+def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ...]:
+    """The tables of truncated_classes, with no box bound, for a graph
+    that is almost-rational at vertex v0, read off Nemethi's
+    tau-function (Geom. Topol. 9, 2005). v0 is not re-checked: it must
+    come from engine.ar_vertex, and any such vertex gives the same tables.
+
+    A cycle x (a rational vector) is held by its pairings p = Q x. It
+    stands for K = K_can - 2 Q x, with K_can the pairings m_v + 2, and
+    chi(x) = (K_can.x - x.Q.x) / 2 rises by 1 - p_v when E_v is added,
+    so K^2 falls by 8 for every unit of chi. Every class is stepped at
+    once, one row of an int64 (|H1|, n) array each:
+    1. the representative is K_can - 2 Q l'; r_h is the fractional part
+       of l' = adj(Q) (K_can - rep) / (2 det), numerators mod |det|;
+    2. s_h is the Laufer closure of r_h, and k_r = K_can - 2 Q s_h;
+    3. x(0) = s_h, and x(i+1) is the closure over v != v0 of x(i) + E_v0;
+       tau(i) = chi(x(i)) - chi(s_h);
+    4. max K^2 = k_r^2 - 8 min tau, so the bottom degree is
+       -(k_r^2 - 8 min tau + n) / 4;
+    5. row j counts the runs of consecutive i with tau(i) <= min tau + j.
+
+    The walk stops by a proven rule. K(x(i))^2 = 4 w.Q.w with
+    w = Q^-1 K_can / 2 - x(i), so w_v0 = c/2 - i, c = (Q^-1 k_r)_v0. The
+    least of -w.Q.w with w_v0 fixed is w_v0^2 / G, G = -(Q^-1)_v0v0, so
+    tau(i) >= ((i - c/2)^2 / G + k_r^2 / 4) / 2, which rises with i once
+    i >= c/2. From the first such i where the bound exceeds the running
+    min + max_u, no later i enters a row. In integers, with
+    X = 2|H1| i - |H1| c, g = |H1| G and q = |H1| k_r^2: stop once
+    X >= 0 and X^2 + g q > 8 |H1| g (min + max_u).
+    """
+    if max_u < 0:
+        raise ValueError("max_u must be nonnegative")
+    h1, n = ctx.h1, ctx.n
+    sgn = 1 if ctx.det > 0 else -1
+    reps = ctx.spinc_classes()
+    adj = ctx._adj_np
+    q = np.array(ctx.q, dtype=np.int64)
+    weights = np.array(ctx.weights, dtype=np.int64)
+    half = (weights + 2 - np.array([r.k for r in reps], dtype=np.int64).reshape(h1, n)) // 2
+    r = sgn * (half @ adj.T) % h1  # l' = r / |H1| + an integer vector
+    p, rest = np.divmod(r @ q, h1)
+    assert not rest.any(), "r_h pairs to a non-integer"
+    _laufer_close(q, weights, p, np.zeros(h1, dtype=np.int64))
+    k_r = weights + 2 - 2 * p
+
+    big = int(np.abs(k_r).max())
+    rowsum = max(sum(abs(x) for x in row) for row in ctx.adjugate)
+    if rowsum * big * big * n >= _INT64_GUARD:
+        raise EnumerationBudgetError(f"tau walk: pairings up to {big} overflow int64")
+    q_r = ctx.k_square_numerators(k_r)  # |H1| k_r^2 <= 0
+    cn = sgn * (k_r @ adj[v0])  # |H1| c
+    gn = -sgn * ctx.adjugate[v0][v0]  # |H1| G > 0
+    # the last step any class can take: the rule with min tau = 0 >= min
+    span = 8 * h1 * gn * max_u
+    far = [math.isqrt(span - gn * x) + 1 for x in q_r.tolist()]
+    last = [max(0, -(-(c + f) // (2 * h1))) for c, f in zip(cn.tolist(), far)]
+    if sum(last) + h1 > ctx.budget:
+        raise EnumerationBudgetError(
+            f"tau walk: {sum(last) + h1} steps exceed the budget of {ctx.budget}"
+        )
+    # tau >= q_r / (8 |H1|), so the running min stays within gn * |q_r| below
+    worst = max(max(cn.tolist(), key=abs) ** 2, (max(far) + 2 * h1) ** 2)
+    if worst + 2 * gn * int(-q_r.min()) + span >= _INT64_GUARD:
+        raise EnumerationBudgetError("tau walk: the stop rule overflows int64")
+
+    # the walk as (class, tau(i - 1), tau(i)) triples; tau(-1) is +infinity
+    alive = np.arange(h1)
+    tau = np.zeros(h1, dtype=np.int64)
+    low, c_alive, q_alive = tau.copy(), cn, q_r
+    walk = [(alive, np.full(h1, np.iinfo(np.int64).max), tau.copy())]
+    for i in range(1, max(last) + 1):
+        x = 2 * h1 * i - c_alive
+        go = (x < 0) | (x * x + gn * q_alive <= 8 * h1 * gn * (low + max_u))
+        if not go.all():
+            alive, p, tau, low, c_alive, q_alive = (
+                a[go] for a in (alive, p, tau, low, c_alive, q_alive)
+            )
+            if not len(alive):
+                break
+        before = tau.copy()
+        tau += 1 - p[:, v0]
+        p += q[v0]
+        _laufer_close(q, weights, p, tau, skip=v0)
+        np.minimum(low, tau, out=low)
+        walk.append((alive, before, tau.copy()))
+
+    cls, before, now = (np.concatenate(parts) for parts in zip(*walk))
+    lowest = np.zeros(h1, dtype=np.int64)
+    np.minimum.at(lowest, cls, now)
+    # levels above max_u all read width: they lie in no row
+    width = max_u + 1
+    top = lowest[cls] + width
+    level = np.minimum(now, top) - lowest[cls]
+    prev = np.minimum(before, top) - lowest[cls]
+    # a run of row j starts at i iff level(i) <= j < level(i - 1)
+    starts = level < prev
+    cls = cls[starts] * (width + 1)
+    opened = np.bincount(cls + level[starts], minlength=h1 * (width + 1))
+    closed = np.bincount(cls + prev[starts], minlength=h1 * (width + 1))
+    counts = np.cumsum((opened - closed).reshape(h1, width + 1), axis=1)[:, :width]
+    q_max = q_r - 8 * h1 * lowest
+    return _tables(ctx, reps, q_max.tolist(), counts.tolist())
+
+
 def hf_summary(
     ctx: QFormContext,
     max_u: int = 8,
@@ -416,12 +550,20 @@ def hf_summary(
     d_inv=None,
 ) -> HFSummary:
     """Truncated class tables plus totals, cross-checked against the
-    d-invariants: each class's bottom degree must equal -d."""
-    from . import engine
+    d-invariants: each class's bottom degree must equal -d.
 
+    An almost-rational graph (engine.ar_vertex finds a vertex) takes
+    _tau_classes, which needs no box; any other graph takes the shell of
+    truncated_classes, and only the shell is bounded by expansion."""
     if expansion is None:
         expansion = default_expansion(ctx)
-    tables = truncated_classes(ctx, max_u=max_u, expansion=expansion)
+    if expansion < 0:
+        raise ValueError("expansion must be nonnegative")
+    v0 = engine.ar_vertex(ctx)
+    if v0 is None:
+        tables = truncated_classes(ctx, max_u=max_u, expansion=expansion)
+    else:
+        tables = _tau_classes(ctx, max_u, v0)
     if d_inv is None:
         d_inv = engine.d_invariants(ctx)
     for table, d, rep in zip(tables, d_inv.d, d_inv.classes):

@@ -8,6 +8,9 @@ vector, do not depend on that choice.
 char_box, in_terminal_box, k_square and same_spinc are the scalar
 counterparts of the box layer's blocks, K^2 numerators and spin^c keys;
 labeled_tree_codes cross-checks census.enumerate_trees.
+
+two_node_tree is a graph that is not almost-rational, so the tests can
+reach the code kept for such graphs.
 """
 
 import heapq
@@ -123,3 +126,13 @@ def strategy_run_path(ctx, k, strategy=lowest_eligible) -> TerminationResult:
             raise SafetyLimitError(
                 f"no termination within {limit} steps; input is likely invalid"
             )
+
+
+def two_node_tree() -> PlumbingForest:
+    """A -3 vertex joined to two -2 nodes, one with leaves -3, -3, -2 and
+    the other with leaves -3, -2, -2: no single weight decrease makes it
+    rational (|H1| = 36, box 2,592)."""
+    ids = tuple(f"v{i}" for i in range(9))
+    weights = (-3, -2, -2, -3, -3, -2, -3, -2, -2)
+    edges = ((0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8))
+    return PlumbingForest(ids, weights, edges)

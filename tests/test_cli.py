@@ -268,6 +268,21 @@ def test_dinv_json_exact_pairs(capsys):
     assert ds == [("-1", "2"), ("1", "6"), ("1", "6")]
 
 
+@pytest.mark.parametrize("chain", ["-5,-3", "-4,-4", "-5,-4", "-5,-5"])
+def test_hf_lens_chain_converges_at_default_settings(capsys, chain):
+    # at max_u 8 the shell's default box cut these lens spaces' tables short
+    obj = run_json(capsys, "hf", f"--chain={chain}", "--json")
+    assert obj["converged"] is True and obj["reduced_rank"] == 0
+
+
+def test_hf_e8_wide_window(capsys, e8_file):
+    code, out, err = run(capsys, "hf", e8_file, "--max-u", "64")
+    assert code == 0, err
+    first = out.splitlines()[0]
+    assert first.startswith("max_u 64, ")
+    assert first.endswith(": converged, reduced rank 0")
+
+
 def test_hf_json(capsys, star_file):
     obj = run_json(capsys, "hf", star_file, "--json", "--max-u", "6")
     assert obj["max_u"] == 6

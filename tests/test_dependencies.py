@@ -2,7 +2,9 @@
 dependency."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +39,23 @@ def test_third_party_imports_are_declared():
             if name.lower() not in declared:
                 undeclared.add(f"{path.name}: {name}")
     assert not undeclared, sorted(undeclared)
+
+
+def test_scipy_loads_only_for_row_counts():
+    """import plumb and an invariants run on an almost-rational graph (E8)
+    leave scipy unloaded: only the shell's row counts use it."""
+    code = """
+import contextlib, io, sys
+import plumb, plumb.cli
+from plumb.catalog import e8_forest
+from plumb.forest import forest_to_text
+sys.stdin = io.StringIO(forest_to_text(e8_forest()))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert plumb.cli.main(["invariants", "-", "--json"]) == 0
+print("scipy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -11,7 +11,7 @@ from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
 from plumb.forest import PlumbingForest, parse_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import in_terminal_box, random_strategy, strategy_run_path
+from oracles import in_terminal_box, random_strategy, strategy_run_path, two_node_tree
 
 
 def star237():
@@ -194,6 +194,36 @@ def test_laufer_steps_reach_the_fundamental_cycle():
     star = star237()
     z, pairing = [1] * 4, [sum(row) for row in star.q]
     assert next(engine.laufer_steps(star, z, pairing)) == 2
+
+
+def test_laufer_steps_skip_vertex_never_steps():
+    # the -1 centre of Sigma(2,3,7) is the only vertex that pairs positively
+    # with the sum of the E_v; skipped, it leaves no step at all
+    star = star237()
+    z, pairing = [1] * 4, [sum(row) for row in star.q]
+    assert list(engine.laufer_steps(star, z, pairing, skip=0)) == []
+    assert z == [1] * 4
+    assert engine.ar_vertex(star) == 0
+    # skipping E8's end vertex v1, every step is still a unit step, and
+    # the closure keeps z_v1 = 1
+    ctx = QFormContext(e8_forest())
+    z, pairing = [1] * 8, [sum(row) for row in ctx.q]
+    assert set(engine.laufer_steps(ctx, z, pairing, skip=0)) == {1}
+    assert z[0] == 1 and all(p <= 0 for p in pairing[1:])
+
+
+def test_ar_vertex_found_whenever_ar_status_finds():
+    for n in range(1, 5):
+        for g in census.enumerate_weighted(n, -5):
+            ctx = QFormContext(g)
+            if engine.ar_status(ctx).found:
+                assert engine.ar_vertex(ctx) is not None, g.weights
+
+
+def test_ar_vertex_none_on_two_node_tree():
+    ctx = QFormContext(two_node_tree())
+    assert engine.ar_vertex(ctx) is None
+    assert not engine.ar_status(ctx).found
 
 
 def test_wrong_laufer_verdict_raises(monkeypatch):

@@ -2,6 +2,7 @@
 against a literal union-find oracle over exponent-vector states."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from plumb import census, cli, engine, relations
-from plumb.catalog import chain_forest, e8_forest, star_forest
+from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
+from plumb.forest import PlumbingForest, forest_to_text
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import k_square, same_spinc
+from oracles import k_square, same_spinc, two_node_tree
 
 
 def star237():
@@ -350,16 +352,19 @@ def test_row_counts_match_union_find_oracle():
                 assert [r.count for r in tab.rows] == want, (g.weights, max_u, ci)
 
 
-def test_row_key_guard_raises_budget_error(monkeypatch, capsys):
+def test_row_key_guard_raises_budget_error(monkeypatch, capsys, tmp_path):
     """A row-count key space at or above the int64 guard raises before any
-    key is built. On the (-2)^4 chain at max_u 8 the shell guard's figure
-    is 7,260 and the row keys span 14,641, so 10,000 trips only the new
-    guard."""
-    monkeypatch.setattr(relations, "_INT64_GUARD", 10_000)
-    ctx = QFormContext(chain_forest([-2, -2, -2, -2]))
+    key is built. hf reaches the row counts only on a graph that is not
+    almost-rational: on two_node_tree at max_u 1 the shell guard's figure
+    is 619,164 and the row keys span 4,050,000, so 10^6 trips only the
+    row-count guard."""
+    monkeypatch.setattr(relations, "_INT64_GUARD", 10**6)
+    ctx = QFormContext(two_node_tree())
     with pytest.raises(EnumerationBudgetError, match="row counts"):
-        relations.truncated_classes(ctx)
-    assert cli.main(["hf", "--chain=-2,-2,-2,-2"]) == 3
+        relations.truncated_classes(ctx, max_u=1)
+    path = tmp_path / "tree.txt"
+    path.write_text(forest_to_text(two_node_tree()))
+    assert cli.main(["hf", str(path), "--max-u", "1"]) == 3
     assert "row counts" in capsys.readouterr().err
 
 
@@ -486,3 +491,94 @@ def test_hf_summary_rational_graphs_have_no_reduced_part():
         s = relations.hf_summary(QFormContext(chain_forest(weights)))
         assert s.converged
         assert s.reduced_total == 0
+
+
+# ------------------------------------------------------------ tau tables
+
+def disjoint(*parts):
+    """The forest whose components are the given forests."""
+    ids, weights, edges = [], [], []
+    for pi, part in enumerate(parts):
+        base = len(ids)
+        ids += [f"c{pi}{x}" for x in part.ids]
+        weights += part.weights
+        edges += [(a + base, b + base) for a, b in part.edges]
+    return PlumbingForest(tuple(ids), tuple(weights), tuple(edges))
+
+
+def unbounded_shell(ctx, max_u=8):
+    """truncated_classes with a box no table can reach past."""
+    return relations.truncated_classes(ctx, max_u=max_u, expansion=10**6)
+
+
+def test_tau_classes_match_unbounded_shell_on_small_trees():
+    """Reps, bottoms and rows equal the shell's on every tree with at most
+    four vertices and weights >= -5 (510 trees, 31,255 classes)."""
+    for n in range(1, 5):
+        for g in census.enumerate_weighted(n, -5):
+            ctx = QFormContext(g)
+            v0 = engine.ar_vertex(ctx)
+            assert relations._tau_classes(ctx, 8, v0) == unbounded_shell(ctx), g.weights
+
+
+NAMED_AR_GRAPHS = {
+    "E8": e8_forest(),
+    "Sigma(2,3,7)": star_forest(-1, [-2, -3, -7]),
+    "(-2;-3,-5,-7)": star_forest(-2, [-3, -5, -7]),
+    "(-3;-2,-3,-5,-5)": star_forest(-3, [-2, -3, -5, -5]),
+    "L(97,38)": lens_chain(97, 38),
+    "(-7)^4": chain_forest([-7] * 4),
+    "(-5,-3) + Sigma(2,3,7)": disjoint(
+        chain_forest([-5, -3]), star_forest(-1, [-2, -3, -7])
+    ),
+    "(-2,-3) + (-4;-2,-2,-2)": disjoint(
+        chain_forest([-2, -3]), star_forest(-4, [-2, -2, -2])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_AR_GRAPHS)
+def test_tau_classes_match_unbounded_shell_named(name):
+    ctx = QFormContext(NAMED_AR_GRAPHS[name])
+    v0 = engine.ar_vertex(ctx)
+    assert v0 is not None
+    assert relations._tau_classes(ctx, 8, v0) == unbounded_shell(ctx)
+
+
+def test_tau_classes_rejects_negative_max_u():
+    with pytest.raises(ValueError, match="max_u must be nonnegative"):
+        relations._tau_classes(QFormContext(e8_forest()), -1, 0)
+
+
+def test_tau_walk_budget():
+    """The walk's length is bounded before it starts: E8 at max_u 10^6
+    needs about 2,000 steps, over a budget of 1,000."""
+    ctx = QFormContext(e8_forest(), budget=1000)
+    with pytest.raises(EnumerationBudgetError, match="tau walk"):
+        relations._tau_classes(ctx, 10**6, 0)
+
+
+def test_hf_summary_keeps_the_shell_for_non_ar_graphs():
+    ctx = QFormContext(two_node_tree())
+    s = relations.hf_summary(ctx, max_u=2)
+    assert s.classes == relations.truncated_classes(ctx, max_u=2)
+    assert s.expansion == relations.default_expansion(ctx)
+
+
+def test_hf_lens_chains_have_no_reduced_part():
+    """Lens spaces are L-spaces. Every chain L(p, q) with p <= 60 whose box
+    holds at most 10^4 vectors (968 of the 1,101 chains; the others are
+    long runs of -2 weights, whose class representatives come from a box
+    sweep too large for a unit test) has reduced rank 0 at max_u 16."""
+    checked = 0
+    for p in range(2, 61):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            ctx = QFormContext(lens_chain(p, q))
+            if ctx.box_size > 10**4:
+                continue
+            s = relations.hf_summary(ctx, max_u=16)
+            assert s.converged and s.reduced_total == 0, (p, q)
+            checked += 1
+    assert checked == 968
