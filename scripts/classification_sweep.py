@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run the uniqueness and classification verifiers over a grid of sizes
 and weight floors, printing a timing/result row for each setting; the
-classification rows end with the graphs checked per second."""
+classification rows show how many graphs the batched tests left to the
+per-graph rationality check and end with the graphs checked per second.
+A grid over the budget stops the sweep with exit code 3."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from plumb import census
+from plumb.lattice import DEFAULT_BUDGET, EnumerationBudgetError
 
 
 @dataclass(frozen=True)
@@ -18,6 +21,7 @@ class SweepConfig:
     e8_max: int
     class_max: int
     min_weight: int
+    budget: int
 
 
 def parse_args(argv=None) -> SweepConfig:
@@ -25,8 +29,15 @@ def parse_args(argv=None) -> SweepConfig:
     ap.add_argument("--e8-max", type=int, default=10, help="largest n for the uniqueness scan")
     ap.add_argument("--class-max", type=int, default=7, help="largest n for the classification scan")
     ap.add_argument("--min-weight", type=int, default=-5)
+    ap.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="weight assignments the classification grid may hold",
+    )
     ns = ap.parse_args(argv)
-    return SweepConfig(e8_max=ns.e8_max, class_max=ns.class_max, min_weight=ns.min_weight)
+    return SweepConfig(
+        e8_max=ns.e8_max, class_max=ns.class_max, min_weight=ns.min_weight,
+        budget=ns.budget,
+    )
 
 
 def main(argv=None) -> int:
@@ -49,15 +60,19 @@ def main(argv=None) -> int:
     print("\nbasic-vector classification scan")
     print(
         f"{'nmax':>6} {'wmin':>6} {'unimod':>8} {'case2':>8} {'case3':>8} "
-        f"{'ok':>4} {'time':>9} {'graphs/s':>10}"
+        f"{'per-graph':>9} {'ok':>4} {'time':>9} {'graphs/s':>10}"
     )
     for nmax in range(4, cfg.class_max + 1):
         t0 = time.perf_counter()
-        rep = census.verify_classification(nmax, cfg.min_weight)
+        try:
+            rep = census.verify_classification(nmax, cfg.min_weight, budget=cfg.budget)
+        except EnumerationBudgetError as e:
+            print(f"budget exceeded: {e}", file=sys.stderr)
+            return 3
         dt = time.perf_counter() - t0
         print(
             f"{rep.nmax:>6} {rep.wmin:>6} {rep.unimodular_checked:>8} "
-            f"{rep.case2_checked:>8} {rep.case3_checked:>8} "
+            f"{rep.case2_checked:>8} {rep.case3_checked:>8} {rep.per_graph:>9} "
             f"{'yes' if rep.ok else 'NO':>4} {dt:>8.2f}s "
             f"{(rep.unimodular_checked + rep.case3_checked) / dt:>10.0f}"
         )

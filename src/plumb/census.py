@@ -4,7 +4,9 @@ Trees are enumerated one isomorphism class of shapes at a time; weight
 assignments are swept as a (wmin..-1)^n grid per shape, with the
 subtree-determinant recursion of forest.py run on whole columns, so
 definiteness, determinant and minimality filters run before any graph
-object is materialized; columns are coded from their shape's tables.
+object is materialized. Columns are deduplicated by integer isomorphism
+keys, and verify_classification decides a shape's columns together;
+string codes are built only for the graphs that are output.
 """
 from __future__ import annotations
 
@@ -28,7 +30,13 @@ from .forest import (
     h1_order,
     is_minimal,
 )
-from .lattice import _INT64_GUARD, DEFAULT_BUDGET, EnumerationBudgetError, QFormContext
+from .lattice import (
+    _INT64_GUARD,
+    DEFAULT_BUDGET,
+    EnumerationBudgetError,
+    QFormContext,
+    _key_rows,
+)
 
 MAX_TREE_VERTICES = 12
 
@@ -77,44 +85,76 @@ def _shape_forest(
 
 @dataclass(frozen=True)
 class _GridScan:
-    tables: _ShapeTables
     weights: np.ndarray  # (n, C) int64, one column per weight assignment
     negdef: np.ndarray  # boolean mask over combos
     det: np.ndarray  # determinant per combo
-    minimal: np.ndarray  # no -1 weight at a degree <= 2 vertex
 
 
-def _grid_scan(tables: _ShapeTables, wmin: int) -> _GridScan:
+def _grid_scan(tables: _ShapeTables, wmin: int, minimal: bool = False) -> _GridScan:
+    """Every weight column in {wmin..-1}^n, in lexicographic order, with
+    its determinant and definiteness. With minimal, only the minimal
+    columns: no -1 weight at a vertex of degree <= 2."""
     n = tables.n
     if (abs(wmin) + n) ** n >= _INT64_GUARD:
         raise EnumerationBudgetError(
             f"weight grid on {n} vertices with weights >= {wmin}: subtree "
             "determinants may overflow int64"
         )
-    vals = np.arange(wmin, 0, dtype=np.int64)
-    digits = np.indices((len(vals),) * n).reshape(n, -1)
-    weights = vals[digits]
+    top = [-2 if minimal and d <= 2 else -1 for d in tables.degrees]
+    digits = np.indices([t - wmin + 1 for t in top], dtype=np.int64)
+    weights = digits.reshape(n, -1) + wmin
     det, negdef = _det_negdef(tables, weights)
-    minimal = np.ones(weights.shape[1], dtype=bool)
-    for v in range(n):
-        if tables.degrees[v] <= 2:
-            minimal &= weights[v] != -1
-    return _GridScan(
-        tables=tables,
-        weights=weights,
-        negdef=negdef,
-        det=det,
-        minimal=minimal,
-    )
+    return _GridScan(weights=weights, negdef=negdef, det=det)
 
 
-def _distinct_columns(scan: _GridScan, mask: np.ndarray) -> dict[str, tuple[int, ...]]:
-    """The masked grid columns as weight tuples, keyed by canonical code
-    (read off the shape's tables); the first column of each code is kept."""
-    by_code: dict[str, tuple[int, ...]] = {}
-    for weights in map(tuple, scan.weights[:, mask].T.tolist()):
-        by_code.setdefault(_shape_code(scan.tables, weights), weights)
-    return by_code
+def _shape_keys(tables: _ShapeTables, weights: np.ndarray) -> np.ndarray:
+    """One integer per weight column (n, C) of a tree shape, equal for two
+    columns iff their weighted trees are isomorphic; keys compare only
+    within one call. This is AHU's numbering: the tree hangs from its
+    center, or from a virtual root on its central edge, and each height's
+    subtrees are numbered by one np.unique over rows of (weight, sorted
+    numbers of the children), each row taken as one opaque scalar
+    (lattice._key_rows), numbers rising from height to height."""
+    n, cols = tables.n, weights.shape[1]
+    (centers,) = tables.centers
+    # vertex n is the virtual root of a bicentral tree
+    root = centers[0] if len(centers) == 1 else n
+    children = [[] for _ in range(n)] + [list(centers)]
+    order, seen = [root], set(centers)
+    for v in order:
+        if v < n:
+            children[v] = [u for u in tables.neighbors[v] if u not in seen]
+            seen.update(children[v])
+        order.extend(children[v])
+    height = [0] * (n + 1)
+    for v in reversed(order):
+        height[v] = max((height[c] + 1 for c in children[v]), default=0)
+    label = [None] * (n + 1)
+    issued = 0
+    for h in range(height[root] + 1):
+        level = [v for v in order if height[v] == h]
+        width = max(len(children[v]) for v in level)
+        rows = np.full((len(level), cols, 1 + width), -1, dtype=np.int64)
+        for i, v in enumerate(level):
+            rows[i, :, 0] = weights[v] if v < n else 0
+            if children[v]:
+                below = np.stack([label[c] for c in children[v]], axis=1)
+                rows[i, :, 1:1 + len(children[v])] = np.sort(below, axis=1)
+        uniq, inverse = np.unique(
+            _key_rows(rows.reshape(-1, 1 + width)), return_inverse=True
+        )
+        inverse = inverse.reshape(len(level), cols) + issued
+        issued += len(uniq)
+        for i, v in enumerate(level):
+            label[v] = inverse[i]
+    return label[root]
+
+
+def _first_columns(tables: _ShapeTables, weights: np.ndarray) -> np.ndarray:
+    """Positions, ascending, of the first column of each isomorphism class
+    among the weight columns (n, C) of one tree shape."""
+    _, first = np.unique(_shape_keys(tables, weights), return_index=True)
+    return np.sort(first)
 
 
 def _check_grid_budget(nmax: int, wmin: int, budget: int) -> None:
@@ -148,10 +188,12 @@ def enumerate_weighted(
             f"{abs(wmin) ** n} weight assignments per shape exceeds budget {budget}"
         )
     for edges in enumerate_trees(n):
-        scan = _grid_scan(_shape_tables(edges, n), wmin)
-        by_code = _distinct_columns(scan, scan.negdef)
-        for code in sorted(by_code):
-            yield _shape_forest(edges, n, by_code[code])
+        tables = _shape_tables(edges, n)
+        scan = _grid_scan(tables, wmin)
+        columns = scan.weights[:, scan.negdef]
+        distinct = columns[:, _first_columns(tables, columns)].T.tolist()
+        for _, weights in sorted((_shape_code(tables, w), w) for w in distinct):
+            yield _shape_forest(edges, n, weights)
 
 
 def enumerate_forests(
@@ -372,6 +414,7 @@ class ClassificationReport:
     case2_checked: int
     case3_checked: int
     counterexamples: tuple[str, ...]
+    per_graph: int  # graphs the batched tests left to engine.is_rational
 
 
 def verify_classification(
@@ -386,63 +429,81 @@ def verify_classification(
         rational);
     (c) every minimal graph containing a -1 vertex is non-rational.
 
-    A graph on which Laufer's test and the canonical-class basic count
-    disagree (engine.RationalityDisagreementError) is a counterexample.
+    Each shape's grid columns of cases (a) and (c) are deduplicated by
+    isomorphism (_first_columns) and decided together: Laufer's test
+    (engine.laufer_rational_rows) and, for its non-rational verdicts,
+    two basic canonical-class members (engine.canonical_pair_rows). Only
+    a graph the two leave open, Laufer-rational or uncertified, gets a
+    forest and engine.is_rational, which counts the canonical class. A
+    graph on which Laufer's test and that count disagree
+    (engine.RationalityDisagreementError) is a counterexample.
     """
     _check_grid_budget(nmax, wmin, budget)
     expected = e8_code()
-    # code -> (edges, first weight column); forests are built when checked
-    det1: dict[str, tuple] = {}
-    case3: dict[str, tuple] = {}
+    unimodular = case2 = case3 = per_graph = 0
+    rational_codes = []
+    # (code, line) counterexamples of cases (a)/(b) and of case (c)
+    found_a, found_c = [], []
     for n in range(1, nmax + 1):
         for edges in enumerate_trees(n):
-            scan = _grid_scan(_shape_tables(edges, n), wmin)
-            mask_a = scan.negdef & scan.minimal & (np.abs(scan.det) == 1)
-            mask_c = scan.negdef & scan.minimal & (scan.weights == -1).any(axis=0)
-            for by_code, mask in ((det1, mask_a), (case3, mask_c)):
-                for code, w in _distinct_columns(scan, mask).items():
-                    by_code[code] = (edges, w)
-
-    counterexamples = []
-
-    def rational(code: str, edges, weights) -> bool:
-        forest = _shape_forest(edges, len(weights), weights)
-        try:
-            return engine.is_rational(QFormContext(forest, budget=budget))
-        except engine.RationalityDisagreementError as e:
-            counterexamples.append(f"{e}: {code} weights={forest.weights}")
-            return False
-
-    def case2(weights) -> bool:
-        # isomorphism-invariant, so read off the kept column
-        return -1 not in weights and min(weights) <= -3
-
-    rational_codes = []
-    for code, (edges, w) in sorted(det1.items()):
-        if rational(code, edges, w):
-            rational_codes.append(code)
-            if code != expected:
-                counterexamples.append(
-                    f"rational |det|=1 graph is not E8: {code} weights={w}"
-                )
-            if case2(w):
-                counterexamples.append(
-                    f"rational graph without -1 and with a weight <= -3 has "
-                    f"|det| = 1: {code} weights={w}"
-                )
-    for code, (edges, w) in sorted(case3.items()):
-        if rational(code, edges, w):
-            counterexamples.append(
-                f"minimal graph with a -1 vertex is rational: {code} "
-                f"weights={w}"
-            )
+            tables = _shape_tables(edges, n)
+            scan = _grid_scan(tables, wmin, minimal=True)
+            det1 = np.abs(scan.det) == 1
+            has_m1 = (scan.weights == -1).any(axis=0)
+            checked = scan.negdef & (det1 | has_m1)
+            # case (a) and (c) are isomorphism-invariant, so the first
+            # column of a class is that of either case
+            pick = np.flatnonzero(checked)
+            pick = pick[_first_columns(tables, scan.weights[:, pick])]
+            rows = np.ascontiguousarray(scan.weights[:, pick].T)
+            in_a, in_c = det1[pick], has_m1[pick]
+            unimodular += int(in_a.sum())
+            case3 += int(in_c.sum())
+            case2 += int((in_a & ~in_c & (rows.min(axis=1) <= -3)).sum())
+            laufer = engine.laufer_rational_rows(tables.neighbors, rows)
+            nonrational = np.flatnonzero(~laufer)
+            certified, _ = engine.canonical_pair_rows(tables.neighbors, rows[nonrational])
+            # the Laufer-rational and the uncertified graphs go to is_rational
+            undecided = laufer.copy()
+            undecided[nonrational[~certified]] = True
+            for i in np.flatnonzero(undecided).tolist():
+                per_graph += 1
+                w = tuple(rows[i].tolist())
+                forest = _shape_forest(edges, n, w)
+                try:
+                    if not engine.is_rational(QFormContext(forest, budget=budget)):
+                        continue
+                    error = None
+                except engine.RationalityDisagreementError as e:
+                    error = str(e)
+                code = _shape_code(tables, w)
+                if error:
+                    why_a = why_c = [error]
+                else:
+                    why_a = ["rational |det|=1 graph is not E8"] * (code != expected)
+                    if not in_c[i] and min(w) <= -3:
+                        why_a.append(
+                            "rational graph without -1 and with a weight <= -3 has |det| = 1"
+                        )
+                    why_c = ["minimal graph with a -1 vertex is rational"]
+                    if in_a[i]:
+                        rational_codes.append(code)
+                if in_a[i]:
+                    found_a += [(code, f"{why}: {code} weights={w}") for why in why_a]
+                if in_c[i]:
+                    found_c += [(code, f"{why}: {code} weights={w}") for why in why_c]
+    # in code order, as each case's lines of one graph stay together
+    found_a.sort(key=lambda f: f[0])
+    found_c.sort(key=lambda f: f[0])
+    counterexamples = tuple(line for _, line in found_a + found_c)
     return ClassificationReport(
         ok=not counterexamples,
         nmax=nmax,
         wmin=wmin,
-        unimodular_checked=len(det1),
-        unimodular_rational_codes=tuple(rational_codes),
-        case2_checked=sum(case2(w) for _, w in det1.values()),
-        case3_checked=len(case3),
-        counterexamples=tuple(counterexamples),
+        unimodular_checked=unimodular,
+        unimodular_rational_codes=tuple(sorted(rational_codes)),
+        case2_checked=case2,
+        case3_checked=case3,
+        counterexamples=counterexamples,
+        per_graph=per_graph,
     )

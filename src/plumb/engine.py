@@ -13,6 +13,7 @@ choice of vertex at each step; the test suite exercises that empirically.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,17 +120,36 @@ class BasicSet:
         return hash((self.classes, self.overflow_count, self.box_size, self.total))
 
 
-def _basic_rows(ctx: QFormContext, block: np.ndarray, rng=None) -> np.ndarray:
+def _adjacency(neighbors) -> np.ndarray:
+    """The 0/1 adjacency matrix of a forest given by its neighbour lists."""
+    adj = np.zeros((len(neighbors), len(neighbors)), dtype=np.int64)
+    for v, nbs in enumerate(neighbors):
+        adj[v, list(nbs)] = 1
+    return adj
+
+
+def _basic_rows(block: np.ndarray, weights, neighbors, rng=None) -> np.ndarray:
     """run_path on every row of a block at once: which rows end basic.
 
-    Each numpy step advances every live row by one move under run_path's
-    rules: a row with a pairing above -m(v) overflows (tested before
-    eligibility), a row with no eligible vertex is basic, and any other
-    row moves at its lowest eligible vertex, or at a uniformly random one
-    when rng is given. The same 10 * box_size step limit applies."""
-    ceiling = -np.array(ctx.weights, dtype=np.int64)
-    moves = 2 * np.array(ctx.q, dtype=np.int64)
-    limit = 10 * max(1, ctx.box_size)
+    weights is one graph's weight sequence, or an int64 array with one
+    weight row per block row: a batch of graphs on the one shape that
+    neighbors describes. Each numpy step advances every live row by one
+    move under run_path's rules: a row with a pairing above -m(v)
+    overflows (tested before eligibility), a row with no eligible vertex
+    is basic, and any other row moves at its lowest eligible vertex, or
+    at a uniformly random one when rng is given. The same 10 * box_size
+    step limit applies; a batch takes max|m_v|^n, which bounds every
+    row's box."""
+    w = np.asarray(weights, dtype=np.int64)
+    per_row = w.ndim == 2
+    adj2 = 2 * _adjacency(neighbors)
+    if per_row:
+        box = int(np.abs(w).max(initial=1)) ** w.shape[1]
+    else:
+        box = math.prod(abs(x) for x in w.tolist())
+        moves = adj2 + np.diag(2 * w)
+    ceiling = -w
+    limit = 10 * max(1, box)
     basic = np.zeros(len(block), dtype=bool)
     live = np.arange(len(block))
     k = block
@@ -148,7 +168,14 @@ def _basic_rows(ctx: QFormContext, block: np.ndarray, rng=None) -> np.ndarray:
         else:
             pick = rng.integers(eligible.sum(axis=1))
             v = (eligible.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
-        k = k + moves[v]
+        if per_row:
+            # twice row v of each row's own Q
+            ceiling = ceiling[go]
+            rows = np.arange(len(k))
+            k = k + adj2[v]
+            k[rows, v] -= 2 * ceiling[rows, v]
+        else:
+            k = k + moves[v]
         steps += 1
         if steps > limit:
             raise SafetyLimitError(
@@ -167,7 +194,7 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     reps = ctx.spinc_classes()
     rows, classes = [], []
     for block in ctx.box_blocks():
-        found = block[_basic_rows(ctx, block, rng)]
+        found = block[_basic_rows(block, ctx.weights, ctx.neighbors, rng)]
         rows.append(found)
         classes.append(ctx.class_indices(ctx.spinc_keys(found)))
     rows = np.concatenate(rows)
@@ -254,6 +281,42 @@ def ar_vertex(ctx: QFormContext) -> int | None:
     return next((v for v in range(ctx.n) if laufer_rational(ctx, skip=v)), None)
 
 
+def _laufer_rows(
+    pairing: np.ndarray, weights: np.ndarray, adj: np.ndarray, cap=None
+) -> np.ndarray:
+    """laufer_steps on a batch of graphs of one shape, one row each: every
+    row adds E_v at its largest pairing while that is positive (and below
+    cap, if given). Returns the final pairings."""
+    pairing = pairing.copy()
+    live = np.arange(len(pairing))
+    while len(live):
+        top = pairing[live].max(axis=1)
+        go = top > 0
+        if cap is not None:
+            go &= top < cap
+        live = live[go]
+        p, w = pairing[live], weights[live]
+        v = p.argmax(axis=1)
+        rows = np.arange(len(live))
+        # E_v pairs to m_v with itself and to 1 with each neighbour
+        p += adj[v]
+        p[rows, v] += w[rows, v]
+        pairing[live] = p
+    return pairing
+
+
+def laufer_rational_rows(neighbors, weights: np.ndarray) -> np.ndarray:
+    """laufer_rational of a batch of negative-definite graphs on the one
+    shape that neighbors describes, from an int64 array of one weight row
+    per graph. Every row starts at the pairings of Z = sum of E_v (weight
+    plus degree) and steps at its largest pairing: it is non-rational once
+    that is >= 2 and rational once it is <= 0. The verdict does not
+    depend on the order of the steps."""
+    adj = _adjacency(neighbors)
+    final = _laufer_rows(weights + adj.sum(axis=1), weights, adj, cap=2)
+    return final.max(axis=1) <= 0
+
+
 def _canonical_walk(ctx: QFormContext):
     """Box members of the canonical class, breadth-first.
 
@@ -295,6 +358,26 @@ def canonical_basic_pair(ctx: QFormContext) -> tuple[CharVector, CharVector] | N
     return None
 
 
+def canonical_pair_rows(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """canonical_basic_pair for a batch of connected negative-definite
+    graphs on the one shape that neighbors describes (one int64 weight
+    row per graph), trying the walk's first two members: the canonical
+    vector W + 2 and W + 2 - 2 Q Z, Z the fundamental cycle. In a
+    connected graph the closure of every E_v is Z, so the walk's whole
+    first layer is that one member, and Z != 0 makes it distinct from
+    W + 2. Returns (found, pairs): found[i] when both members of row i
+    end basic, and pairs[i] the two."""
+    adj = _adjacency(neighbors)
+    # Q Z: Laufer's steps from the sum of E_v end at Z
+    pairing = _laufer_rows(weights + adj.sum(axis=1), weights, adj)
+    pairs = np.stack([weights + 2, weights + 2 - 2 * pairing], axis=1)
+    # Q Z <= 0 keeps the second member above the box's floor; a pairing
+    # above its ceiling overflows at once, so only box members end basic
+    block = pairs.reshape(-1, weights.shape[1])
+    basic = _basic_rows(block, weights.repeat(2, axis=0), neighbors)
+    return basic.reshape(-1, 2).all(axis=1), pairs
+
+
 def _canonical_basic_count(ctx: QFormContext) -> int:
     """Basic vectors of the canonical class, counted up to 2: each box
     block's canonical-class rows go through _basic_rows, and the sweep
@@ -303,7 +386,7 @@ def _canonical_basic_count(ctx: QFormContext) -> int:
     count = 0
     for block in ctx.box_blocks():
         members = block[(ctx.spinc_keys(block) == canonical).all(axis=1)]
-        count += int(_basic_rows(ctx, members).sum())
+        count += int(_basic_rows(members, ctx.weights, ctx.neighbors).sum())
         if count >= 2:
             return 2
     if count == 0:

@@ -1,10 +1,12 @@
 """Tree enumeration, weighted-grid scanning, record schema, and the two
 exhaustive verification scans."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plumb import census, engine
@@ -55,6 +57,39 @@ def test_grid_column_codes_match_canonical_code():
                     moved[p[v]] = w[v]
                 shuffled = [(p[a], p[b]) for a, b in edges]
                 assert code == canonical_code(census._shape_forest(shuffled, n, moved))
+    assert bicentral > 0
+
+
+def _partition(keys) -> set[frozenset[int]]:
+    """The column positions grouped by equal key."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_shape_keys_partition_columns_like_shape_code():
+    """The integer isomorphism keys group the columns of every n <= 6,
+    wmin -3 grid exactly as _shape_code does, also on a copy of the shape
+    with its labels shuffled, and keep the first column of each class."""
+    rng = random.Random(11)
+    bicentral = 0
+    for n in range(1, 7):
+        for edges in census.enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            bicentral += len(tables.centers[0]) == 2
+            weights = census._grid_scan(tables, -3).weights
+            codes = [_shape_code(tables, w) for w in weights.T.tolist()]
+            partition = _partition(codes)
+            assert _partition(census._shape_keys(tables, weights).tolist()) == partition
+            first = sorted({code: i for i, code in reversed(list(enumerate(codes)))}.values())
+            assert census._first_columns(tables, weights).tolist() == first
+            p = list(range(n))
+            rng.shuffle(p)
+            moved = np.empty_like(weights)
+            moved[p] = weights
+            shuffled = _shape_tables([(p[a], p[b]) for a, b in edges], n)
+            assert _partition(census._shape_keys(shuffled, moved).tolist()) == partition
     assert bicentral > 0
 
 
@@ -329,8 +364,10 @@ def test_verify_classification_includes_e8_when_reachable():
 
 
 def test_verify_classification_builds_one_forest_per_graph(monkeypatch):
-    """Grid columns are coded from their shape's tables; a forest is built
-    only for each distinct graph the scan checks."""
+    """Grid columns are deduplicated and decided per shape; a forest is
+    built only for each graph the batched Laufer test and certificate
+    leave open (per_graph): none at (6, -4), and only Laufer-rational E8
+    at (8, -2)."""
     built = []
     real = census._shape_forest
 
@@ -341,4 +378,26 @@ def test_verify_classification_builds_one_forest_per_graph(monkeypatch):
     monkeypatch.setattr(census, "_shape_forest", counting)
     rep = census.verify_classification(6, -4)
     assert rep.ok
-    assert len(built) == rep.unimodular_checked + rep.case3_checked
+    assert rep.unimodular_checked + rep.case3_checked == 118
+    assert built == [] and rep.per_graph == 0
+    rep = census.verify_classification(8, -2)
+    assert rep.ok and rep.per_graph == 1
+    assert built == [(-2,) * 8]
+
+
+def test_verify_classification_sends_uncertified_graphs_to_is_rational(monkeypatch):
+    """A Laufer-non-rational graph the batched certificate leaves open
+    goes on to is_rational: with a certificate that certifies nothing,
+    every one of the 114 graphs at (6, -4) (its 4 unimodular graphs all
+    have a -1 vertex) is checked one by one, with the same report."""
+    want = census.verify_classification(6, -4)
+
+    def nothing(neighbors, weights):
+        found, pairs = real(neighbors, weights)
+        return np.zeros_like(found), pairs
+
+    real = engine.canonical_pair_rows
+    monkeypatch.setattr(engine, "canonical_pair_rows", nothing)
+    rep = census.verify_classification(6, -4)
+    assert rep.per_graph == 114
+    assert rep == dataclasses.replace(want, per_graph=114)

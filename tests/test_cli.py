@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -406,18 +407,53 @@ def test_verify_classification_cli(capsys):
     assert out.startswith("PASS")
 
 
+# sha256 of `verify-classification --json` output recorded before the
+# scan was batched per shape; the batched scan must reproduce it
+VERIFY_CLASSIFICATION_SHA256 = {
+    (6, -4): "3f36c22d6f09db323229864dbab8a7a05e6095595baa2d093182e76586ece02b",
+    (7, -5): "674ed3a5a2cb5aab3df0bdc3652e53fbcd4bb3d0b610a528268cb7905c2bbbfa",
+    (8, -2): "e70ef08b81625fc234159ff268388ac672fc15065e671ef0fa5b5f3aea42280e",
+}
+
+
+@pytest.mark.parametrize("nmax, wmin", sorted(VERIFY_CLASSIFICATION_SHA256))
+def test_verify_classification_json_is_unchanged(capsys, nmax, wmin):
+    code, out, _ = run(
+        capsys, "verify-classification", "--max-vertices", str(nmax),
+        "--min-weight", str(wmin), "--json",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_CLASSIFICATION_SHA256[nmax, wmin]
+
+
 def test_verify_classification_reports_laufer_disagreement(capsys, monkeypatch):
+    """Both Laufer tests flipped: the batch sends every graph on to
+    is_rational, whose count then contradicts the scalar test. The
+    counterexample lines, 45 at (4, -7) and 118 at (6, -4), come out in
+    code order, byte for byte as the scan printed them before it was
+    batched."""
     from plumb import engine
 
     right = engine.laufer_rational
     monkeypatch.setattr(engine, "laufer_rational", lambda ctx: not right(ctx))
-    code, out, _ = run(
-        capsys, "verify-classification", "--max-vertices", "4",
-        "--min-weight", "-7",
+    batch = engine.laufer_rational_rows
+    monkeypatch.setattr(
+        engine, "laufer_rational_rows", lambda nb, rows: ~batch(nb, rows)
     )
-    assert code == 1
-    assert out.startswith("FAIL")
-    assert "counterexample: Laufer's test says" in out
+    digests = {
+        "-7": "233851f06c469ac814d82069a4dbfbfbe2c7c6155a3f2fe965eee21083fc1199",
+        "-4": "332bd87cb248b4c56b21a329875e907437d111647ac4be24d0a6bf3cdb9c5e42",
+    }
+    for nmax, wmin in (("4", "-7"), ("6", "-4")):
+        code, out, _ = run(
+            capsys, "verify-classification", "--max-vertices", nmax,
+            "--min-weight", wmin,
+        )
+        assert code == 1
+        assert out.startswith("FAIL")
+        assert "counterexample: Laufer's test says" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[wmin]
 
 
 # -------------------------------------------------------- argument checks

@@ -1,14 +1,16 @@
 """Path runs, basic vectors, verdicts, d-invariants, lens calibration."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plumb import census, engine
 from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
-from plumb.forest import PlumbingForest, parse_forest
+from plumb.forest import PlumbingForest, _shape_tables, parse_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
 from oracles import in_terminal_box, random_strategy, strategy_run_path, two_node_tree
@@ -389,3 +391,89 @@ def test_lens_chain_catalog_matches_oracle():
         assert ctx.h1 == p
         d = engine.d_invariants(ctx)
         assert tuple(sorted(d.dual)) == engine.lens_d_multiset(p, q)
+
+
+# ------------------------------------------------- batched kernels per shape
+
+def _grid_graphs(nmax, wmin):
+    """(edges, tables, weight rows) of the negative-definite columns of
+    every tree shape with n <= nmax and weights >= wmin."""
+    for n in range(1, nmax + 1):
+        for edges in census.enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            scan = census._grid_scan(tables, wmin)
+            yield edges, tables, np.ascontiguousarray(scan.weights[:, scan.negdef].T)
+
+
+def _context(edges, weights):
+    return QFormContext(census._shape_forest(edges, len(weights), weights))
+
+
+def test_laufer_rational_rows_match_scalar():
+    """The batched Laufer test equals laufer_rational on every
+    negative-definite column of the n <= 6, wmin -4 grids."""
+    checked = rational = 0
+    for edges, tables, rows in _grid_graphs(6, -4):
+        got = engine.laufer_rational_rows(tables.neighbors, rows)
+        for w, verdict in zip(rows.tolist(), got.tolist()):
+            assert verdict == engine.laufer_rational(_context(edges, w)), w
+            checked += 1
+            rational += verdict
+    assert checked == 15_750 and rational == 13_864
+
+
+def test_canonical_pair_rows_are_basic_canonical_members():
+    """Every row the batched certificate certifies has two distinct box
+    members of its canonical class that run_path calls basic, and only
+    Laufer-non-rational rows are certified: on the n <= 6, wmin -4 grids,
+    all 1,886 of them."""
+    certified = 0
+    for edges, tables, rows in _grid_graphs(6, -4):
+        found, pairs = engine.canonical_pair_rows(tables.neighbors, rows)
+        assert not (found & engine.laufer_rational_rows(tables.neighbors, rows)).any()
+        for i in np.flatnonzero(found).tolist():
+            ctx = _context(edges, rows[i].tolist())
+            a, b = (tuple(k) for k in pairs[i].tolist())
+            assert a != b
+            canonical = ctx.spinc_key(ctx.canonical_char())
+            for k in (a, b):
+                assert ctx.in_box(k)
+                assert ctx.spinc_key(k) == canonical
+                assert engine.run_path(ctx, k).basic
+            certified += 1
+    assert certified == 1_886
+
+
+def test_basic_rows_with_per_row_weights_match_run_path():
+    """The path runner given one weight row per block row (a batch of
+    graphs on one shape) agrees with run_path on a random box vector of
+    each graph."""
+    rng = np.random.default_rng(5)
+    for edges, tables, rows in _grid_graphs(5, -4):
+        # a random box vector per row: m_v + 2 + 2 * (0..|m_v| - 1)
+        block = rows + 2 + 2 * (rng.random(rows.shape) * -rows).astype(np.int64)
+        got = engine._basic_rows(block, rows, tables.neighbors)
+        for w, k, basic in zip(rows.tolist(), block.tolist(), got.tolist()):
+            assert basic == engine.run_path(_context(edges, w), k).basic, (w, k)
+
+
+def test_canonical_pair_rows_are_the_walks_first_members():
+    """The batched pair is the scalar walk's first two members: the
+    canonical vector and, when the walk has a second member, the one
+    member of its first layer; when it has none, the second vector of the
+    pair lies outside the box (every negative-definite column of the
+    n <= 6, wmin -3 grids)."""
+    second = alone = 0
+    for edges, tables, rows in _grid_graphs(6, -3):
+        _, pairs = engine.canonical_pair_rows(tables.neighbors, rows)
+        for w, pair in zip(rows.tolist(), pairs.tolist()):
+            ctx = _context(edges, w)
+            walk = list(itertools.islice(engine._canonical_walk(ctx), 2))
+            assert list(walk[0]) == pair[0]
+            if len(walk) == 2:
+                assert list(walk[1]) == pair[1]
+                second += 1
+            else:
+                assert not ctx.in_box(pair[1])
+                alone += 1
+    assert second and alone

@@ -54,3 +54,38 @@ def test_classification_sweep_reports_throughput(capsys, monkeypatch):
     rows = [line.split() for line in lines[header + 1:]]
     assert [row[0] for row in rows] == ["4", "5"]
     assert all(int(row[-1]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--class-max", "4", "--min-weight", "-100"],
+        ["--class-max", "4", "--min-weight", "-3", "--budget", "200"],
+    ],
+)
+def test_classification_sweep_budget_exits_3(capsys, monkeypatch, argv):
+    """A grid over the default budget, or over one given with --budget
+    (the n <= 4, wmin -3 grid holds 201 assignments), ends the sweep
+    with a one-line message and exit code 3."""
+    sweep = load(monkeypatch, "classification_sweep")
+    assert sweep.main(["--e8-max", "8"] + argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded:")
+
+
+def test_classification_sweep_reports_per_graph_checks(capsys, monkeypatch):
+    """The per-graph column counts the graphs the batched tests left to
+    is_rational: none at wmin -3 up to n = 5. The scan runs under the
+    --budget given: the n <= 5 grid holds 930 assignments."""
+    sweep = load(monkeypatch, "classification_sweep")
+
+    def rows(budget):
+        code = sweep.main(["--e8-max", "8", "--class-max", "5", "--min-weight", "-3",
+                           "--budget", str(budget)])
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if "per-graph" in line)
+        column = lines[header].split().index("per-graph")
+        return code, [(row.split()[0], row.split()[column]) for row in lines[header + 1:]]
+
+    assert rows(930) == (0, [("4", "0"), ("5", "0")])
+    assert rows(929) == (3, [("4", "0")])
