@@ -3,7 +3,8 @@
 and weight floors, printing a timing/result row for each setting; the
 classification rows show how many graphs the batched tests left to the
 per-graph rationality check and end with the graphs checked per second.
-A grid over the budget stops the sweep with exit code 3."""
+A grid over the budget stops the sweep with exit code 3, and a weight
+floor above -1 with exit code 2."""
 
 from __future__ import annotations
 
@@ -69,6 +70,9 @@ def main(argv=None) -> int:
         except EnumerationBudgetError as e:
             print(f"budget exceeded: {e}", file=sys.stderr)
             return 3
+        except ValueError as e:
+            print(f"input error: {e}", file=sys.stderr)
+            return 2
         dt = time.perf_counter() - t0
         print(
             f"{rep.nmax:>6} {rep.wmin:>6} {rep.unimodular_checked:>8} "

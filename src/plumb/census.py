@@ -5,8 +5,9 @@ assignments are swept as a (wmin..-1)^n grid per shape, with the
 subtree-determinant recursion of forest.py run on whole columns, so
 definiteness, determinant and minimality filters run before any graph
 object is materialized. Columns are deduplicated by integer isomorphism
-keys, and verify_classification decides a shape's columns together;
-string codes are built only for the graphs that are output.
+keys, and census_scan and verify_classification decide a shape's
+columns together; string codes are built only for the graphs that are
+output.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import engine
@@ -27,13 +27,14 @@ from .forest import (
     _shape_tables,
     _ShapeTables,
     canonical_code,
-    h1_order,
     is_minimal,
 )
 from .lattice import (
     _INT64_GUARD,
     DEFAULT_BUDGET,
     EnumerationBudgetError,
+    BoxBatch,
+    CharVector,
     QFormContext,
     _key_rows,
 )
@@ -54,26 +55,83 @@ SCHEMA_VERSION = 1
 
 def enumerate_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Edge lists (on vertices 0..n-1) of one representative per
-    isomorphism class of free trees on n vertices."""
+    isomorphism class of free trees on n vertices, in the order of
+    _free_tree_levels."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_TREE_VERTICES:
         raise EnumerationBudgetError(
             f"tree enumeration is budgeted to {MAX_TREE_VERTICES} vertices, got {n}"
         )
-    if n == 1:
-        shapes = [()]
-    else:
-        shapes = [
-            tuple(sorted(tuple(sorted(e)) for e in g.edges()))
-            for g in nx.nonisomorphic_trees(n)
-        ]
+    shapes = [_level_edges(levels) for levels in _free_tree_levels(n)] if n > 1 else [()]
     if len(shapes) != _FREE_TREE_COUNTS[n - 1]:
         raise AssertionError(
             f"free-tree generator returned {len(shapes)} shapes on {n} "
             f"vertices, expected {_FREE_TREE_COUNTS[n - 1]}"
         )
     return shapes
+
+
+def _free_tree_levels(n: int) -> Iterator[list[int]]:
+    """Level sequences of the free trees on n >= 2 vertices, one per
+    isomorphism class, each rooted at its center (or at one end of its
+    central edge): Wright, Richmond, Odlyzko and McKay, "Constant time
+    generation of free trees", SIAM J. Comput. 15 (1986). The walk starts
+    from the path and steps through rooted trees in the order of
+    _next_rooted, skipping each run of sequences that is not the
+    canonical rooting of a free tree."""
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        left, rest = _split_levels(levels)
+        # the rooting is the canonical one when the root's first subtree
+        # is no higher than the rest, then no larger, then not later
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            yield levels
+            levels = _next_rooted(levels)
+        else:
+            # no successor is canonical until the first child's subtree changes
+            p = len(left)
+            grow = levels[p] > 2
+            levels = _next_rooted(levels, p)
+            if grow:
+                # the rest restarts as a path one level above the new left height
+                top = max(_split_levels(levels)[0]) + 1
+                levels[n - top:] = range(1, top + 1)
+
+
+def _split_levels(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The level sequences of the root's first subtree (levels lowered by
+    one) and of the tree without it."""
+    second = levels.index(1, 2) if 1 in levels[2:] else len(levels)
+    return [h - 1 for h in levels[1:second]], [0] + levels[second:]
+
+
+def _next_rooted(levels: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer and Hedetniemi's successor of a rooted tree's level sequence:
+    the last vertex p above level 1 (or the given p) and everything after
+    it become copies of the segment from p's parent q up to p, with p's
+    level lowered by one. None after the star."""
+    if p is None:
+        p = max(i for i, h in enumerate(levels) if h != 1)
+    if p == 0:
+        return None
+    q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
+
+
+def _level_edges(levels: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Sorted edge list of the tree with this level sequence: each vertex
+    hangs from the last earlier vertex one level up."""
+    last = {}
+    edges = []
+    for i, h in enumerate(levels):
+        if h:
+            edges.append((last[h - 1], i))
+        last[h] = i
+    return tuple(sorted(edges))
 
 
 def _shape_forest(
@@ -157,7 +215,21 @@ def _first_columns(tables: _ShapeTables, weights: np.ndarray) -> np.ndarray:
     return np.sort(first)
 
 
-def _check_grid_budget(nmax: int, wmin: int, budget: int) -> None:
+def _grid_size(nmax: int, wmin: int, minimal: bool = False) -> int:
+    """Weight columns of the shapes' grids on n <= nmax vertices: all of
+    (wmin..-1)^n, or with minimal only the minimal ones, which take no -1
+    at a vertex of degree <= 2 (_grid_scan)."""
+    if not minimal:
+        return sum(_FREE_TREE_COUNTS[n - 1] * abs(wmin) ** n for n in range(1, nmax + 1))
+    total = 0
+    for n in range(1, nmax + 1):
+        for edges in enumerate_trees(n):
+            degrees = np.bincount(np.ravel(edges).astype(np.int64), minlength=n).tolist()
+            total += math.prod(abs(wmin) - (d <= 2) for d in degrees)
+    return total
+
+
+def _check_grid_budget(nmax: int, wmin: int, budget: int, minimal: bool = False) -> None:
     if nmax < 1:
         raise ValueError(f"nmax must be at least 1, got {nmax}")
     if wmin > -1:
@@ -166,13 +238,25 @@ def _check_grid_budget(nmax: int, wmin: int, budget: int) -> None:
         raise EnumerationBudgetError(
             f"tree enumeration is budgeted to {MAX_TREE_VERTICES} vertices, got {nmax}"
         )
-    total = sum(
-        _FREE_TREE_COUNTS[n - 1] * abs(wmin) ** n for n in range(1, nmax + 1)
-    )
+    total = _grid_size(nmax, wmin, minimal)
     if total > budget:
-        raise EnumerationBudgetError(
-            f"weighted-tree grid has {total} assignments, budget {budget}"
-        )
+        grid = "minimal weighted-tree grid" if minimal else "weighted-tree grid"
+        raise EnumerationBudgetError(f"{grid} has {total} assignments, budget {budget}")
+
+
+def _distinct_rows(tables: _ShapeTables, wmin: int) -> np.ndarray:
+    """The first column of each isomorphism class among the negative-
+    definite columns of a shape's grid, as weight rows (C, n), in grid
+    order."""
+    scan = _grid_scan(tables, wmin)
+    pick = np.flatnonzero(scan.negdef)
+    pick = pick[_first_columns(tables, scan.weights[:, pick])]
+    return np.ascontiguousarray(scan.weights[:, pick].T)
+
+
+def _minimal_rows(tables: _ShapeTables, rows: np.ndarray) -> np.ndarray:
+    """is_minimal of each weight row (C, n) of one shape."""
+    return ~((rows == -1) & (np.array(tables.degrees) <= 2)).any(axis=1)
 
 
 def enumerate_weighted(
@@ -189,9 +273,7 @@ def enumerate_weighted(
         )
     for edges in enumerate_trees(n):
         tables = _shape_tables(edges, n)
-        scan = _grid_scan(tables, wmin)
-        columns = scan.weights[:, scan.negdef]
-        distinct = columns[:, _first_columns(tables, columns)].T.tolist()
+        distinct = _distinct_rows(tables, wmin).tolist()
         for _, weights in sorted((_shape_code(tables, w), w) for w in distinct):
             yield _shape_forest(edges, n, weights)
 
@@ -244,10 +326,11 @@ class CensusRecord:
     d: tuple[Fraction, ...]
 
 
-# filters known from the forest alone run before classify
-_FOREST_FILTERS = {
-    "zhs": lambda f: h1_order(f) == 1,
-    "minimal": is_minimal,
+# filters known from a weight column alone run on the grid, before any
+# graph is classified: (shape tables, weight rows) -> mask
+_COLUMN_FILTERS = {
+    "zhs": lambda tables, rows: np.abs(_det_negdef(tables, rows.T)[0]) == 1,
+    "minimal": _minimal_rows,
 }
 
 _RECORD_FILTERS = {
@@ -257,11 +340,13 @@ _RECORD_FILTERS = {
     "nonlspace": lambda r: not r.lspace,
 }
 
-FILTER_NAMES = tuple(sorted({**_FOREST_FILTERS, **_RECORD_FILTERS}))
+FILTER_NAMES = tuple(sorted({**_COLUMN_FILTERS, **_RECORD_FILTERS}))
 
 
 def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusRecord:
-    """Full invariant record for one negative-definite forest."""
+    """Full invariant record for one negative-definite forest, from its
+    QFormContext. census_scan decides whole batches of trees at once
+    (_classify_task) and must give the records this gives."""
     ctx = QFormContext(forest, budget=budget)
     basics = engine.basic_vectors(ctx)
     verd = engine.verdicts(ctx, basics=basics)
@@ -307,6 +392,127 @@ def schema_header() -> dict:
     return {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
 
 
+# box rows per census task: a run of one shape's graphs that
+# _classify_task decides together, and the unit of work of a pool
+_TASK_ROWS = 2**16
+
+
+@dataclass(frozen=True)
+class _CensusTask:
+    """Graphs of one shape, in code order, that _classify_task decides
+    together."""
+
+    edges: tuple[tuple[int, int], ...]
+    n: int
+    weights: np.ndarray  # (G, n) int64, one weight row per graph
+    codes: tuple[str, ...]
+    budget: int
+
+
+def _census_tasks(edges, tables: _ShapeTables, rows: np.ndarray, budget: int) -> list[_CensusTask]:
+    """One shape's graphs in code order, cut into tasks of at most
+    _TASK_ROWS box rows (or of one graph whose box is larger)."""
+    coded = sorted((_shape_code(tables, w), i) for i, w in enumerate(rows.tolist()))
+    sizes = np.prod(np.abs(rows), axis=1).tolist()
+    runs, filled = [], 0
+    for code, i in coded:
+        if not runs or filled + sizes[i] > _TASK_ROWS:
+            runs.append([])
+            filled = 0
+        runs[-1].append((code, i))
+        filled += sizes[i]
+    return [
+        _CensusTask(
+            edges=tuple(edges),
+            n=tables.n,
+            weights=rows[[i for _, i in run]],
+            codes=tuple(code for code, _ in run),
+            budget=budget,
+        )
+        for run in runs
+    ]
+
+
+def _classify_task(task: _CensusTask) -> list[CensusRecord]:
+    """classify() of every graph of a task, in one sweep of their boxes
+    laid end to end (lattice.BoxBatch), a block of rows at a time. Each
+    block goes through engine._basic_rows with one weight row per box
+    row, and takes its spin^c keys from each row's own graph's adjugate.
+    One np.unique over (graph, key) gives the classes; a class's first
+    row is its lexicographically least box vector, so the class of a
+    box's first row, the canonical vector, is the canonical class. The
+    per-graph checks hold: |H1| classes per graph, none without a basic
+    vector; the box budget and the int64 guard are checked for every
+    graph here and for every AR candidate in engine.ar_status_rows."""
+    tables = _shape_tables(task.edges, task.n)
+    neighbors, weights = tables.neighbors, task.weights
+    batch = BoxBatch(neighbors, weights, task.budget)
+    modulus, sign = 2 * batch.h1, np.sign(batch.det)
+    keys, firsts, basic_keys, basic_k2 = [], [], [], []
+    start = 0
+    for graph, block in batch.blocks():
+        pairings = batch.pairings(graph, block)
+        key = _key_rows(np.column_stack([graph, pairings % modulus[graph, None]]))
+        uniq, first = np.unique(key, return_index=True)
+        keys.append(uniq)
+        firsts.append(start + first)
+        start += len(block)
+        basic = engine._basic_rows(block, weights[graph], neighbors)
+        basic_keys.append(key[basic])
+        basic_k2.append(
+            sign[graph[basic]] * np.einsum("ij,ij->i", pairings[basic], block[basic])
+        )
+    table, pick = np.unique(np.concatenate(keys), return_index=True)
+    first = np.concatenate(firsts)[pick]
+    owner, reps = batch.rows(first)
+    classes = np.bincount(owner, minlength=len(weights))
+    wrong = np.flatnonzero(classes != batch.h1)
+    if len(wrong):
+        g = wrong[0]
+        raise AssertionError(f"found {classes[g]} spin^c classes, expected {batch.h1[g]}")
+    members = np.searchsorted(table, np.concatenate(basic_keys))
+    counts = np.bincount(members, minlength=len(table))
+    if not counts.all():
+        empty = reps[np.argmin(counts)]
+        rep = CharVector(tuple(empty.tolist()))
+        raise AssertionError(f"spin^c class of {rep} has no basic vector")
+    # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
+    top = np.full(len(table), np.iinfo(np.int64).min)
+    np.maximum.at(top, members, np.concatenate(basic_k2))
+    numerators = top + task.n * batch.h1[owner]
+    canonical = np.empty(len(weights), dtype=np.int64)
+    at_start = first == batch.offsets[owner]
+    canonical[owner[at_start]] = np.flatnonzero(at_start)
+    rational = (counts[canonical] == 1).tolist()
+    basic = np.bincount(owner[members], minlength=len(weights)).tolist()
+    witness, _ = engine.ar_status_rows(neighbors, weights, budget=task.budget)
+    minimal = _minimal_rows(tables, weights).tolist()
+    numerators = numerators[np.lexsort((numerators, owner))]
+    per_graph = np.split(numerators, np.cumsum(classes)[:-1])
+    records = []
+    for g, (w, h1, nums) in enumerate(zip(weights.tolist(), batch.h1.tolist(), per_graph)):
+        nums = nums.tolist()
+        # conjugate classes share a value, so each distinct one is built once
+        value = {q: Fraction(q, 4 * h1) for q in set(nums)}
+        records.append(
+            CensusRecord(
+                code=task.codes[g],
+                n=task.n,
+                weights=tuple(w),
+                negdef=True,
+                det=int(batch.det[g]),
+                spinc=h1,
+                basic=basic[g],
+                rational=rational[g],
+                lspace=basic[g] == h1,
+                certified=bool(witness[g] >= 0),
+                minimal=minimal[g],
+                d=tuple(value[q] for q in nums),
+            )
+        )
+    return records
+
+
 def census_scan(
     nmax: int,
     wmin: int,
@@ -317,13 +523,15 @@ def census_scan(
 ) -> list[CensusRecord]:
     """Classify every enumerated tree with n <= nmax; apply the named
     filters conjunctively; return records sorted by canonical code.
-    Filters read off the forest (zhs, minimal) drop graphs before they
-    are classified. Graphs whose characteristic-vector box exceeds box_cap
-    are omitted.
-    threads > 1 classifies with a process pool (same records, same
-    order) of at most min(threads, CPU count, graphs to classify)
-    workers. threads < 1, nmax < 1 and wmin > -1 raise ValueError; a grid
-    larger than budget raises EnumerationBudgetError."""
+    Filters read off a weight column (zhs, minimal) drop graphs on the
+    grid, before any is classified. Graphs whose characteristic-vector box
+    exceeds box_cap are omitted. The records are those of classify(),
+    but each shape's graphs are decided in tasks of many graphs
+    (_classify_task).
+    threads > 1 maps the tasks over a process pool (same records, same
+    order) of at most min(threads, CPU count, tasks) workers. threads < 1,
+    nmax < 1 and wmin > -1 raise ValueError; a grid larger than budget
+    raises EnumerationBudgetError."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_grid_budget(nmax, wmin, budget)
@@ -332,28 +540,27 @@ def census_scan(
             raise ValueError(
                 f"unknown filter {name!r}; known: {', '.join(FILTER_NAMES)}"
             )
-    forest_preds = [_FOREST_FILTERS[name] for name in filters if name in _FOREST_FILTERS]
+    column_preds = [_COLUMN_FILTERS[name] for name in filters if name in _COLUMN_FILTERS]
     record_preds = [_RECORD_FILTERS[name] for name in filters if name in _RECORD_FILTERS]
-    forests = [
-        forest
-        for n in range(1, nmax + 1)
-        for forest in enumerate_weighted(n, wmin, budget=budget)
-        if math.prod(abs(w) for w in forest.weights) <= box_cap
-        and all(p(forest) for p in forest_preds)
-    ]
-    workers = min(threads, os.cpu_count() or 1, len(forests))
+    tasks = []
+    for n in range(1, nmax + 1):
+        for edges in enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            rows = _distinct_rows(tables, wmin)
+            keep = np.prod(np.abs(rows), axis=1) <= box_cap
+            for pred in column_preds:
+                keep &= pred(tables, rows)
+            tasks.extend(_census_tasks(edges, tables, rows[keep], budget))
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            classified = list(
-                pool.map(partial(classify, budget=budget), forests, chunksize=16)
-            )
+            classified = list(pool.map(_classify_task, tasks))
     else:
-        classified = [classify(f, budget=budget) for f in forests]
-    records = [r for r in classified if all(p(r) for p in record_preds)]
-    records.sort(key=lambda r: (r.code,))
+        classified = list(map(_classify_task, tasks))
+    records = [r for batch in classified for r in batch if all(p(r) for p in record_preds)]
+    records.sort(key=lambda r: r.code)
     return records
 
 
@@ -438,7 +645,7 @@ def verify_classification(
     graph on which Laufer's test and that count disagree
     (engine.RationalityDisagreementError) is a counterexample.
     """
-    _check_grid_budget(nmax, wmin, budget)
+    _check_grid_budget(nmax, wmin, budget, minimal=True)
     expected = e8_code()
     unimodular = case2 = case3 = per_graph = 0
     rational_codes = []

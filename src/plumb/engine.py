@@ -22,7 +22,15 @@ from math import gcd
 
 import numpy as np
 
-from .lattice import CharVector, QFormContext
+from .forest import PlumbingForest
+from .lattice import (
+    _BATCH_ROWS,
+    DEFAULT_BUDGET,
+    BoxBatch,
+    CharVector,
+    QFormContext,
+    _check_box_budget,
+)
 
 
 class SafetyLimitError(RuntimeError):
@@ -366,7 +374,9 @@ def canonical_pair_rows(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.
     connected graph the closure of every E_v is Z, so the walk's whole
     first layer is that one member, and Z != 0 makes it distinct from
     W + 2. Returns (found, pairs): found[i] when both members of row i
-    end basic, and pairs[i] the two."""
+    end basic, and pairs[i] the two. On a forest of several components
+    (ar_status on any input) the two are still distinct basic members of
+    the canonical class, so a pair found still proves non-rationality."""
     adj = _adjacency(neighbors)
     # Q Z: Laufer's steps from the sum of E_v end at Z
     pairing = _laufer_rows(weights + adj.sum(axis=1), weights, adj)
@@ -378,20 +388,44 @@ def canonical_pair_rows(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.
     return basic.reshape(-1, 2).all(axis=1), pairs
 
 
+def canonical_counts_rows(
+    neighbors, weights: np.ndarray, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
+    """Basic vectors of the canonical class of each graph of a batch on
+    the one shape that neighbors describes (one int64 weight row per
+    graph). The boxes are swept block by block (BoxBatch, which checks
+    the budget and the int64 guard); the rows whose spin^c key is that of
+    their graph's canonical vector W + 2 go through _basic_rows."""
+    batch = BoxBatch(neighbors, weights, budget)
+    modulus = 2 * batch.h1
+    canonical = batch.pairings(np.arange(len(weights)), weights + 2) % modulus[:, None]
+    counts = np.zeros(len(weights), dtype=np.int64)
+    for graph, block in batch.blocks():
+        keys = batch.pairings(graph, block) % modulus[graph, None]
+        members = (keys == canonical[graph]).all(axis=1)
+        graph, block = graph[members], block[members]
+        basic = _basic_rows(block, weights[graph], neighbors)
+        counts += np.bincount(graph[basic], minlength=len(counts))
+    return counts
+
+
 def _canonical_basic_count(ctx: QFormContext) -> int:
-    """Basic vectors of the canonical class, counted up to 2: each box
-    block's canonical-class rows go through _basic_rows, and the sweep
-    stops at the block that brings the count to 2."""
-    canonical = np.array(ctx.spinc_key(ctx.canonical_char()), dtype=np.int64)
-    count = 0
-    for block in ctx.box_blocks():
-        members = block[(ctx.spinc_keys(block) == canonical).all(axis=1)]
-        count += int(_basic_rows(members, ctx.weights, ctx.neighbors).sum())
-        if count >= 2:
-            return 2
+    """canonical_counts_rows of one graph."""
+    weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
+    return int(canonical_counts_rows(ctx.neighbors, weights, ctx.budget)[0])
+
+
+def _check_count(count: int, laufer: bool) -> None:
+    """The canonical class's basic count must agree with Laufer's verdict:
+    one basic vector iff rational."""
     if count == 0:
         raise AssertionError("canonical spin^c class has no basic vector")
-    return count
+    if (count == 1) != laufer:
+        verdict = "rational" if laufer else "non-rational"
+        held = "one basic vector" if count == 1 else "two or more basic vectors"
+        raise RationalityDisagreementError(
+            f"Laufer's test says {verdict}, but the canonical class holds {held}"
+        )
 
 
 def is_rational(ctx: QFormContext) -> bool:
@@ -407,13 +441,7 @@ def is_rational(ctx: QFormContext) -> bool:
     laufer = laufer_rational(ctx)
     if not laufer and canonical_basic_pair(ctx) is not None:
         return False
-    count = _canonical_basic_count(ctx)
-    if (count == 1) != laufer:
-        verdict = "rational" if laufer else "non-rational"
-        held = "one basic vector" if count == 1 else "two or more basic vectors"
-        raise RationalityDisagreementError(
-            f"Laufer's test says {verdict}, but the canonical class holds {held}"
-        )
+    _check_count(_canonical_basic_count(ctx), laufer)
     return laufer
 
 
@@ -432,11 +460,83 @@ def default_ar_bound(ctx: QFormContext) -> int:
     return ctx.n + sum(abs(w) for w in ctx.weights)
 
 
+def ar_status_rows(
+    neighbors, weights: np.ndarray, bound: int | None = None, budget: int = DEFAULT_BUDGET
+) -> tuple[np.ndarray, np.ndarray]:
+    """ar_status of a batch of negative-definite graphs on the one shape
+    that neighbors describes, one int64 weight row per graph (n >= 1).
+    Returns (vertex, delta): graph i turns rational once the weight of
+    vertex[i] drops by delta[i], the first such drop in (delta, vertex)
+    order, or vertex[i] = -1 (and delta[i] = 0) if no drop up to the bound
+    (by default, default_ar_bound of each graph) does.
+
+    Round delta lowers each weight of every graph still open by delta,
+    and laufer_rational_rows decides all these candidates at once; a
+    graph's witness is its first Laufer-rational candidate. Every
+    candidate tried, up to and including the witness, must fit the box
+    budget. The ones before a witness are Laufer-non-rational:
+    canonical_pair_rows certifies them, and is_rational checks the rest
+    one by one. A canonical-class count (canonical_counts_rows) confirms
+    each witness; a count that contradicts Laufer raises
+    RationalityDisagreementError, as in is_rational."""
+    graphs, n = weights.shape
+    if bound is None:
+        bounds = n + np.abs(weights).sum(axis=1)
+    elif bound < 0:
+        raise ValueError("bound must be nonnegative")
+    else:
+        bounds = np.full(graphs, bound)
+    vertex = np.full(graphs, -1, dtype=np.int64)
+    delta = np.zeros(graphs, dtype=np.int64)
+    live = np.arange(graphs)
+    tried = []  # (graph, delta, vertex) of the candidates tried, per round
+    for d in range(1, int(bounds.max(initial=0)) + 1):
+        live = live[bounds[live] >= d]
+        if not len(live):
+            break
+        at = np.tile(np.arange(n), len(live))
+        candidates = np.repeat(weights[live], n, axis=0)
+        candidates[np.arange(len(at)), at] -= d
+        laufer = laufer_rational_rows(neighbors, candidates).reshape(len(live), n)
+        hit = laufer.any(axis=1)
+        last = np.where(hit, laufer.argmax(axis=1), n - 1)
+        upto = (np.arange(n) <= last[:, None]).ravel()
+        tried.append(np.stack([np.repeat(live, n), np.full(len(at), d), at], axis=1)[upto])
+        vertex[live[hit]] = last[hit]
+        delta[live[hit]] = d
+        live = live[~hit]
+    if not tried:
+        return vertex, delta
+    # in the per-graph order: graph, then delta, then vertex
+    tried = np.concatenate(tried)
+    graph, drop, at = tried[np.lexsort(tried.T[::-1])].T
+    rows = weights[graph]
+    rows[np.arange(len(rows)), at] -= drop
+    for w in rows.tolist():
+        _check_box_budget(math.prod(-x for x in w), budget)
+    witness = (vertex[graph] == at) & (delta[graph] == drop)
+    nonrational = rows[~witness]
+    certified = np.zeros(len(nonrational), dtype=bool)
+    step = _BATCH_ROWS // 2  # canonical_pair_rows runs two rows per graph
+    for start in range(0, len(nonrational), step):
+        certified[start:start + step] = canonical_pair_rows(
+            neighbors, nonrational[start:start + step]
+        )[0]
+    if not certified.all():
+        ids = tuple(f"v{i + 1}" for i in range(n))
+        edges = tuple((a, b) for a, nbs in enumerate(neighbors) for b in nbs if a < b)
+        for w in nonrational[~certified].tolist():
+            is_rational(QFormContext(PlumbingForest(ids, tuple(w), edges), budget=budget))
+    for count in canonical_counts_rows(neighbors, rows[witness], budget).tolist():
+        _check_count(count, True)
+    return vertex, delta
+
+
 def ar_status(ctx: QFormContext, bound: int | None = None) -> ArStatus:
     """Scan delta = 1..bound (then vertices in definition order) for a
-    single-weight decrease making the graph rational. The scan never
-    stops early on failure, only on the first success, so the reported
-    delta is the smallest that works."""
+    single-weight decrease making the graph rational: ar_status_rows of
+    this one graph. The scan never stops early on failure, only on the
+    first success, so the reported delta is the smallest that works."""
     if bound is None:
         bound = default_ar_bound(ctx)
     if bound < 0:
@@ -444,12 +544,11 @@ def ar_status(ctx: QFormContext, bound: int | None = None) -> ArStatus:
     if ctx.n == 0:
         # the empty graph is rational as it stands; decreasing nothing is moot
         return ArStatus(True, None, 0, bound)
-    for delta in range(1, bound + 1):
-        for i in range(ctx.n):
-            candidate = ctx.forest.with_weight(i, ctx.weights[i] - delta)
-            if is_rational(QFormContext(candidate, budget=ctx.budget)):
-                return ArStatus(True, ctx.forest.ids[i], delta, bound)
-    return ArStatus(False, None, None, bound)
+    weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
+    vertex, delta = ar_status_rows(ctx.neighbors, weights, bound, ctx.budget)
+    if vertex[0] < 0:
+        return ArStatus(False, None, None, bound)
+    return ArStatus(True, ctx.forest.ids[int(vertex[0])], int(delta[0]), bound)
 
 
 @dataclass(frozen=True)

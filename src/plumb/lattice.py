@@ -28,6 +28,10 @@ _INT64_GUARD = 2**62
 # rows per block of the box layer (box_blocks)
 _BLOCK = 2**16
 
+# rows per block of a batch of boxes (BoxBatch.blocks): small, so that a
+# census holds little at once
+_BATCH_ROWS = 2**12
+
 
 class NotNegativeDefiniteError(ValueError):
     """The intersection form is not negative definite."""
@@ -119,10 +123,7 @@ class QFormContext:
         return all(w + 2 <= x <= -w for x, w in zip(_coords(k), self.weights))
 
     def check_box_budget(self) -> None:
-        if self.box_size > self.budget:
-            raise EnumerationBudgetError(
-                f"box holds {self.box_size} vectors, budget is {self.budget}"
-            )
+        _check_box_budget(self.box_size, self.budget)
 
     def iter_box(self):
         """Yield the box pairing tuples in lexicographic order."""
@@ -154,12 +155,7 @@ class QFormContext:
         block is built: every box vector k has |k_v| <= |m_v|, which bounds
         the spin^c keys adj(Q).k and k.adj(Q).k."""
         self.check_box_budget()
-        big = max((abs(w) for w in self.weights), default=0)
-        rowsum = max((sum(abs(x) for x in row) for row in self.adjugate), default=0)
-        if self.box_size >= _INT64_GUARD or rowsum * big * big * self.n >= _INT64_GUARD:
-            raise EnumerationBudgetError(
-                f"box layer: {self.box_size} vectors with pairings up to {big} overflow int64"
-            )
+        _check_box_guard(self.box_size, self.weights, self.adjugate)
         return self._blocks()
 
     def _blocks(self):
@@ -168,13 +164,8 @@ class QFormContext:
 
     def _box_rows(self, flat: np.ndarray) -> np.ndarray:
         """The box vectors at the given positions of the lexicographic order."""
-        rows = np.empty((len(flat), self.n), dtype=np.int64)
-        stride = 1
-        for v in range(self.n - 1, -1, -1):
-            size = -self.weights[v]
-            rows[:, v] = self.weights[v] + 2 + 2 * (flat // stride % size)
-            stride *= size
-        return rows
+        weights = np.array(self.weights, dtype=np.int64).reshape(1, self.n)
+        return _box_vectors(np.broadcast_to(weights, (len(flat), self.n)), flat)
 
     def spinc_keys(self, block: np.ndarray) -> np.ndarray:
         """spinc_key of every row of a block, in one matmul."""
@@ -234,6 +225,16 @@ class QFormContext:
         return int(self.class_indices(np.array([key], dtype=np.int64).reshape(1, self.n))[0])
 
 
+def _box_vectors(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The box vector at position index[i] of the lexicographic order of
+    the box of weight row weights[i], for every i."""
+    rows = np.empty(weights.shape, dtype=np.int64)
+    for v in range(weights.shape[1] - 1, -1, -1):
+        index, digit = np.divmod(index, -weights[:, v])
+        rows[:, v] = weights[:, v] + 2 + 2 * digit
+    return rows
+
+
 def _key_rows(keys: np.ndarray) -> np.ndarray:
     """Each row of an int64 key array as one opaque scalar, so that rows
     sort, compare and search as units. A zero-width row (the empty
@@ -242,3 +243,73 @@ def _key_rows(keys: np.ndarray) -> np.ndarray:
         keys = np.zeros((len(keys), 1), dtype=np.int64)
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+
+
+def _check_box_budget(size: int, budget: int) -> None:
+    if size > budget:
+        raise EnumerationBudgetError(f"box holds {size} vectors, budget is {budget}")
+
+
+def _check_box_guard(size: int, weights, adjugate) -> None:
+    """The box layer runs in int64: every box vector k has |k_v| <= |m_v|,
+    which bounds the spin^c keys adj(Q).k and k.adj(Q).k."""
+    big = max((abs(w) for w in weights), default=0)
+    rowsum = max((sum(abs(x) for x in row) for row in adjugate), default=0)
+    if size >= _INT64_GUARD or rowsum * big * big * len(weights) >= _INT64_GUARD:
+        raise EnumerationBudgetError(
+            f"box layer: {size} vectors with pairings up to {big} overflow int64"
+        )
+
+
+class BoxBatch:
+    """The boxes of a batch of negative-definite graphs on the one shape
+    that neighbors describes, one int64 weight row per graph, laid end to
+    end: graph by graph, each box in lexicographic order (iter_box's). It
+    is read in blocks of rows (blocks), which may span graphs and cut a
+    large box.
+
+    Each graph's adjugate is exact.adjugate of its form. The budget and
+    the int64 guard of box_blocks are checked for every graph when the
+    batch is made, and the first graph at fault raises."""
+
+    def __init__(self, neighbors, weights: np.ndarray, budget: int = DEFAULT_BUDGET):
+        self.weights = weights
+        adjugates, dets, sizes = [], [], []
+        for w in weights.tolist():
+            size = math.prod(abs(x) for x in w)
+            _check_box_budget(size, budget)
+            q = [[0] * len(w) for _ in w]
+            for v, nbs in enumerate(neighbors):
+                q[v][v] = w[v]
+                for u in nbs:
+                    q[v][u] = 1
+            adj = exact.adjugate(q)
+            _check_box_guard(size, w, adj)
+            adjugates.append(adj)
+            # det Q from the first row of Q against the first column of adj(Q)
+            dets.append(sum(a * row[0] for a, row in zip(q[0], adj)) if w else 1)
+            sizes.append(size)
+        n = weights.shape[1]
+        self.adjugates = np.array(adjugates, dtype=np.int64).reshape(len(sizes), n, n)
+        self.det = np.array(dets, dtype=np.int64)
+        self.h1 = np.abs(self.det)
+        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
+
+    def blocks(self):
+        """rows() of the whole batch, _BATCH_ROWS rows at a time."""
+        total = int(self.offsets[-1])
+        for start in range(0, total, _BATCH_ROWS):
+            yield self.rows(np.arange(start, min(start + _BATCH_ROWS, total)))
+
+    def rows(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(graph index, box vector) of the rows at the given positions."""
+        graph = np.searchsorted(self.offsets, flat, side="right") - 1
+        return graph, _box_vectors(self.weights[graph], flat - self.offsets[graph])
+
+    def pairings(self, graph: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """adj(Q).k of every row k of a block, by its own graph's adjugate,
+        one coordinate at a time."""
+        out = np.empty_like(block)
+        for j in range(block.shape[1]):
+            out[:, j] = np.einsum("ij,ij->i", self.adjugates[graph, j], block)
+        return out

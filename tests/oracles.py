@@ -9,6 +9,9 @@ char_box, in_terminal_box, k_square and same_spinc are the scalar
 counterparts of the box layer's blocks, K^2 numerators and spin^c keys;
 labeled_tree_codes cross-checks census.enumerate_trees.
 
+ar_status_loop is engine.ar_status as a loop over candidates, one
+is_rational each; the batched scan (engine.ar_status_rows) must agree.
+
 two_node_tree is a graph that is not almost-rational, so the tests can
 reach the code kept for such graphs.
 """
@@ -17,9 +20,15 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from plumb.engine import SafetyLimitError, TerminationResult
+from plumb.engine import (
+    ArStatus,
+    SafetyLimitError,
+    TerminationResult,
+    default_ar_bound,
+    is_rational,
+)
 from plumb.forest import PlumbingForest, canonical_code
-from plumb.lattice import CharVector
+from plumb.lattice import CharVector, QFormContext
 
 
 def char_box(ctx) -> list[CharVector]:
@@ -126,6 +135,21 @@ def strategy_run_path(ctx, k, strategy=lowest_eligible) -> TerminationResult:
             raise SafetyLimitError(
                 f"no termination within {limit} steps; input is likely invalid"
             )
+
+
+def ar_status_loop(ctx, bound=None) -> ArStatus:
+    """Scan delta = 1..bound, then vertices in definition order, for the
+    first single-weight decrease that is_rational accepts."""
+    if bound is None:
+        bound = default_ar_bound(ctx)
+    if ctx.n == 0:
+        return ArStatus(True, None, 0, bound)
+    for delta in range(1, bound + 1):
+        for i in range(ctx.n):
+            candidate = ctx.forest.with_weight(i, ctx.weights[i] - delta)
+            if is_rational(QFormContext(candidate, budget=ctx.budget)):
+                return ArStatus(True, ctx.forest.ids[i], delta, bound)
+    return ArStatus(False, None, None, bound)
 
 
 def two_node_tree() -> PlumbingForest:

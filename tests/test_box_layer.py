@@ -56,6 +56,41 @@ def test_box_blocks_match_iter_box(small_blocks):
         assert [tuple(k) for k in keys] == [ctx.spinc_key(k) for k in got]
 
 
+def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
+    """A BoxBatch of several graphs on one shape, read in blocks of 7 rows
+    (which span graphs and cut boxes), gives each graph's iter_box in
+    order, and each row's adj(Q).k, det and |H1| from its own graph."""
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
+    weights = np.array([[-3, -2, -4], [-2, -2, -2], [-5, -1, -3]], dtype=np.int64)
+    forests = [chain_forest(w) for w in weights.tolist()]
+    batch = lattice.BoxBatch(forests[0].neighbors(), weights)
+    blocks = list(batch.blocks())
+    assert all(len(block) <= 7 for _, block in blocks)
+    assert any(len(set(graph.tolist())) > 1 for graph, _ in blocks)
+    graph = np.concatenate([g for g, _ in blocks]).tolist()
+    rows = np.concatenate([b for _, b in blocks])
+    pairings = np.concatenate([batch.pairings(g, b) for g, b in blocks]).tolist()
+    contexts = [QFormContext(f) for f in forests]
+    assert [(g, tuple(k)) for g, k in zip(graph, rows.tolist())] == [
+        (i, k) for i, ctx in enumerate(contexts) for k in ctx.iter_box()
+    ]
+    assert pairings == [list(contexts[g].adj_image(k)) for g, k in zip(graph, rows.tolist())]
+    assert batch.det.tolist() == [ctx.det for ctx in contexts]
+    assert batch.h1.tolist() == [ctx.h1 for ctx in contexts]
+
+
+def test_box_batch_checks_every_graph_before_any_block():
+    """The budget and the int64 guard of box_blocks hold for each graph of
+    a batch; the first graph at fault raises."""
+    nb = chain_forest([-2, -2]).neighbors()
+    weights = np.array([[-2, -2], [-30, -2], [-40, -40]], dtype=np.int64)
+    with pytest.raises(EnumerationBudgetError, match="box holds 60 vectors, budget is 59"):
+        lattice.BoxBatch(nb, weights, budget=59)
+    big = np.array([[-2], [-(2**31 + 1)]], dtype=np.int64)
+    with pytest.raises(EnumerationBudgetError, match="box layer"):
+        lattice.BoxBatch(((),), big, budget=2**32)
+
+
 def test_box_layer_matches_scalar_oracles(small_blocks, trees):
     for g in [parse_forest("")] + trees:
         ctx = QFormContext(g)

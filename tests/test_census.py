@@ -2,6 +2,7 @@
 exhaustive verification scans."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,9 +10,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plumb import census, engine
+from plumb import census, engine, lattice
 from plumb.catalog import chain_forest, e8_forest, star_forest
-from plumb.forest import _shape_code, _shape_tables, canonical_code, parse_forest
+from plumb.forest import (
+    _shape_code,
+    _shape_tables,
+    canonical_code,
+    h1_order,
+    is_minimal,
+    parse_forest,
+)
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
 from oracles import labeled_tree_codes
@@ -23,6 +31,22 @@ def test_tree_counts_match_reference_table():
     expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
     for n, want in enumerate(expected, start=1):
         assert len(census.enumerate_trees(n)) == want
+
+
+# sha256 of repr((n, edges)) of every enumerate_trees(n), n = 1..12, one
+# line each, recorded from networkx's nonisomorphic_trees before the
+# generator replaced it: census output order and vertex ids follow it
+TREE_ORDER_SHA256 = "63097181e0f261d2fe0e04c1c46c4dd4fa0cac6ada0b8021fa6522802b5b95a6"
+
+
+def test_enumerate_trees_keeps_the_recorded_order():
+    lines = [
+        repr((n, edges))
+        for n in range(1, census.MAX_TREE_VERTICES + 1)
+        for edges in census.enumerate_trees(n)
+    ]
+    assert len(lines) == sum(census._FREE_TREE_COUNTS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TREE_ORDER_SHA256
 
 
 def test_trees_against_labeled_enumeration():
@@ -158,6 +182,27 @@ def test_enumerate_forests_includes_empty_and_disconnected():
     assert len(got) == 1 + 2 + 3 + 2
 
 
+def test_grid_budget_counts_the_columns_each_scan_builds():
+    """census_scan and enumerate_weighted build every column of each
+    shape's grid; verify_classification builds only the minimal ones and
+    is charged for those: 101,745,155 against 20,613,524 at (9, -5), 930
+    against 182 at (5, -3)."""
+    assert census._grid_size(9, -5) == 101_745_155
+    assert census._grid_size(9, -5, minimal=True) == 20_613_524
+    assert census._grid_size(5, -3) == 930
+    assert census._grid_size(5, -3, minimal=True) == 182
+    with pytest.raises(EnumerationBudgetError, match="minimal weighted-tree grid has 20613524"):
+        census.verify_classification(9, -5, budget=20_613_523)
+    with pytest.raises(EnumerationBudgetError, match="weighted-tree grid has 101745155"):
+        census.census_scan(9, -5, budget=101_745_154)
+    assert census.verify_classification(5, -3, budget=182).ok
+    with pytest.raises(EnumerationBudgetError, match="has 182 assignments"):
+        census.verify_classification(5, -3, budget=181)
+    assert census.census_scan(2, -3, budget=12) == census.census_scan(2, -3)
+    with pytest.raises(EnumerationBudgetError, match="has 12 assignments"):
+        census.census_scan(2, -3, budget=11)
+
+
 def test_enumerate_weighted_budget():
     with pytest.raises(EnumerationBudgetError):
         list(census.enumerate_weighted(4, -100, budget=10))
@@ -254,9 +299,9 @@ def test_census_scan_filters_conjunctive():
 
 
 def test_census_forest_filters_run_before_classify(monkeypatch):
-    """zhs and minimal are read off the forest: filtering the scan gives
-    the records of an unfiltered scan filtered afterwards, and classify
-    runs only on the graphs that pass them."""
+    """zhs and minimal are read off the weight columns: filtering the scan
+    gives the records of an unfiltered scan filtered afterwards, and the
+    batch classifies only the graphs that pass them."""
     everything = census.census_scan(4, -4)
     post = {
         "zhs": lambda r: abs(r.det) == 1,
@@ -266,16 +311,17 @@ def test_census_forest_filters_run_before_classify(monkeypatch):
     for filters in (("zhs",), ("minimal",), ("zhs", "minimal"), ("minimal", "nonrational")):
         want = [r for r in everything if all(post[f](r) for f in filters)]
         assert census.census_scan(4, -4, filters=filters) == want, filters
-    classified = []
-    real = census.classify
+    seen = []
+    real = census._classify_task
 
-    def counting(forest, budget):
-        classified.append(forest)
-        return real(forest, budget=budget)
+    def recording(task):
+        seen.extend(zip(task.codes, map(tuple, task.weights.tolist())))
+        return real(task)
 
-    monkeypatch.setattr(census, "classify", counting)
+    monkeypatch.setattr(census, "_classify_task", recording)
     recs = census.census_scan(4, -7, filters=("zhs",))
-    assert len(classified) == len(recs) == 16
+    assert len(recs) == 16
+    assert sorted(seen) == [(r.code, r.weights) for r in recs]
 
 
 def test_census_scan_threads_match_sequential():
@@ -286,12 +332,14 @@ def test_census_scan_threads_match_sequential():
 
 def test_census_scan_threads_bounds(monkeypatch):
     """threads < 1 is refused; the pool has at most min(threads, CPU
-    count, graphs) workers, and there is no pool when nothing is left to
-    classify. A stand-in executor records max_workers and maps in this
-    process, so no worker is started."""
+    count, tasks) workers, maps _classify_task over the tasks, each a run
+    of one shape's graphs, and there is no pool when nothing is left to
+    classify. With one box row per task, every graph is a task of its
+    own. A stand-in executor records max_workers and the tasks, and maps
+    in this process, so no worker is started."""
     import concurrent.futures
 
-    made = []
+    made, mapped = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -303,7 +351,9 @@ def test_census_scan_threads_bounds(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items):
+            assert fn is census._classify_task
+            mapped.append([len(task.weights) for task in items])
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -313,18 +363,136 @@ def test_census_scan_threads_bounds(monkeypatch):
     want = census.census_scan(2, -3)
     graphs = sum(1 for n in (1, 2) for _ in census.enumerate_weighted(n, -3))
     assert made == []
+    # by default each of the two shapes is one task: 3 graphs on one
+    # vertex, 5 on two
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1000)
+    assert census.census_scan(2, -3, threads=1000) == want
+    assert made == [2] and mapped == [[3, 5]]
+    monkeypatch.setattr(census, "_TASK_ROWS", 1)
+    made.clear()
+    mapped.clear()
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     assert census.census_scan(2, -3, threads=1000) == want
     monkeypatch.setattr(census.os, "cpu_count", lambda: 1000)
     assert census.census_scan(2, -3, threads=1000) == want
     assert census.census_scan(2, -3, threads=4) == want
     assert made == [3, graphs, 4]
+    assert mapped == [[1] * graphs] * 3
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
     assert census.census_scan(2, -3, threads=1000) == want
     assert census.census_scan(2, -3, threads=1000, box_cap=0) == []
     assert made == [3, graphs, 4]
 
 
+# ----------------------------------------------------- the batch's oracle
+
+_FOREST_FILTERS = {"zhs": lambda f: h1_order(f) == 1, "minimal": is_minimal}
+
+
+@pytest.mark.parametrize("nmax, wmin", [(4, -6), (5, -4)])
+def test_census_scan_matches_per_graph_classify(nmax, wmin):
+    """The batch gives the records of classify(), the per-graph oracle,
+    on every forest of enumerate_weighted: unfiltered, under each filter
+    (zhs and minimal read off the forest, the others off the oracle's
+    record), under a box cap, and through a pool of two workers."""
+    forests = [f for n in range(1, nmax + 1) for f in census.enumerate_weighted(n, wmin)]
+    pairs = sorted(((census.classify(f), f) for f in forests), key=lambda pair: pair[0].code)
+    want = [r for r, _ in pairs]
+    assert census.census_scan(nmax, wmin) == want
+    for name in census.FILTER_NAMES:
+        if name in _FOREST_FILTERS:
+            kept = [r for r, f in pairs if _FOREST_FILTERS[name](f)]
+        else:
+            kept = [r for r in want if census._RECORD_FILTERS[name](r)]
+        assert 0 < len(kept) < len(want), name
+        assert census.census_scan(nmax, wmin, filters=(name,)) == kept, name
+    capped = [r for r, f in pairs if QFormContext(f).box_size <= 100]
+    assert 0 < len(capped) < len(want)
+    assert census.census_scan(nmax, wmin, box_cap=100) == capped
+    assert census.census_scan(nmax, wmin, threads=2) == want
+
+
+def _counting_contexts(monkeypatch):
+    """Record every QFormContext made, by its weights."""
+    made = []
+    real = QFormContext.__init__
+
+    def counting(self, forest, budget=lattice.DEFAULT_BUDGET):
+        made.append(forest.weights)
+        real(self, forest, budget)
+
+    monkeypatch.setattr(QFormContext, "__init__", counting)
+    return made
+
+
+def test_census_scan_builds_no_context_per_graph(monkeypatch):
+    """On the bench workload (4, -6) the batch builds no QFormContext at
+    all, and no _basic_rows call sees more than a block of rows; calls
+    carry one weight row per box row, from more than one graph."""
+    made = _counting_contexts(monkeypatch)
+    sizes, graphs = [], []
+    real = engine._basic_rows
+
+    def recording(block, weights, neighbors, rng=None):
+        sizes.append(len(block))
+        graphs.append(len(np.unique(np.asarray(weights).reshape(-1, block.shape[1]), axis=0)))
+        return real(block, weights, neighbors, rng)
+
+    monkeypatch.setattr(engine, "_basic_rows", recording)
+    recs = census.census_scan(4, -6)
+    assert len(recs) == 1042
+    assert made == []
+    assert max(sizes) <= lattice._BATCH_ROWS
+    assert max(graphs) > 1
+
+
+def test_census_scan_sends_uncertified_candidates_to_is_rational(monkeypatch):
+    """With a certificate that certifies nothing, every AR candidate tried
+    before a witness goes to is_rational, which alone builds a
+    QFormContext, one per candidate; the records stay the same. At
+    (6, -3) there are 12 such candidates (none at (4, -6): every witness
+    there is the first candidate)."""
+    want = census.census_scan(6, -3)
+    real = engine.canonical_pair_rows
+
+    def nothing(neighbors, weights):
+        found, pairs = real(neighbors, weights)
+        return np.zeros_like(found), pairs
+
+    checked = []
+    is_rational = engine.is_rational
+
+    def counting(ctx):
+        checked.append(ctx.weights)
+        return is_rational(ctx)
+
+    monkeypatch.setattr(engine, "canonical_pair_rows", nothing)
+    monkeypatch.setattr(engine, "is_rational", counting)
+    made = _counting_contexts(monkeypatch)
+    assert census.census_scan(6, -3) == want
+    assert len(checked) == 12 and made == checked
+
+
+def test_census_scan_raises_on_a_count_that_contradicts_laufer(monkeypatch):
+    """A witness whose canonical class holds two basic vectors is a
+    disagreement with Laufer's test."""
+    real = engine.canonical_counts_rows
+    monkeypatch.setattr(
+        engine, "canonical_counts_rows", lambda *args: real(*args) + 1
+    )
+    with pytest.raises(engine.RationalityDisagreementError, match="says rational"):
+        census.census_scan(3, -3)
+
+
+def test_census_scan_does_not_depend_on_blocks_or_tasks(monkeypatch):
+    """Blocks of 7 box rows cut boxes mid-way and span graphs; tasks of
+    one graph each, or of every graph of a shape, give the same records."""
+    want = census.census_scan(4, -4)
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
+    monkeypatch.setattr(engine, "_BATCH_ROWS", 7)
+    for rows in (1, 10**9):
+        monkeypatch.setattr(census, "_TASK_ROWS", rows)
+        assert census.census_scan(4, -4) == want
 def test_census_scan_contains_star_zhs_witness():
     recs = census.census_scan(4, -7, filters=("zhs", "nonrational"))
     codes = {r.code for r in recs}

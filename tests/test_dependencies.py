@@ -59,3 +59,20 @@ print("scipy" in sys.modules)
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_plumb_leaves_networkx_unloaded():
+    """Trees are enumerated without networkx: import plumb and a census
+    run leave it unloaded."""
+    code = """
+import contextlib, io, sys
+import plumb, plumb.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert plumb.cli.main(["census", "--max-vertices", "5", "--min-weight", "-2"]) == 0
+print("networkx" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -13,7 +13,13 @@ from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
 from plumb.forest import PlumbingForest, _shape_tables, parse_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import in_terminal_box, random_strategy, strategy_run_path, two_node_tree
+from oracles import (
+    ar_status_loop,
+    in_terminal_box,
+    random_strategy,
+    strategy_run_path,
+    two_node_tree,
+)
 
 
 def star237():
@@ -220,6 +226,51 @@ def test_ar_vertex_found_whenever_ar_status_finds():
             ctx = QFormContext(g)
             if engine.ar_status(ctx).found:
                 assert engine.ar_vertex(ctx) is not None, g.weights
+
+
+def test_ar_status_rows_match_the_candidate_loop():
+    """The batched AR scan, run on each shape's distinct graphs together,
+    gives the witness of the per-candidate loop (oracles.ar_status_loop)
+    on every tree with n <= 5 and weights >= -4, on the two-node tree (no
+    witness) and on forests of two components; ar_status is its one-row
+    call."""
+    found = missing = 0
+    for n in range(1, 6):
+        for edges in census.enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            rows = census._distinct_rows(tables, -4)
+            vertex, delta = engine.ar_status_rows(tables.neighbors, rows)
+            for w, v, d in zip(rows.tolist(), vertex.tolist(), delta.tolist()):
+                ctx = QFormContext(census._shape_forest(edges, n, w))
+                want = ar_status_loop(ctx)
+                assert engine.ar_status(ctx) == want
+                if v < 0:
+                    assert not want.found and d == 0
+                    missing += 1
+                else:
+                    assert (ctx.forest.ids[v], d) == (want.vertex, want.delta)
+                    found += 1
+    assert found > 1000 and missing == 0
+    s237, a2 = star_forest(-1, [-2, -3, -7]), chain_forest([-2, -2])
+    forests = [_disjoint(e8_forest(), s237), _disjoint(a2, s237), _disjoint(s237, s237)]
+    for g in [two_node_tree()] + forests:
+        ctx = QFormContext(g)
+        assert engine.ar_status(ctx) == ar_status_loop(ctx), g
+    for bound in (0, 1, 3):
+        ctx = QFormContext(star_forest(-1, [-2, -3, -7]))
+        assert engine.ar_status(ctx, bound) == ar_status_loop(ctx, bound)
+
+
+def test_ar_status_rows_checks_each_candidate_budget():
+    """Every candidate tried must fit the budget, not only a witness: the
+    two-node tree (box 2,592) has none, so all its 9 * 31 candidates are
+    tried, the largest holding 2,592 * 33 / 2 = 42,768 vectors."""
+    g = two_node_tree()
+    rows = np.array([g.weights], dtype=np.int64)
+    nb = g.neighbors()
+    assert engine.ar_status_rows(nb, rows, budget=42_768)[0].tolist() == [-1]
+    with pytest.raises(EnumerationBudgetError, match="box holds 42768 vectors"):
+        engine.ar_status_rows(nb, rows, budget=42_767)
 
 
 def test_ar_vertex_none_on_two_node_tree():

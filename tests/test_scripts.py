@@ -60,23 +60,34 @@ def test_classification_sweep_reports_throughput(capsys, monkeypatch):
     "argv",
     [
         ["--class-max", "4", "--min-weight", "-100"],
-        ["--class-max", "4", "--min-weight", "-3", "--budget", "200"],
+        ["--class-max", "4", "--min-weight", "-3", "--budget", "53"],
     ],
 )
 def test_classification_sweep_budget_exits_3(capsys, monkeypatch, argv):
     """A grid over the default budget, or over one given with --budget
-    (the n <= 4, wmin -3 grid holds 201 assignments), ends the sweep
-    with a one-line message and exit code 3."""
+    (the minimal columns of the n <= 4, wmin -3 grids, the ones the scan
+    builds, are 54), ends the sweep with a one-line message and exit
+    code 3."""
     sweep = load(monkeypatch, "classification_sweep")
     assert sweep.main(["--e8-max", "8"] + argv) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("budget exceeded:")
 
 
+def test_classification_sweep_bad_weight_floor_exits_2(capsys, monkeypatch):
+    """A weight floor above -1 ends the sweep with a one-line message and
+    exit code 2, as plumb verify-classification does."""
+    sweep = load(monkeypatch, "classification_sweep")
+    assert sweep.main(["--e8-max", "8", "--class-max", "4", "--min-weight", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: wmin must be <= -1"]
+
+
 def test_classification_sweep_reports_per_graph_checks(capsys, monkeypatch):
     """The per-graph column counts the graphs the batched tests left to
     is_rational: none at wmin -3 up to n = 5. The scan runs under the
-    --budget given: the n <= 5 grid holds 930 assignments."""
+    --budget given, which it spends on minimal columns only: the n <= 5
+    grids hold 182 of them (and 930 assignments in all)."""
     sweep = load(monkeypatch, "classification_sweep")
 
     def rows(budget):
@@ -87,5 +98,5 @@ def test_classification_sweep_reports_per_graph_checks(capsys, monkeypatch):
         column = lines[header].split().index("per-graph")
         return code, [(row.split()[0], row.split()[column]) for row in lines[header + 1:]]
 
-    assert rows(930) == (0, [("4", "0"), ("5", "0")])
-    assert rows(929) == (3, [("4", "0")])
+    assert rows(182) == (0, [("4", "0"), ("5", "0")])
+    assert rows(181) == (3, [("4", "0")])
