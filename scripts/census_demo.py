@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run a small census of negative-definite plumbing trees and print a
-verdict breakdown plus the most interesting specimens."""
+verdict breakdown plus the most interesting specimens. Bad arguments
+end the run with exit code 2, a census over the budget with exit
+code 3."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from plumb import census
+from plumb.lattice import EnumerationBudgetError
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,16 @@ def parse_args(argv=None) -> DemoConfig:
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     t0 = time.perf_counter()
-    records = census.census_scan(
-        cfg.max_vertices, cfg.min_weight, threads=cfg.threads
-    )
+    try:
+        records = census.census_scan(
+            cfg.max_vertices, cfg.min_weight, threads=cfg.threads
+        )
+    except EnumerationBudgetError as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
+    except ValueError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     print(
         f"scanned {len(records)} trees "

@@ -592,7 +592,14 @@ def main(argv=None) -> int:
         print("--json and --dot are mutually exclusive", file=sys.stderr)
         return EXIT_INVALID
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head -1`): point stdout at
+        # devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except ParseError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INVALID

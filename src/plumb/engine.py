@@ -12,9 +12,7 @@ choice of vertex at each step; the test suite exercises that empirically.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -218,168 +216,98 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     return BasicSet(reps, grouped, counts, ctx.box_size - len(rows), ctx.box_size)
 
 
-# canonical-class members run_path tries before is_rational falls back to
-# the full canonical-class count
-_WALK_LIMIT = 64
-
-
 class RationalityDisagreementError(RuntimeError):
     """Laufer's algorithm and the canonical-class basic count disagree."""
 
 
-def _add_vertex(ctx: QFormContext, z: list[int], pairing: list[int], v: int) -> None:
-    """z += E_v, keeping pairing = Q z: E_v pairs to m_v with itself and
-    to 1 with each neighbour."""
-    z[v] += 1
-    pairing[v] += ctx.weights[v]
-    for u in ctx.neighbors[v]:
-        pairing[u] += 1
+def _laufer_close(adj, weights, pairing, skip=None, fall=False) -> np.ndarray:
+    """Laufer's closure of a batch of cycles on the shape of the 0/1
+    adjacency matrix adj, in place; returns the rise of chi of each row.
+
+    Row r of pairing holds the pairings Q x of a cycle x, Q = adj plus
+    the diagonal of weights (one row per cycle, or one for all). Each
+    round adds E_v at once for every v with x.E_v > 0 but skip (a vertex,
+    or one per row), which never steps, as if its weight were -infinity.
+    On a negative-definite form the rounds end at the least cycle >= x
+    pairing non-positively with every vertex but skip: a vertex pairing
+    positively with x <= s has x_v < s_v for every such s, so the steps
+    reach it in any order. Adding E_v raises chi by 1 - x.E_v, so adding
+    a 0/1 set e raises it by the sum over e of (1 - x.E_v), less the
+    edges inside e; each step pairs to at least 1, so chi never rises.
+    With fall, a row stops in the round its chi falls, short of its
+    closure. A round touches only the rows still moving."""
+    weights = np.broadcast_to(weights, pairing.shape)
+    if skip is not None:
+        skip = np.broadcast_to(skip, len(pairing))
+    rise = np.zeros(len(pairing), dtype=np.int64)
+    live = np.arange(len(pairing))
+    while len(live):
+        p = pairing[live]
+        e = p > 0
+        if skip is not None:
+            e[np.arange(len(live)), skip[live]] = False
+        go = e.any(axis=1)
+        if not go.all():
+            live, p, e = live[go], p[go], e[go]
+        e = e.astype(np.int64)
+        ea = e @ adj
+        rise[live] += (e * (1 - p)).sum(axis=1) - (ea * e).sum(axis=1) // 2
+        # E_v pairs to m_v with itself and to 1 with each neighbour
+        pairing[live] = p + ea + e * weights[live]
+        if fall:
+            live = live[rise[live] == 0]
+    return rise
 
 
-def laufer_steps(ctx: QFormContext, z: list[int], pairing: list[int], skip: int | None = None):
-    """Add E_v to the cycle z while some vertex v has z.E_v > 0, yielding
-    that pairing before each addition.
-
-    z and pairing (= Q z) are lists updated in place. On a negative-definite
-    form the additions end, in any order, at the least cycle >= z that
-    pairs non-positively with every vertex. Vertex skip, if given, never
-    steps, as if its weight were -infinity; the additions then end at the
-    least such cycle with the same skip coordinate, pairing non-positively
-    with every other vertex."""
-    nb = ctx.neighbors
-    # every positive vertex is on the stack exactly once
-    stack = [v for v in range(ctx.n) if pairing[v] > 0 and v != skip]
-    while stack:
-        v = stack.pop()
-        yield pairing[v]
-        _add_vertex(ctx, z, pairing, v)
-        if pairing[v] > 0:
-            stack.append(v)
-        for u in nb[v]:
-            if pairing[u] == 1 and u != skip:
-                stack.append(u)
-
-
-def laufer_rational(ctx: QFormContext, skip: int | None = None) -> bool:
-    """Laufer's test: from Z = sum of E_v, add E_v while (Z.E_v) = 1. A step
-    with (Z.E_v) >= 2 proves the graph non-rational; a sequence of unit
-    steps ends at the fundamental cycle of a rational graph.
+def laufer_rational_rows(neighbors, weights: np.ndarray) -> np.ndarray:
+    """Laufer's test on a batch of negative-definite graphs on the one
+    shape that neighbors describes, one int64 weight row per graph: from
+    Z = sum of E_v, add E_v while (Z.E_v) = 1. A step with (Z.E_v) >= 2
+    proves the graph non-rational; unit steps end at the fundamental
+    cycle of a rational graph. Every step pairs to at least 1 and chi of
+    the closure does not depend on their order, so the graph is rational
+    iff the closure (_laufer_close) leaves chi as it was.
 
     The argument is per component: steps in one component leave the
     pairings of the others unchanged, and the restriction of Z to v's
     component C starts as the sum of C's vertices, with chi = 1. A step
     with (Z.E_v) >= 2 makes chi(Z|C + E_v) <= 0, so C is non-rational,
-    and the canonical class's basic count, a product over components, is
-    then at least 2.
-
-    With skip, the test is for the graph with that vertex's weight
-    lowered to -infinity: the vertex never steps."""
-    z = [1] * ctx.n
-    pairing = [sum(row) for row in ctx.q]
-    return all(step == 1 for step in laufer_steps(ctx, z, pairing, skip))
+    and the canonical class's basic count, a product over components,
+    is then at least 2."""
+    adj = _adjacency(neighbors)
+    return _laufer_close(adj, weights, weights + adj.sum(axis=1), fall=True) == 0
 
 
 def ar_vertex(ctx: QFormContext) -> int | None:
     """The first vertex v such that the graph turns rational once v's
     weight is lowered far enough, or None if there is none (the graph is
-    not almost-rational).
+    not almost-rational): Laufer's test with v's weight at -infinity, so
+    that v never steps, on one row per vertex.
 
     Lowering a weight keeps a rational graph rational, so every vertex
     ar_status can witness passes here."""
-    return next((v for v in range(ctx.n) if laufer_rational(ctx, skip=v)), None)
-
-
-def _laufer_rows(
-    pairing: np.ndarray, weights: np.ndarray, adj: np.ndarray, cap=None
-) -> np.ndarray:
-    """laufer_steps on a batch of graphs of one shape, one row each: every
-    row adds E_v at its largest pairing while that is positive (and below
-    cap, if given). Returns the final pairings."""
-    pairing = pairing.copy()
-    live = np.arange(len(pairing))
-    while len(live):
-        top = pairing[live].max(axis=1)
-        go = top > 0
-        if cap is not None:
-            go &= top < cap
-        live = live[go]
-        p, w = pairing[live], weights[live]
-        v = p.argmax(axis=1)
-        rows = np.arange(len(live))
-        # E_v pairs to m_v with itself and to 1 with each neighbour
-        p += adj[v]
-        p[rows, v] += w[rows, v]
-        pairing[live] = p
-    return pairing
-
-
-def laufer_rational_rows(neighbors, weights: np.ndarray) -> np.ndarray:
-    """laufer_rational of a batch of negative-definite graphs on the one
-    shape that neighbors describes, from an int64 array of one weight row
-    per graph. Every row starts at the pairings of Z = sum of E_v (weight
-    plus degree) and steps at its largest pairing: it is non-rational once
-    that is >= 2 and rational once it is <= 0. The verdict does not
-    depend on the order of the steps."""
-    adj = _adjacency(neighbors)
-    final = _laufer_rows(weights + adj.sum(axis=1), weights, adj, cap=2)
-    return final.max(axis=1) <= 0
-
-
-def _canonical_walk(ctx: QFormContext):
-    """Box members of the canonical class, breadth-first.
-
-    The members are k = canonical_char - 2 Q z, z a cycle with z.E_v <= 0
-    and -z.E_v <= |m_v| - 1 at every vertex. The walk starts at z = 0 and
-    steps from z to the closure (laufer_steps) of z + E_v; a child is
-    built only when the caller asks for the next member."""
-    base = ctx.canonical_char().k
-    room = [-w - 1 for w in ctx.weights]
-    start = (0,) * ctx.n
-    seen = {start}
-    queue = deque([(start, start)])
-    yield base
-    while queue:
-        z, pairing = queue.popleft()
-        for v in range(ctx.n):
-            cz, cp = list(z), list(pairing)
-            _add_vertex(ctx, cz, cp, v)
-            for _ in laufer_steps(ctx, cz, cp):
-                pass
-            key = tuple(cz)
-            if key in seen or any(-x > r for x, r in zip(cp, room)):
-                continue
-            seen.add(key)
-            queue.append((key, tuple(cp)))
-            yield tuple(b - 2 * x for b, x in zip(base, cp))
-
-
-def canonical_basic_pair(ctx: QFormContext) -> tuple[CharVector, CharVector] | None:
-    """Two distinct box vectors of the canonical class whose runs end
-    basic, found among the first _WALK_LIMIT members of the walk; None if
-    the walk finds fewer. Such a pair shows the graph is not rational."""
-    found = []
-    for k in itertools.islice(_canonical_walk(ctx), _WALK_LIMIT):
-        if run_path(ctx, k).basic:
-            found.append(CharVector(k))
-            if len(found) == 2:
-                return found[0], found[1]
-    return None
+    adj = _adjacency(ctx.neighbors)
+    weights = np.array(ctx.weights, dtype=np.int64)
+    start = np.tile(weights + adj.sum(axis=1), (ctx.n, 1))
+    rise = _laufer_close(adj, weights, start, skip=np.arange(ctx.n), fall=True)
+    hit = np.flatnonzero(rise == 0)
+    return int(hit[0]) if len(hit) else None
 
 
 def canonical_pair_rows(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """canonical_basic_pair for a batch of connected negative-definite
-    graphs on the one shape that neighbors describes (one int64 weight
-    row per graph), trying the walk's first two members: the canonical
-    vector W + 2 and W + 2 - 2 Q Z, Z the fundamental cycle. In a
-    connected graph the closure of every E_v is Z, so the walk's whole
-    first layer is that one member, and Z != 0 makes it distinct from
-    W + 2. Returns (found, pairs): found[i] when both members of row i
-    end basic, and pairs[i] the two. On a forest of several components
-    (ar_status on any input) the two are still distinct basic members of
-    the canonical class, so a pair found still proves non-rationality."""
+    """Two distinct basic box members of the canonical class for each of
+    a batch of negative-definite graphs on the one shape that neighbors
+    describes (one int64 weight row per graph): the canonical vector
+    W + 2 and W + 2 - 2 Q Z, Z the fundamental cycle, which Z != 0 makes
+    distinct. Returns (found, pairs): found[i] when both members of row i
+    end basic, and pairs[i] the two. Such a pair shows the graph is not
+    rational. On a forest the runs go per component, and a rational
+    component holds one basic member of its canonical class, so a forest
+    with a rational component is never certified."""
     adj = _adjacency(neighbors)
-    # Q Z: Laufer's steps from the sum of E_v end at Z
-    pairing = _laufer_rows(weights + adj.sum(axis=1), weights, adj)
+    # Q Z: the closure of the sum of E_v is Z
+    pairing = weights + adj.sum(axis=1)
+    _laufer_close(adj, weights, pairing)
     pairs = np.stack([weights + 2, weights + 2 - 2 * pairing], axis=1)
     # Q Z <= 0 keeps the second member above the box's floor; a pairing
     # above its ceiling overflows at once, so only box members end basic
@@ -432,14 +360,17 @@ def is_rational(ctx: QFormContext) -> bool:
     """True iff the class of the canonical vector (all pairings m(v)+2)
     holds exactly one basic vector.
 
-    Laufer's test decides. A non-rational verdict is certified by two
-    basic members of the canonical class (canonical_basic_pair); a
-    rational one, or a non-rational one the walk cannot certify, by the
-    full canonical-class count. A count that contradicts Laufer raises
-    RationalityDisagreementError. The box budget is checked first."""
+    Laufer's test (laufer_rational_rows) decides. A non-rational verdict
+    is certified by two basic members of the canonical class
+    (canonical_pair_rows of this one graph); a rational one, or a
+    non-rational one the pair cannot certify (a forest with a rational
+    component), by the full canonical-class count. A count that
+    contradicts Laufer raises RationalityDisagreementError. The box
+    budget is checked first."""
     ctx.check_box_budget()
-    laufer = laufer_rational(ctx)
-    if not laufer and canonical_basic_pair(ctx) is not None:
+    weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
+    laufer = bool(laufer_rational_rows(ctx.neighbors, weights)[0])
+    if not laufer and canonical_pair_rows(ctx.neighbors, weights)[0][0]:
         return False
     _check_count(_canonical_basic_count(ctx), laufer)
     return laufer

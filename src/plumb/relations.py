@@ -418,28 +418,6 @@ def _tables(ctx, reps, q_max, counts) -> tuple[ClassTable, ...]:
     return tuple(tables)
 
 
-def _laufer_close(q, weights, p, tau, skip=None) -> None:
-    """Laufer closure of many cycles at once. Row r of p holds the
-    pairings Q x of a cycle x; every vertex v (other than skip) with
-    p_v > 0 gets E_v added, until no vertex pairs positively. tau[r]
-    follows chi(x), which rises by 1 - p_v when E_v alone is added.
-
-    Adding all positive vertices together reaches the same closure as
-    engine.laufer_steps: a vertex that pairs positively with x <= s has
-    x_v < s_v for every cycle s >= x of the cone. For a 0/1 set e, chi
-    rises by the sum over e of (1 - p_v), less the edges inside e."""
-    while True:
-        e = p > 0
-        if skip is not None:
-            e[:, skip] = False
-        if not e.any():
-            return
-        e = e.astype(np.int64)
-        eq = e @ q
-        tau += (e * (1 - p)).sum(axis=1) - ((eq * e).sum(axis=1) - e @ weights) // 2
-        p += eq
-
-
 def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ...]:
     """The tables of truncated_classes, with no box bound, for a graph
     that is almost-rational at vertex v0, read off Nemethi's
@@ -477,11 +455,12 @@ def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ..
     adj = ctx._adj_np
     q = np.array(ctx.q, dtype=np.int64)
     weights = np.array(ctx.weights, dtype=np.int64)
+    adjacency = engine._adjacency(ctx.neighbors)
     half = (weights + 2 - np.array([r.k for r in reps], dtype=np.int64).reshape(h1, n)) // 2
     r = sgn * (half @ adj.T) % h1  # l' = r / |H1| + an integer vector
     p, rest = np.divmod(r @ q, h1)
     assert not rest.any(), "r_h pairs to a non-integer"
-    _laufer_close(q, weights, p, np.zeros(h1, dtype=np.int64))
+    engine._laufer_close(adjacency, weights, p)
     k_r = weights + 2 - 2 * p
 
     big = int(np.abs(k_r).max())
@@ -521,7 +500,7 @@ def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ..
         before = tau.copy()
         tau += 1 - p[:, v0]
         p += q[v0]
-        _laufer_close(q, weights, p, tau, skip=v0)
+        tau += engine._laufer_close(adjacency, weights, p, skip=v0)
         np.minimum(low, tau, out=low)
         walk.append((alive, before, tau.copy()))
 

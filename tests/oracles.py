@@ -9,6 +9,13 @@ char_box, in_terminal_box, k_square and same_spinc are the scalar
 counterparts of the box layer's blocks, K^2 numerators and spin^c keys;
 labeled_tree_codes cross-checks census.enumerate_trees.
 
+laufer_steps is Laufer's closure one vertex at a time, in stack order,
+and laufer_rational_scalar the rationality test on it; canonical_walk
+lists the canonical class's box members breadth-first through those
+closures. The batched closure (engine._laufer_close), which adds every
+positive vertex at once, and the certificate built on it
+(engine.canonical_pair_rows) must agree with them.
+
 ar_status_loop is engine.ar_status as a loop over candidates, one
 is_rational each; the batched scan (engine.ar_status_rows) must agree.
 
@@ -18,6 +25,7 @@ reach the code kept for such graphs.
 
 import heapq
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from plumb.engine import (
@@ -135,6 +143,76 @@ def strategy_run_path(ctx, k, strategy=lowest_eligible) -> TerminationResult:
             raise SafetyLimitError(
                 f"no termination within {limit} steps; input is likely invalid"
             )
+
+
+def add_vertex(ctx, z, pairing, v) -> None:
+    """z += E_v, keeping pairing = Q z: E_v pairs to m_v with itself and
+    to 1 with each neighbour."""
+    z[v] += 1
+    pairing[v] += ctx.weights[v]
+    for u in ctx.neighbors[v]:
+        pairing[u] += 1
+
+
+def laufer_steps(ctx, z, pairing, skip=None):
+    """Add E_v to the cycle z while some vertex v has z.E_v > 0, yielding
+    that pairing before each addition.
+
+    z and pairing (= Q z) are lists updated in place. On a negative-definite
+    form the additions end, in any order, at the least cycle >= z that
+    pairs non-positively with every vertex. Vertex skip, if given, never
+    steps, as if its weight were -infinity; the additions then end at the
+    least such cycle with the same skip coordinate, pairing non-positively
+    with every other vertex."""
+    nb = ctx.neighbors
+    # every positive vertex is on the stack exactly once
+    stack = [v for v in range(ctx.n) if pairing[v] > 0 and v != skip]
+    while stack:
+        v = stack.pop()
+        yield pairing[v]
+        add_vertex(ctx, z, pairing, v)
+        if pairing[v] > 0:
+            stack.append(v)
+        for u in nb[v]:
+            if pairing[u] == 1 and u != skip:
+                stack.append(u)
+
+
+def laufer_rational_scalar(ctx, skip=None) -> bool:
+    """Laufer's test: from Z = sum of E_v, add E_v while (Z.E_v) = 1; a
+    step with (Z.E_v) >= 2 proves the graph non-rational. With skip, the
+    test is for the graph with that vertex's weight lowered to -infinity."""
+    z = [1] * ctx.n
+    pairing = [sum(row) for row in ctx.q]
+    return all(step == 1 for step in laufer_steps(ctx, z, pairing, skip))
+
+
+def canonical_walk(ctx):
+    """Box members of the canonical class, breadth-first.
+
+    The members are k = canonical_char - 2 Q z, z a cycle with z.E_v <= 0
+    and -z.E_v <= |m_v| - 1 at every vertex. The walk starts at z = 0 and
+    steps from z to the closure (laufer_steps) of z + E_v; a child is
+    built only when the caller asks for the next member."""
+    base = ctx.canonical_char().k
+    room = [-w - 1 for w in ctx.weights]
+    start = (0,) * ctx.n
+    seen = {start}
+    queue = deque([(start, start)])
+    yield base
+    while queue:
+        z, pairing = queue.popleft()
+        for v in range(ctx.n):
+            cz, cp = list(z), list(pairing)
+            add_vertex(ctx, cz, cp, v)
+            for _ in laufer_steps(ctx, cz, cp):
+                pass
+            key = tuple(cz)
+            if key in seen or any(-x > r for x, r in zip(cp, room)):
+                continue
+            seen.add(key)
+            queue.append((key, tuple(cp)))
+            yield tuple(b - 2 * x for b, x in zip(base, cp))
 
 
 def ar_status_loop(ctx, bound=None) -> ArStatus:

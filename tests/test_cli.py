@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,15 +432,14 @@ def test_verify_classification_json_is_unchanged(capsys, nmax, wmin):
 
 
 def test_verify_classification_reports_laufer_disagreement(capsys, monkeypatch):
-    """Both Laufer tests flipped: the batch sends every graph on to
-    is_rational, whose count then contradicts the scalar test. The
+    """Laufer's test flipped (laufer_rational_rows, the one decider, which
+    is_rational also calls): the batch sends every graph on to
+    is_rational, whose count then contradicts the test. The
     counterexample lines, 45 at (4, -7) and 118 at (6, -4), come out in
     code order, byte for byte as the scan printed them before it was
     batched."""
     from plumb import engine
 
-    right = engine.laufer_rational
-    monkeypatch.setattr(engine, "laufer_rational", lambda ctx: not right(ctx))
     batch = engine.laufer_rational_rows
     monkeypatch.setattr(
         engine, "laufer_rational_rows", lambda nb, rows: ~batch(nb, rows)
@@ -480,3 +483,21 @@ def test_bad_arguments_exit_code(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected, err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that closes the pipe after one line (`| head -1`) ends the
+    run with exit code 1 and nothing on stderr; the output (about 180 kB
+    for (-7)^4) is larger than a pipe holds, so the run is still writing
+    when the pipe closes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plumb.cli", "invariants", "--chain=-7,-7,-7,-7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"det 2255")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

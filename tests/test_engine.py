@@ -15,7 +15,10 @@ from plumb.lattice import EnumerationBudgetError, QFormContext
 
 from oracles import (
     ar_status_loop,
+    canonical_walk,
     in_terminal_box,
+    laufer_rational_scalar,
+    laufer_steps,
     random_strategy,
     strategy_run_path,
     two_node_tree,
@@ -164,60 +167,137 @@ def _laufer_cases():
     return graphs
 
 
-def test_laufer_agrees_with_basic_count_and_certificates_hold():
+def test_laufer_agrees_with_basic_count_and_certificates_hold(monkeypatch):
     """Laufer's test against the canonical-class basic count on every tree
     with n <= 5 and weights >= -5 (3,533 graphs), E8, Sigma(2,3,7), the
-    empty forest and three two-component forests; every non-rational verdict has a valid two-basic
-    certificate from the walk."""
+    empty forest and three two-component forests. Every non-rational
+    verdict but two has a valid two-basic certificate (canonical_pair_rows
+    of the one graph); the two are the forests E8 + Sigma(2,3,7) and
+    A2 + Sigma(2,3,7), whose rational component holds one basic member of
+    its canonical class, and is_rational confirms them by the count."""
+    count = engine._canonical_basic_count
+    counted = []
+
+    def counting(ctx):
+        counted.append(ctx.forest)
+        return count(ctx)
+
+    monkeypatch.setattr(engine, "_canonical_basic_count", counting)
     rational = nonrational = 0
+    uncertified = []
     for g in _laufer_cases():
         ctx = QFormContext(g)
-        laufer = engine.laufer_rational(ctx)
+        weights = np.array(g.weights, dtype=np.int64).reshape(1, g.n)
+        laufer = bool(engine.laufer_rational_rows(ctx.neighbors, weights)[0])
         assert laufer == (_canonical_basic_total(ctx) == 1), g
+        counted.clear()
         assert engine.is_rational(ctx) == laufer, g
         if laufer:
             rational += 1
             continue
         nonrational += 1
-        pair = engine.canonical_basic_pair(ctx)
-        assert pair is not None, g
-        a, b = pair
+        found, pairs = engine.canonical_pair_rows(ctx.neighbors, weights)
+        if not found[0]:
+            assert counted == [g]
+            uncertified.append(g)
+            continue
+        assert counted == []
+        a, b = (tuple(k) for k in pairs[0].tolist())
         assert a != b
         canonical = ctx.spinc_key(ctx.canonical_char())
-        for k in pair:
+        for k in (a, b):
             assert ctx.in_box(k)
             assert ctx.spinc_key(k) == canonical
             assert engine.run_path(ctx, k).basic
     assert rational == 3364 and nonrational == 175
+    s237, a2 = star_forest(-1, [-2, -3, -7]), chain_forest([-2, -2])
+    assert uncertified == [_disjoint(e8_forest(), s237), _disjoint(a2, s237)]
+
+
+def _laufer_start(ctx):
+    """The oracle's cycle Z = sum of E_v and its pairings Q Z."""
+    return [1] * ctx.n, [sum(row) for row in ctx.q]
 
 
 def test_laufer_steps_reach_the_fundamental_cycle():
-    # E8's fundamental cycle is its highest root, of height 29; every step pairs to 1
+    # E8's fundamental cycle is its highest root, of height 29; every step
+    # pairs to 1, and the batched closure reaches the same pairings
     ctx = QFormContext(e8_forest())
-    z, pairing = [1] * 8, [sum(row) for row in ctx.q]
-    steps = list(engine.laufer_steps(ctx, z, pairing))
+    z, pairing = _laufer_start(ctx)
+    steps = list(laufer_steps(ctx, z, pairing))
     assert set(steps) == {1} and sum(z) == 29
     assert all(p <= 0 for p in pairing)
+    weights = np.array(ctx.weights, dtype=np.int64)
+    batch = np.array([[sum(row) for row in ctx.q]], dtype=np.int64)
+    rise = engine._laufer_close(engine._adjacency(ctx.neighbors), weights, batch)
+    assert rise.tolist() == [0] and batch.tolist() == [pairing]
     # the -1 centre of Sigma(2,3,7) pairs to -1 + 3 = 2 at the first step
     star = star237()
-    z, pairing = [1] * 4, [sum(row) for row in star.q]
-    assert next(engine.laufer_steps(star, z, pairing)) == 2
+    z, pairing = _laufer_start(star)
+    assert next(laufer_steps(star, z, pairing)) == 2
 
 
 def test_laufer_steps_skip_vertex_never_steps():
     # the -1 centre of Sigma(2,3,7) is the only vertex that pairs positively
     # with the sum of the E_v; skipped, it leaves no step at all
     star = star237()
-    z, pairing = [1] * 4, [sum(row) for row in star.q]
-    assert list(engine.laufer_steps(star, z, pairing, skip=0)) == []
+    z, pairing = _laufer_start(star)
+    assert list(laufer_steps(star, z, pairing, skip=0)) == []
     assert z == [1] * 4
     assert engine.ar_vertex(star) == 0
     # skipping E8's end vertex v1, every step is still a unit step, and
     # the closure keeps z_v1 = 1
     ctx = QFormContext(e8_forest())
-    z, pairing = [1] * 8, [sum(row) for row in ctx.q]
-    assert set(engine.laufer_steps(ctx, z, pairing, skip=0)) == {1}
+    z, pairing = _laufer_start(ctx)
+    assert set(laufer_steps(ctx, z, pairing, skip=0)) == {1}
     assert z[0] == 1 and all(p <= 0 for p in pairing[1:])
+
+
+def test_laufer_close_rise_is_the_oracles_chi_rise():
+    """The batched closure reaches the pairings of the oracle's
+    stack-order closure, and its rise of chi is the oracle's sum of
+    (1 - step): from the sum of E_v on every negative-definite column of
+    the n <= 6, wmin -4 grids (one weight row per graph), and with each
+    vertex skipped in turn on every tree with n <= 5 and weights >= -5
+    (one shared weight row, one skip per row)."""
+    falls = 0
+    for edges, tables, rows in _grid_graphs(6, -4):
+        adj = engine._adjacency(tables.neighbors)
+        pairing = rows + adj.sum(axis=1)
+        rise = engine._laufer_close(adj, rows, pairing)
+        for w, got, p in zip(rows.tolist(), rise.tolist(), pairing.tolist()):
+            ctx = _context(edges, w)
+            z, want = _laufer_start(ctx)
+            assert got == sum(1 - step for step in laufer_steps(ctx, z, want)), w
+            assert p == want, w
+            falls += got < 0
+    assert falls == 15_750 - 13_864
+    for n in range(1, 6):
+        for g in census.enumerate_weighted(n, -5):
+            ctx = QFormContext(g)
+            adj = engine._adjacency(ctx.neighbors)
+            weights = np.array(g.weights, dtype=np.int64)
+            pairing = np.tile(weights + adj.sum(axis=1), (n, 1))
+            rise = engine._laufer_close(adj, weights, pairing, skip=np.arange(n))
+            for v in range(n):
+                z, want = _laufer_start(ctx)
+                steps = list(laufer_steps(ctx, z, want, skip=v))
+                assert rise[v] == sum(1 - step for step in steps), (g, v)
+                assert pairing[v].tolist() == want, (g, v)
+
+
+def test_ar_vertex_is_the_first_vertex_the_oracle_passes():
+    """ar_vertex is the first vertex whose skip passes the scalar Laufer
+    test, or None when none does: every tree with n <= 5 and weights
+    >= -5, and the two-node tree."""
+    graphs = [g for n in range(1, 6) for g in census.enumerate_weighted(n, -5)]
+    none = 0
+    for g in graphs + [two_node_tree()]:
+        ctx = QFormContext(g)
+        want = next((v for v in range(g.n) if laufer_rational_scalar(ctx, skip=v)), None)
+        assert engine.ar_vertex(ctx) == want, g
+        none += want is None
+    assert none == 1
 
 
 def test_ar_vertex_found_whenever_ar_status_finds():
@@ -280,10 +360,10 @@ def test_ar_vertex_none_on_two_node_tree():
 
 
 def test_wrong_laufer_verdict_raises(monkeypatch):
-    right = engine.laufer_rational
-    monkeypatch.setattr(engine, "laufer_rational", lambda ctx: not right(ctx))
-    # rational E8 sent down the non-rational branch: the walk finds one
-    # basic vector, the fallback count confirms one
+    right = engine.laufer_rational_rows
+    monkeypatch.setattr(engine, "laufer_rational_rows", lambda nb, rows: ~right(nb, rows))
+    # rational E8 sent down the non-rational branch: its canonical class
+    # holds one basic vector, so the pair fails and the count confirms one
     with pytest.raises(engine.RationalityDisagreementError, match="non-rational"):
         engine.is_rational(QFormContext(e8_forest()))
     # non-rational Sigma(2,3,7) sent to the confirming count
@@ -292,16 +372,23 @@ def test_wrong_laufer_verdict_raises(monkeypatch):
 
 
 def test_walk_limit_zero_falls_back_to_the_count(monkeypatch):
+    """With a certificate that certifies nothing, is_rational counts the
+    canonical class of every graph, with the same verdicts."""
     graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -5)]
     want = [engine.is_rational(QFormContext(g)) for g in graphs]
     sweeps = []
     count = engine._canonical_basic_count
+    real = engine.canonical_pair_rows
 
     def counted(ctx):
         sweeps.append(ctx.forest)
         return count(ctx)
 
-    monkeypatch.setattr(engine, "_WALK_LIMIT", 0)
+    def nothing(neighbors, weights):
+        found, pairs = real(neighbors, weights)
+        return np.zeros_like(found), pairs
+
+    monkeypatch.setattr(engine, "canonical_pair_rows", nothing)
     monkeypatch.setattr(engine, "_canonical_basic_count", counted)
     assert [engine.is_rational(QFormContext(g)) for g in graphs] == want
     assert sweeps == graphs
@@ -461,13 +548,14 @@ def _context(edges, weights):
 
 
 def test_laufer_rational_rows_match_scalar():
-    """The batched Laufer test equals laufer_rational on every
-    negative-definite column of the n <= 6, wmin -4 grids."""
+    """The batched Laufer test equals the scalar stack-order oracle
+    (oracles.laufer_rational_scalar) on every negative-definite column of
+    the n <= 6, wmin -4 grids."""
     checked = rational = 0
     for edges, tables, rows in _grid_graphs(6, -4):
         got = engine.laufer_rational_rows(tables.neighbors, rows)
         for w, verdict in zip(rows.tolist(), got.tolist()):
-            assert verdict == engine.laufer_rational(_context(edges, w)), w
+            assert verdict == laufer_rational_scalar(_context(edges, w)), w
             checked += 1
             rational += verdict
     assert checked == 15_750 and rational == 13_864
@@ -509,7 +597,7 @@ def test_basic_rows_with_per_row_weights_match_run_path():
 
 
 def test_canonical_pair_rows_are_the_walks_first_members():
-    """The batched pair is the scalar walk's first two members: the
+    """The batched pair is the oracle walk's first two members: the
     canonical vector and, when the walk has a second member, the one
     member of its first layer; when it has none, the second vector of the
     pair lies outside the box (every negative-definite column of the
@@ -519,7 +607,7 @@ def test_canonical_pair_rows_are_the_walks_first_members():
         _, pairs = engine.canonical_pair_rows(tables.neighbors, rows)
         for w, pair in zip(rows.tolist(), pairs.tolist()):
             ctx = _context(edges, w)
-            walk = list(itertools.islice(engine._canonical_walk(ctx), 2))
+            walk = list(itertools.islice(canonical_walk(ctx), 2))
             assert list(walk[0]) == pair[0]
             if len(walk) == 2:
                 assert list(walk[1]) == pair[1]

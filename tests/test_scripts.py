@@ -83,6 +83,27 @@ def test_classification_sweep_bad_weight_floor_exits_2(capsys, monkeypatch):
     assert err == ["input error: wmin must be <= -1"]
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--min-weight", "0"], 2, "input error: wmin must be <= -1"),
+        (["--threads", "0"], 2, "input error: threads must be at least 1, got 0"),
+        (["--max-vertices", "0"], 2, "input error: nmax must be at least 1, got 0"),
+        (
+            ["--max-vertices", "13"], 3,
+            "budget exceeded: tree enumeration is budgeted to 12 vertices, got 13",
+        ),
+    ],
+)
+def test_census_demo_bad_arguments_exit_with_one_line(capsys, monkeypatch, argv, code, err):
+    """Bad arguments end the demo with a one-line message and exit code 2,
+    a tree count over the budget with exit code 3, as plumb census does."""
+    demo = load(monkeypatch, "census_demo")
+    assert demo.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [err] and captured.out == ""
+
+
 def test_classification_sweep_reports_per_graph_checks(capsys, monkeypatch):
     """The per-graph column counts the graphs the batched tests left to
     is_rational: none at wmin -3 up to n = 5. The scan runs under the
