@@ -7,10 +7,11 @@ input, 3 budget or search bound exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,14 +40,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-
-def _frac(x: Fraction) -> list[str]:
-    return [str(x.numerator), str(x.denominator)]
-
-
-def _vec(k) -> list[int]:
-    return [int(x) for x in k]
 
 
 def _read_forest(args) -> PlumbingForest:
@@ -100,8 +93,103 @@ def _rng(args):
     return np.random.default_rng(args.seed)
 
 
+# ------------------------------------------------------------------ JSON
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Slot:
+    """The place of one integer in the prototype of a _Fill."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_INT = _Slot("\0")  # the integer, as a JSON number
+_STR = _Slot('"\0"')  # the integer's decimal digits, as a JSON string
+
+
+class _Fill:
+    """A JSON value shaped like proto, whose _Slots take values in text
+    order. The writer renders proto once per indent, as a %-template."""
+
+    __slots__ = ("proto", "values")
+
+    def __init__(self, proto, values: tuple):
+        self.proto = proto
+        self.values = values
+
+
+def _json(obj, pad: str, templates: dict) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, at the
+    indent pad (a newline and two spaces a level). templates holds each
+    _Fill prototype's %-template by (prototype, indent)."""
+    if type(obj) is _Fill:
+        key = (id(obj.proto), pad)
+        template = templates.get(key)
+        if template is None:
+            text = _json(obj.proto, pad, templates)
+            template = templates[key] = text.replace("%", "%%").replace("\0", "%d")
+        return template % obj.values
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, _Slot):
+        return obj.text
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [
+            f"{inner}{_encode_str(k)}: {_json(obj[k], inner, templates)}" for k in sorted(obj)
+        ]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        # a prototype's rows are one object repeated: render it once
+        items, last, text = [], object(), ""
+        for x in obj:
+            if x is not last:
+                last, text = x, inner + _json(x, inner, templates)
+            items.append(text)
+        return "[" + ",".join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json(obj, "\n", {}))
+
+
+# ---------------------------------------------------------------- tables
+# Per-class tables are printed from the engine's integer arrays; each
+# fraction is reduced by the gcd of its integer numerator and denominator.
+
+
+def _lowest_terms(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """The fractions num / den (integer arrays, broadcast together) in
+    lowest terms, as (numerators, denominators)."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=np.int64), den)
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
+def _frac_strs(num, den) -> list[str]:
+    """Each fraction num / den in lowest terms, as "n" or "n/d", in the
+    order of num's elements."""
+    num, den = _lowest_terms(num, den)
+    return [
+        f"{a}" if b == 1 else f"{a}/{b}"
+        for a, b in zip(num.ravel().tolist(), den.ravel().tolist())
+    ]
+
+
+def _spaced(reps) -> list[str]:
+    """Each representative's pairings joined by spaces (the DOT tables)."""
+    return [" ".join(map(str, rep)) for rep in reps.tolist()]
 
 
 def _dot_escape(s: str) -> str:
@@ -132,10 +220,6 @@ def _emit_dot(forest: PlumbingForest, table_rows=None, table_title=None) -> str:
         )
     lines.append("}")
     return "\n".join(lines)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def cmd_check(args) -> int:
@@ -169,19 +253,31 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _basic_obj(ctx, basics) -> dict:
+def _class_vectors(basics) -> list[list]:
+    """The basic vectors of each class, as lists of pairings."""
+    vectors = basics.rows.tolist()
+    ends = np.cumsum(basics.counts).tolist()
+    return [vectors[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _basic_obj(basics) -> dict:
+    n = basics.reps.shape[1]
+    protos, classes = {}, []
+    for rep, vecs in zip(basics.reps.tolist(), _class_vectors(basics)):
+        count = len(vecs)
+        proto = protos.get(count)
+        if proto is None:
+            proto = protos[count] = {
+                "class": [_INT] * n,
+                "count": count,
+                "vectors": [[_INT] * n] * count,
+            }
+        classes.append(_Fill(proto, (*rep, *itertools.chain.from_iterable(vecs))))
     return {
         "box": basics.box_size,
         "overflowed": basics.overflow_count,
         "total": basics.total,
-        "classes": [
-            {
-                "class": _vec(rep),
-                "count": len(vecs),
-                "vectors": [_vec(v) for v in vecs],
-            }
-            for rep, vecs in zip(basics.classes, basics.per_class)
-        ],
+        "classes": classes,
     }
 
 
@@ -201,45 +297,41 @@ def _verdict_obj(verd) -> dict:
     }
 
 
-def _d_obj(dinv) -> list[dict]:
-    return [
-        {"class": _vec(rep), "d": _frac(d), "dual": _frac(dual)}
-        for rep, d, dual in zip(dinv.classes, dinv.d, dinv.dual)
-    ]
+def _d_obj(dinv) -> list:
+    num, den = _lowest_terms(dinv.numerators, dinv.denominator)
+    proto = {"class": [_INT] * dinv.reps.shape[1], "d": [_STR, _STR], "dual": [_STR, _STR]}
+    values = np.column_stack([dinv.reps, num, den, -num, den]).tolist()
+    return [_Fill(proto, tuple(v)) for v in values]
 
 
 def _hf_obj(summary) -> dict:
+    h1, n = summary.reps.shape
+    width = summary.max_u + 1
+    bottom = _lowest_terms(summary.bottoms, summary.denominator)
+    rows = np.stack(
+        [*_lowest_terms(summary.degrees, summary.denominator), summary.counts], axis=2
+    )
+    values = np.column_stack(
+        [*bottom, summary.reps, summary.reduced_ranks, rows.reshape(h1, 3 * width)]
+    ).tolist()
+    protos = {
+        converged: {
+            "bottom": [_STR, _STR],
+            "class": [_INT] * n,
+            "converged": converged,
+            "reduced_rank": _INT,
+            "rows": [[[_STR, _STR], _INT]] * width,
+        }
+        for converged in (False, True)
+    }
+    converged = (summary.counts[:, -1] == 1).tolist()
     return {
         "max_u": summary.max_u,
         "expansion": summary.expansion,
         "converged": summary.converged,
         "reduced_rank": summary.reduced_total,
-        "classes": [
-            {
-                "class": _vec(t.rep),
-                "bottom": _frac(t.bottom),
-                "converged": t.converged,
-                "reduced_rank": t.reduced_rank,
-                "rows": [[_frac(r.degree), r.count] for r in t.rows],
-            }
-            for t in summary.classes
-        ],
+        "classes": [_Fill(protos[c], tuple(v)) for c, v in zip(converged, values)],
     }
-
-
-def _invariants_table(basics, dinv, summary):
-    rows = [("class", "basics", "d", "bottom", "reduced")]
-    for i, rep in enumerate(basics.classes):
-        rows.append(
-            (
-                " ".join(str(x) for x in _vec(rep)),
-                str(basics.counts[i]),
-                _frac_str(dinv.d[i]),
-                _frac_str(summary.classes[i].bottom),
-                str(summary.classes[i].reduced_rank),
-            )
-        )
-    return rows
 
 
 def cmd_invariants(args) -> int:
@@ -251,30 +343,33 @@ def cmd_invariants(args) -> int:
     summary = relations.hf_summary(
         ctx, max_u=args.max_u, expansion=args.expansion, d_inv=dinv
     )
-    if args.dot:
-        print(
-            _emit_dot(
-                forest,
-                table_rows=_invariants_table(basics, dinv, summary),
-                table_title="spin-c classes",
-            )
+    if args.json:
+        _print_json(
+            {
+                "graph": forest_to_json_obj(forest),
+                "det": ctx.det,
+                "h1": ctx.h1,
+                "basic": _basic_obj(basics),
+                "verdicts": _verdict_obj(verd),
+                "d": _d_obj(dinv),
+                "hf": _hf_obj(summary),
+            }
         )
         return EXIT_OK
-    obj = {
-        "graph": forest_to_json_obj(forest),
-        "det": ctx.det,
-        "h1": ctx.h1,
-        "basic": _basic_obj(ctx, basics),
-        "verdicts": _verdict_obj(verd),
-        "d": _d_obj(dinv),
-        "hf": _hf_obj(summary),
-    }
-    if args.json:
-        _print_json(obj)
+    d = _frac_strs(dinv.numerators, dinv.denominator)
+    bottom = _frac_strs(summary.bottoms, summary.denominator)
+    columns = (basics.counts.tolist(), d, bottom, summary.reduced_ranks.tolist())
+    if args.dot:
+        rows = [("class", "basics", "d", "bottom", "reduced")]
+        rows += [
+            (rep, str(c), dv, b, str(r))
+            for rep, c, dv, b, r in zip(_spaced(basics.reps), *columns)
+        ]
+        print(_emit_dot(forest, table_rows=rows, table_title="spin-c classes"))
         return EXIT_OK
     print(f"det {ctx.det}, |H1| {ctx.h1}, box {basics.box_size}")
     print(
-        f"basic vectors: {basics.total} across {len(basics.classes)} class(es), "
+        f"basic vectors: {basics.total} across {ctx.h1} class(es), "
         f"{basics.overflow_count} box vectors overflowed"
     )
     ar = verd.ar
@@ -285,12 +380,8 @@ def cmd_invariants(args) -> int:
     )
     print(f"L-space: {'yes' if verd.lspace else 'no'}, {cert}")
     print(f"rational: {'yes' if verd.rational else 'no'}")
-    for i, rep in enumerate(dinv.classes):
-        print(
-            f"  class {_vec(rep)}: {basics.counts[i]} basic, "
-            f"d = {_frac_str(dinv.d[i])}, bottom {_frac_str(summary.classes[i].bottom)}, "
-            f"reduced rank {summary.classes[i].reduced_rank}"
-        )
+    for rep, c, dv, b, r in zip(dinv.reps.tolist(), *columns):
+        print(f"  class {rep}: {c} basic, d = {dv}, bottom {b}, reduced rank {r}")
     conv = "converged" if summary.converged else "NOT converged"
     print(
         f"HF summary (max_u {summary.max_u}, expansion {summary.expansion}): "
@@ -303,29 +394,25 @@ def cmd_basic(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
     basics = engine.basic_vectors(ctx, rng=_rng(args))
+    if args.json:
+        _print_json(_basic_obj(basics))
+        return EXIT_OK
     if args.dot:
         rows = [("class", "basic vectors")]
-        for rep, vecs in zip(basics.classes, basics.per_class):
-            rows.append(
-                (
-                    " ".join(str(x) for x in _vec(rep)),
-                    "<br/>".join(str(_vec(v)) for v in vecs),
-                )
-            )
+        rows += [
+            (rep, "<br/>".join(map(str, vecs)))
+            for rep, vecs in zip(_spaced(basics.reps), _class_vectors(basics))
+        ]
         print(_emit_dot(forest, table_rows=rows, table_title="basic vectors"))
-        return EXIT_OK
-    obj = _basic_obj(ctx, basics)
-    if args.json:
-        _print_json(obj)
         return EXIT_OK
     print(
         f"box {basics.box_size}, total {basics.total} basic, "
         f"{basics.overflow_count} overflowed"
     )
-    for rep, vecs in zip(basics.classes, basics.per_class):
-        print(f"  class {_vec(rep)}:")
+    for rep, vecs in zip(basics.reps.tolist(), _class_vectors(basics)):
+        print(f"  class {rep}:")
         for v in vecs:
-            print(f"    {_vec(v)}")
+            print(f"    {v}")
     return EXIT_OK
 
 
@@ -333,24 +420,18 @@ def cmd_dinv(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
     dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx, rng=_rng(args)))
+    if args.json:
+        _print_json({"classes": _d_obj(dinv)})
+        return EXIT_OK
+    d = _frac_strs(dinv.numerators, dinv.denominator)
+    dual = _frac_strs([-q for q in dinv.numerators], dinv.denominator)
     if args.dot:
         rows = [("class", "d", "dual")]
-        for rep, d, dual in zip(dinv.classes, dinv.d, dinv.dual):
-            rows.append(
-                (
-                    " ".join(str(x) for x in _vec(rep)),
-                    _frac_str(d),
-                    _frac_str(dual),
-                )
-            )
+        rows += list(zip(_spaced(dinv.reps), d, dual))
         print(_emit_dot(forest, table_rows=rows, table_title="d-invariants"))
         return EXIT_OK
-    obj = {"classes": _d_obj(dinv)}
-    if args.json:
-        _print_json(obj)
-        return EXIT_OK
-    for rep, d, dual in zip(dinv.classes, dinv.d, dinv.dual):
-        print(f"class {_vec(rep)}: d = {_frac_str(d)}, dual = {_frac_str(dual)}")
+    for rep, dv, du in zip(dinv.reps.tolist(), d, dual):
+        print(f"class {rep}: d = {dv}, dual = {du}")
     return EXIT_OK
 
 
@@ -361,31 +442,38 @@ def cmd_hf(args) -> int:
     summary = relations.hf_summary(
         ctx, max_u=args.max_u, expansion=args.expansion, d_inv=dinv
     )
+    if args.json:
+        _print_json(_hf_obj(summary))
+        return EXIT_OK
+    width = summary.max_u + 1
+    bottom = _frac_strs(summary.bottoms, summary.denominator)
+    degrees = _frac_strs(summary.degrees, summary.denominator)
+    counts = summary.counts.ravel().tolist()
+    # (degree, count) of each row, class by class
+    cells = (
+        zip(degrees[i:i + width], counts[i:i + width]) for i in range(0, len(counts), width)
+    )
     if args.dot:
         rows = [("class", "bottom", "degree:count", "reduced")]
-        for t in summary.classes:
-            rows.append(
-                (
-                    " ".join(str(x) for x in _vec(t.rep)),
-                    _frac_str(t.bottom),
-                    " ".join(f"{_frac_str(r.degree)}:{r.count}" for r in t.rows),
-                    str(t.reduced_rank),
-                )
+        rows += [
+            (rep, b, " ".join(f"{d}:{c}" for d, c in cell), str(r))
+            for rep, b, cell, r in zip(
+                _spaced(summary.reps), bottom, cells, summary.reduced_ranks.tolist()
             )
+        ]
         print(_emit_dot(forest, table_rows=rows, table_title="degree counts"))
-        return EXIT_OK
-    obj = _hf_obj(summary)
-    if args.json:
-        _print_json(obj)
         return EXIT_OK
     conv = "converged" if summary.converged else "NOT converged"
     print(
         f"max_u {summary.max_u}, expansion {summary.expansion}: {conv}, "
         f"reduced rank {summary.reduced_total}"
     )
-    for t in summary.classes:
-        cells = ", ".join(f"{_frac_str(r.degree)}: {r.count}" for r in t.rows)
-        print(f"  class {_vec(t.rep)} bottom {_frac_str(t.bottom)} | {cells}")
+    print(
+        "\n".join(
+            f"  class {rep} bottom {b} | " + ", ".join(f"{d}: {c}" for d, c in cell)
+            for rep, b, cell in zip(summary.reps.tolist(), bottom, cells)
+        )
+    )
     return EXIT_OK
 
 
@@ -419,24 +507,27 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_census(args) -> int:
-    records = census.census_scan(
-        args.max_vertices,
-        args.min_weight,
-        filters=[name for arg in args.filter for name in arg.split(",")],
-        budget=_budget(args),
-        threads=args.threads,
-    )
-    lines = [json.dumps(census.schema_header(), sort_keys=True)]
-    lines.extend(
-        json.dumps(census.record_to_obj(r), sort_keys=True) for r in records
-    )
-    out = "\n".join(lines) + "\n"
+    # the output file is opened before the scan, so that one that cannot
+    # be written fails at once
+    try:
+        dst = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as e:
+        raise ParseError(f"cannot write {args.out}: {e}")
+    with dst or contextlib.nullcontext(sys.stdout) as fh:
+        records = census.census_scan(
+            args.max_vertices,
+            args.min_weight,
+            filters=[name for arg in args.filter for name in arg.split(",")],
+            budget=_budget(args),
+            threads=args.threads,
+        )
+        lines = [json.dumps(census.schema_header(), sort_keys=True)]
+        lines.extend(
+            json.dumps(census.record_to_obj(r), sort_keys=True) for r in records
+        )
+        fh.write("\n".join(lines) + "\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
         print(f"{len(records)} record(s) written to {args.out}")
-    else:
-        sys.stdout.write(out)
     return EXIT_OK
 
 

@@ -27,6 +27,8 @@ from .lattice import (
     BoxBatch,
     CharVector,
     QFormContext,
+    _ArrayFields,
+    _char_vectors,
     _check_box_budget,
 )
 
@@ -81,16 +83,17 @@ def run_path(ctx: QFormContext, k) -> TerminationResult:
 
 
 @dataclass(frozen=True, eq=False)
-class BasicSet:
+class BasicSet(_ArrayFields):
     """Basic initial vectors of the box, grouped by spin^c class.
 
-    classes[i] is the class representative. rows holds the basic vectors
-    as one read-only int64 array, grouped by class and in lexicographic
-    order inside each class; counts[i] is the number of rows of class i.
-    per_class[i] lists the same vectors of class i as CharVectors; those
-    are built on first read."""
+    reps holds the class representatives (QFormContext.class_reps) and
+    rows the basic vectors, each as one read-only int64 array: rows is
+    grouped by class and in lexicographic order inside each class, and
+    counts[i] is the number of rows of class i. classes (the
+    representatives) and per_class (the vectors of each class) are the
+    same data as CharVectors, built on first read."""
 
-    classes: tuple[CharVector, ...]
+    reps: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
     overflow_count: int
@@ -101,29 +104,17 @@ class BasicSet:
         return len(self.rows)
 
     @cached_property
+    def classes(self) -> tuple[CharVector, ...]:
+        return _char_vectors(self.reps)
+
+    @cached_property
     def per_class(self) -> tuple[tuple[CharVector, ...], ...]:
-        vectors = [CharVector(tuple(k)) for k in self.rows.tolist()]
+        vectors = _char_vectors(self.rows)
         ends = np.cumsum(self.counts).tolist()
-        return tuple(
-            tuple(vectors[start:end]) for start, end in zip([0] + ends[:-1], ends)
-        )
+        return tuple(vectors[start:end] for start, end in zip([0] + ends[:-1], ends))
 
     def for_class(self, i: int) -> tuple[CharVector, ...]:
         return self.per_class[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, BasicSet):
-            return NotImplemented
-        return (
-            self.classes == other.classes
-            and self.overflow_count == other.overflow_count
-            and self.box_size == other.box_size
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.rows, other.rows)
-        )
-
-    def __hash__(self):
-        return hash((self.classes, self.overflow_count, self.box_size, self.total))
 
 
 def _adjacency(neighbors) -> np.ndarray:
@@ -197,7 +188,7 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     does not depend on the choice of eligible vertex; passing an rng (a
     uniformly random eligible vertex per row and step) only exercises
     that property."""
-    reps = ctx.spinc_classes()
+    reps = ctx.class_reps
     rows, classes = [], []
     for block in ctx.box_blocks():
         found = block[_basic_rows(block, ctx.weights, ctx.neighbors, rng)]
@@ -207,7 +198,7 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     classes = np.concatenate(classes)
     counts = np.bincount(classes, minlength=len(reps))
     if not counts.all():
-        empty = reps[int(np.argmin(counts))]
+        empty = tuple(reps[int(np.argmin(counts))].tolist())
         raise AssertionError(f"spin^c class of {empty} has no basic vector")
     # a stable sort keeps each class's rows in lexicographic order
     grouped = rows[np.argsort(classes, kind="stable")]
@@ -521,20 +512,26 @@ def verdicts(
     )
 
 
-@dataclass(frozen=True)
-class DInvariants:
+@dataclass(frozen=True, eq=False)
+class DInvariants(_ArrayFields):
     """Correction terms per spin^c class, for both orientations.
 
     d[i] = max over basic K in class i of (K^2 + |V|)/4; dual[i] = -d[i]
     is the value for the reversed orientation, the side the lens-space
     oracle computes. They are held exactly as integer numerators over
     one common denominator 4|H1|, numerators[i] = |det| * max K^2 +
-    |V| * |H1|; the d and dual Fractions are built on first read.
+    |V| * |H1|, beside the class representatives reps (an int64 array,
+    as in BasicSet); classes and the d and dual Fractions are built on
+    first read.
     """
 
-    classes: tuple[CharVector, ...]
+    reps: np.ndarray
     numerators: tuple[int, ...]
     denominator: int
+
+    @cached_property
+    def classes(self) -> tuple[CharVector, ...]:
+        return _char_vectors(self.reps)
 
     @cached_property
     def d(self) -> tuple[Fraction, ...]:
@@ -552,7 +549,7 @@ def d_invariants(ctx: QFormContext, basics: BasicSet | None = None) -> DInvarian
     # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
     top = np.maximum.reduceat(ctx.k_square_numerators(basics.rows), starts).tolist()
     shift = ctx.n * ctx.h1
-    return DInvariants(basics.classes, tuple(q + shift for q in top), 4 * ctx.h1)
+    return DInvariants(basics.reps, tuple(q + shift for q in top), 4 * ctx.h1)
 
 
 def lens_d_oracle(p: int, q: int, i: int) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -54,8 +54,32 @@ class CharVector:
         return len(self.k)
 
 
+class _ArrayFields:
+    """Equality and hashing of a dataclass by its field values, numpy
+    array fields compared by shape and contents."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _coords(k) -> tuple[int, ...]:
     return tuple(k.k if isinstance(k, CharVector) else k)
+
+
+def _char_vectors(rows: np.ndarray) -> tuple[CharVector, ...]:
+    """One CharVector per row of an int64 array."""
+    return tuple(CharVector(tuple(k)) for k in rows.tolist())
 
 
 class QFormContext:
@@ -178,8 +202,8 @@ class QFormContext:
 
     @cached_property
     def _classes(self):
-        """The box sweep behind spinc_classes() and class_indices():
-        (representatives, sorted key rows, class index of each sorted key).
+        """The box sweep behind class_reps and class_indices():
+        (representative rows, sorted key rows, class index of each sorted key).
 
         np.unique reports each key's first row in a block. Over the blocks'
         keys, concatenated in box order, it reports the first block that
@@ -201,13 +225,24 @@ class QFormContext:
         order = np.argsort(first)
         index = np.empty(len(first), dtype=np.int64)
         index[order] = np.arange(len(first))
-        reps = tuple(CharVector(tuple(k)) for k in self._box_rows(first[order]).tolist())
+        reps = self._box_rows(first[order])
+        reps.flags.writeable = False
         return reps, table, index
+
+    @property
+    def class_reps(self) -> np.ndarray:
+        """spinc_classes() as one read-only int64 array, a row per class."""
+        return self._classes[0]
+
+    @cached_property
+    def _spinc_classes(self) -> tuple[CharVector, ...]:
+        return _char_vectors(self.class_reps)
 
     def spinc_classes(self) -> tuple[CharVector, ...]:
         """One representative per spin^c class: the lexicographically least
-        box vector, classes sorted by that representative."""
-        return self._classes[0]
+        box vector, classes sorted by that representative. The CharVectors
+        are built on first read; class_reps holds the same rows."""
+        return self._spinc_classes
 
     def class_indices(self, keys: np.ndarray) -> np.ndarray:
         """spinc_classes() index of each row of spin^c keys (spinc_keys).

@@ -17,7 +17,8 @@ over one integer per class. For any other graph, truncated_classes
 enumerates the K^2 shell directly instead of sweeping the full expanded
 product box; the two descriptions coincide on every reported row. A step
 never leaves its spin^c class, so one minimum spanning forest over the
-shell states of all classes counts every class's rows at once.
+shell states of all classes counts every class's rows at once. Both
+give integer tables, held by HFSummary; ClassTables are built on read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .lattice import (
     CharVector,
     EnumerationBudgetError,
     QFormContext,
+    _ArrayFields,
+    _char_vectors,
     _coords,
 )
 
@@ -194,13 +198,84 @@ class ClassTable:
     reduced_rank: int
 
 
-@dataclass(frozen=True)
-class HFSummary:
-    classes: tuple[ClassTable, ...]
+@dataclass(frozen=True, eq=False)
+class HFSummary(_ArrayFields):
+    """Truncated class tables of every spin^c class, held as integers.
+
+    Class i has the representative reps[i] (QFormContext.class_reps), the
+    bottom degree bottoms[i] / denominator, with denominator 4|H1| and
+    bottoms[i] = -(|det| * max K^2 + |V| * |H1|) (so bottom = -d, on
+    DInvariants' numerators), and the row counts counts[i, j] of the
+    degrees bottom + 2j for j = 0..max_u. All three are read-only int64
+    arrays; classes builds the ClassTables on first read."""
+
+    reps: np.ndarray
+    bottoms: np.ndarray
+    denominator: int
+    counts: np.ndarray
     max_u: int
     expansion: int
-    converged: bool
-    reduced_total: int
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """The numerators over denominator of every row's degree, bottom + 2j."""
+        return self.bottoms[:, None] + 2 * self.denominator * np.arange(self.max_u + 1)
+
+    @property
+    def reduced_ranks(self) -> np.ndarray:
+        """Each class's reduced rank, the sum of count - 1 over its rows."""
+        return self.counts.sum(axis=1) - (self.max_u + 1)
+
+    @property
+    def converged(self) -> bool:
+        return bool((self.counts[:, -1] == 1).all())
+
+    @property
+    def reduced_total(self) -> int:
+        return int(self.reduced_ranks.sum())
+
+    @cached_property
+    def classes(self) -> tuple[ClassTable, ...]:
+        den = self.denominator
+        return tuple(
+            ClassTable(
+                rep=rep,
+                bottom=Fraction(bottom, den),
+                rows=tuple(DegreeRow(Fraction(d, den), c) for d, c in zip(degrees, counts)),
+                converged=counts[-1] == 1,
+                reduced_rank=reduced,
+            )
+            for rep, bottom, degrees, counts, reduced in zip(
+                _char_vectors(self.reps),
+                self.bottoms.tolist(),
+                self.degrees.tolist(),
+                self.counts.tolist(),
+                self.reduced_ranks.tolist(),
+            )
+        )
+
+
+def _summary(ctx, max_u, expansion, q_max, counts) -> HFSummary:
+    """The HFSummary of each class's |H1| * max K^2 and row counts."""
+    bottoms = -(q_max + ctx.n * ctx.h1)
+    bottoms.flags.writeable = False
+    counts.flags.writeable = False
+    return HFSummary(ctx.class_reps, bottoms, 4 * ctx.h1, counts, max_u, expansion)
+
+
+def _check_window(ctx, max_u, expansion) -> None:
+    """The table window is valid and its |H1| * (max_u + 1) rows fit the
+    budget; checked before any walk or shell."""
+    if max_u < 0:
+        raise ValueError("max_u must be nonnegative")
+    if expansion < 0:
+        raise ValueError("expansion must be nonnegative")
+    rows = ctx.h1 * (max_u + 1)
+    if rows > ctx.budget:
+        raise EnumerationBudgetError(
+            f"class tables: {ctx.h1} classes of {max_u + 1} rows, "
+            f"{rows} rows exceed the budget of {ctx.budget}"
+        )
 
 
 def _shell_bounds(ctx: QFormContext, expansion: int, rhs: int):
@@ -287,16 +362,15 @@ def _np_shell_enum(ctx, rhs, lo, hi, budget):
     return ks[keep], q[keep]
 
 
-def _class_reps_and_qmax(ctx):
-    """Box sweep: spin^c representatives (sorted) and the exact maximum of
-    q = K^2 * |det| over the box, per class. The class-wide maximum of K^2
-    is attained inside the box."""
-    reps = ctx.spinc_classes()
-    q_max = np.full(len(reps), np.iinfo(np.int64).min, dtype=np.int64)
+def _class_qmax(ctx) -> np.ndarray:
+    """Box sweep: the exact maximum of q = K^2 * |det| over the box, per
+    class (in class_reps order). The class-wide maximum of K^2 is
+    attained inside the box."""
+    q_max = np.full(ctx.h1, np.iinfo(np.int64).min, dtype=np.int64)
     for block in ctx.box_blocks():
         classes = ctx.class_indices(ctx.spinc_keys(block))
         np.maximum.at(q_max, classes, ctx.k_square_numerators(block))
-    return reps, q_max.tolist()
+    return q_max
 
 
 def _row_counts(ctx, states, cls, level, nclasses, max_u):
@@ -365,17 +439,19 @@ def truncated_classes(
     """
     if expansion is None:
         expansion = default_expansion(ctx)
-    if max_u < 0:
-        raise ValueError("max_u must be nonnegative")
-    if expansion < 0:
-        raise ValueError("expansion must be nonnegative")
-    if ctx.n == 0:
-        rows = tuple(DegreeRow(Fraction(2 * j), 1) for j in range(max_u + 1))
-        return (ClassTable(CharVector(()), Fraction(0), rows, True, 0),)
+    _check_window(ctx, max_u, expansion)
+    return _summary(ctx, max_u, expansion, *_shell_classes(ctx, max_u, expansion)).classes
 
-    reps, q_max = _class_reps_and_qmax(ctx)
+
+def _shell_classes(ctx: QFormContext, max_u: int, expansion: int):
+    """The tables of truncated_classes as integers: (q_max, counts),
+    each class's |H1| * max K^2 and its (|H1|, max_u + 1) row counts."""
+    if ctx.n == 0:
+        return np.zeros(1, dtype=np.int64), np.ones((1, max_u + 1), dtype=np.int64)
+
+    q_max = _class_qmax(ctx)
     h1 = ctx.h1
-    r_global = min(q_max) - 8 * max_u * h1
+    r_global = int(q_max.min()) - 8 * max_u * h1
     rhs = -r_global  # shell: k.A.k <= rhs, A = -sign(det) * adjugate
     lo, hi = _shell_bounds(ctx, expansion, rhs)
     _check_int64(ctx, lo, hi)
@@ -383,44 +459,22 @@ def truncated_classes(
     states, q = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
     cls = ctx.class_indices(ctx.spinc_keys(states))
     # within a class, |det| * K^2 moves in steps of 8|H1|: exact levels
-    level = (np.array(q_max)[cls] - q) // (8 * h1)
+    level = (q_max[cls] - q) // (8 * h1)
     del q  # not held through the row counts, which set the peak memory
-    seen = np.bincount(cls, minlength=len(reps)) > 0
+    seen = np.bincount(cls, minlength=h1) > 0
     keep = level <= max_u  # deeper states belong to no row
     states, cls, level = states[keep], cls[keep], level[keep]
-    at_top = np.bincount(cls[level == 0], minlength=len(reps)) > 0
+    at_top = np.bincount(cls[level == 0], minlength=h1) > 0
     if (level < 0).any() or (seen & ~at_top).any():
         raise AssertionError("class maximum of K^2 not attained in the box")
     if not at_top.all():
         raise AssertionError("bottom row of a spin^c class is empty")
-    counts = _row_counts(ctx, states, cls, level, len(reps), max_u).tolist()
-
-    return _tables(ctx, reps, q_max, counts)
+    return q_max, _row_counts(ctx, states, cls, level, h1, max_u)
 
 
-def _tables(ctx, reps, q_max, counts) -> tuple[ClassTable, ...]:
-    """ClassTables from each class's |H1| * max K^2 and row counts."""
-    tables = []
-    for rep, qm, row_counts in zip(reps, q_max, counts):
-        bottom = -(Fraction(qm, ctx.h1) + ctx.n) / 4
-        rows = tuple(
-            DegreeRow(bottom + 2 * j, c) for j, c in enumerate(row_counts)
-        )
-        tables.append(
-            ClassTable(
-                rep=rep,
-                bottom=bottom,
-                rows=rows,
-                converged=rows[-1].count == 1,
-                reduced_rank=sum(r.count - 1 for r in rows),
-            )
-        )
-    return tuple(tables)
-
-
-def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ...]:
-    """The tables of truncated_classes, with no box bound, for a graph
-    that is almost-rational at vertex v0, read off Nemethi's
+def _tau_classes(ctx: QFormContext, max_u: int, v0: int):
+    """The tables of _shell_classes, (q_max, counts), with no box bound,
+    for a graph that is almost-rational at vertex v0, read off Nemethi's
     tau-function (Geom. Topol. 9, 2005). v0 is not re-checked: it must
     come from engine.ar_vertex, and any such vertex gives the same tables.
 
@@ -451,12 +505,11 @@ def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ..
         raise ValueError("max_u must be nonnegative")
     h1, n = ctx.h1, ctx.n
     sgn = 1 if ctx.det > 0 else -1
-    reps = ctx.spinc_classes()
     adj = ctx._adj_np
     q = np.array(ctx.q, dtype=np.int64)
     weights = np.array(ctx.weights, dtype=np.int64)
     adjacency = engine._adjacency(ctx.neighbors)
-    half = (weights + 2 - np.array([r.k for r in reps], dtype=np.int64).reshape(h1, n)) // 2
+    half = (weights + 2 - ctx.class_reps) // 2
     r = sgn * (half @ adj.T) % h1  # l' = r / |H1| + an integer vector
     p, rest = np.divmod(r @ q, h1)
     assert not rest.any(), "r_h pairs to a non-integer"
@@ -518,8 +571,7 @@ def _tau_classes(ctx: QFormContext, max_u: int, v0: int) -> tuple[ClassTable, ..
     opened = np.bincount(cls + level[starts], minlength=h1 * (width + 1))
     closed = np.bincount(cls + prev[starts], minlength=h1 * (width + 1))
     counts = np.cumsum((opened - closed).reshape(h1, width + 1), axis=1)[:, :width]
-    q_max = q_r - 8 * h1 * lowest
-    return _tables(ctx, reps, q_max.tolist(), counts.tolist())
+    return q_r - 8 * h1 * lowest, counts
 
 
 def hf_summary(
@@ -533,27 +585,25 @@ def hf_summary(
 
     An almost-rational graph (engine.ar_vertex finds a vertex) takes
     _tau_classes, which needs no box; any other graph takes the shell of
-    truncated_classes, and only the shell is bounded by expansion."""
+    truncated_classes, and only the shell is bounded by expansion. The
+    |H1| * (max_u + 1) rows of the tables are charged against the budget
+    first."""
     if expansion is None:
         expansion = default_expansion(ctx)
-    if expansion < 0:
-        raise ValueError("expansion must be nonnegative")
+    _check_window(ctx, max_u, expansion)
     v0 = engine.ar_vertex(ctx)
     if v0 is None:
-        tables = truncated_classes(ctx, max_u=max_u, expansion=expansion)
+        tables = _shell_classes(ctx, max_u, expansion)
     else:
         tables = _tau_classes(ctx, max_u, v0)
+    summary = _summary(ctx, max_u, expansion, *tables)
     if d_inv is None:
         d_inv = engine.d_invariants(ctx)
-    for table, d, rep in zip(tables, d_inv.d, d_inv.classes):
-        if table.rep != rep or table.bottom != -d:
-            raise AssertionError(
-                f"tower bottom {table.bottom} of class {rep} does not match -d = {-d}"
-            )
-    return HFSummary(
-        classes=tables,
-        max_u=max_u,
-        expansion=expansion,
-        converged=all(t.converged for t in tables),
-        reduced_total=sum(t.reduced_rank for t in tables),
-    )
+    wrong = np.flatnonzero(summary.bottoms + np.array(d_inv.numerators, dtype=np.int64))
+    if len(wrong) or not np.array_equal(summary.reps, d_inv.reps):
+        i = int(wrong[0]) if len(wrong) else 0
+        raise AssertionError(
+            f"tower bottom {Fraction(int(summary.bottoms[i]), summary.denominator)} of "
+            f"class {tuple(summary.reps[i].tolist())} does not match -d = {-d_inv.d[i]}"
+        )
+    return summary

@@ -21,6 +21,11 @@ is_rational each; the batched scan (engine.ar_status_rows) must agree.
 
 two_node_tree is a graph that is not almost-rational, so the tests can
 reach the code kept for such graphs.
+
+class_tables builds the ClassTables of relations.truncated_classes in
+Fractions, one per row, from each class's |H1| * max K^2 and row
+counts; relations.HFSummary holds the same tables as integers and must
+read back equal to it.
 """
 
 import heapq
@@ -37,6 +42,7 @@ from plumb.engine import (
 )
 from plumb.forest import PlumbingForest, canonical_code
 from plumb.lattice import CharVector, QFormContext
+from plumb.relations import ClassTable, DegreeRow
 
 
 def char_box(ctx) -> list[CharVector]:
@@ -238,3 +244,24 @@ def two_node_tree() -> PlumbingForest:
     weights = (-3, -2, -2, -3, -3, -2, -3, -2, -2)
     edges = ((0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8))
     return PlumbingForest(ids, weights, edges)
+
+
+def class_tables(ctx, reps, q_max, counts) -> tuple[ClassTable, ...]:
+    """ClassTables from each class's representative, |H1| * max K^2 and
+    row counts."""
+    tables = []
+    for rep, qm, row_counts in zip(reps, q_max, counts):
+        bottom = -(Fraction(qm, ctx.h1) + ctx.n) / 4
+        rows = tuple(
+            DegreeRow(bottom + 2 * j, c) for j, c in enumerate(row_counts)
+        )
+        tables.append(
+            ClassTable(
+                rep=rep,
+                bottom=bottom,
+                rows=rows,
+                converged=rows[-1].count == 1,
+                reduced_rank=sum(r.count - 1 for r in rows),
+            )
+        )
+    return tuple(tables)

@@ -1,19 +1,26 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from plumb import cli
-from plumb.catalog import e8_forest, star_forest
+from plumb import cli, relations
+from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import canonical_code, forest_to_text
 from plumb.lattice import DEFAULT_BUDGET
+
+from oracles import two_node_tree
 
 
 @pytest.fixture()
@@ -296,6 +303,20 @@ def test_hf_json(capsys, star_file):
     assert rows[0] == [["0", "1"], 2]
 
 
+def test_hf_huge_window_exits_3_before_any_table(capsys, monkeypatch):
+    """hf charges |H1| * (max_u + 1) rows against the budget before the
+    tau walk or the shell starts."""
+    def never(*args):
+        raise AssertionError("a table was computed")
+
+    monkeypatch.setattr(relations, "_tau_classes", never)
+    monkeypatch.setattr(relations, "_shell_classes", never)
+    code, out, err = run(capsys, "hf", "--chain=-2", "--max-u", "100000000", "--json")
+    assert code == 3
+    assert "class tables: 2 classes of 100000001 rows" in err
+    assert out == ""
+
+
 def test_dot_outputs_graph_and_table(capsys, star_file):
     code, out, _ = run(capsys, "dinv", star_file, "--dot")
     assert code == 0
@@ -371,6 +392,20 @@ def test_census_out_file(capsys, tmp_path):
     lines = dst.read_text().strip().splitlines()
     assert json.loads(lines[0])["schema"] == "plumb-census"
     assert len(lines) > 1
+
+
+def test_census_unwritable_out_exits_2_before_the_scan(capsys, monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli.census, "census_scan", never)
+    dst = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(
+        capsys, "census", "--max-vertices", "2", "--min-weight", "-2", "--out", str(dst),
+    )
+    assert code == 2
+    assert err.startswith(f"input error: cannot write {dst}")
+    assert out == ""
 
 
 def test_census_bad_filter_exit_2(capsys):
@@ -501,3 +536,177 @@ def test_closed_stdout_exits_1_without_a_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+# ------------------------------------------------------------ JSON writer
+
+json_text = st.text(st.characters(), max_size=6)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | json_text
+    | st.integers().map(str),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=24,
+)
+AWKWARD = {
+    "caf\u00e9 \u2603 \U0001f600": ['"quoted"', "back\\slash", "\x00\x1f\n\t\u2028", "100%"],
+    "": [[], {}, [[]], {"": {}}],
+    "\"\\\x07": [True, False, None, -7, 2**63, -(2**64) - 1, "0", "-12"],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values)
+@example(AWKWARD)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj, "\n", {}) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def slotted(obj, values):
+    """obj with each int, and each string of an int's digits, replaced by
+    the writer's slot for it; the ints are appended to values in text
+    order."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        values.append(obj)
+        return cli._INT
+    if isinstance(obj, str):
+        if re.fullmatch(r"-?[0-9]+", obj) and str(int(obj)) == obj:
+            values.append(int(obj))
+            return cli._STR
+        return obj
+    if isinstance(obj, dict):
+        return {k: slotted(obj[k], values) for k in sorted(obj)}
+    return [slotted(x, values) for x in obj]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values)
+@example(AWKWARD)
+def test_json_writer_fills_match_json_dumps(obj):
+    """A _Fill, its prototype rendered once as a %-template, writes what
+    json.dumps writes for the filled-in value, at any depth."""
+    values = []
+    proto = slotted(obj, values)
+    fill = cli._Fill(proto, tuple(values))
+    nested = {"a": [fill, {"b": fill}]}
+    want = {"a": [obj, {"b": obj}]}
+    assert cli._json(nested, "\n", {}) == json.dumps(want, sort_keys=True, indent=2)
+
+
+# ------------------------------------------------- pinned output bytes
+
+PINNED_GRAPHS = {
+    "E8": (forest_to_text(e8_forest()), ()),
+    "Sigma237": (forest_to_text(star_forest(-1, [-2, -3, -7])), ()),
+    "(-7)^4": (forest_to_text(chain_forest([-7] * 4)), ()),
+    "empty": ("", ()),
+    # not almost-rational: the shell path
+    "two_node_tree": (forest_to_text(two_node_tree()), ("--max-u", "2")),
+}
+
+# sha256 of stdout, taken before the tables were held as integers
+PINNED_SHA256 = {
+    ("E8", "invariants", "--json"): "a45e3c604fb12ec64bbf5b49c2721d3a701c52202e73596f33d1f06ebbde3007",
+    ("E8", "invariants", "text"): "b7b3b08e94f4a27a7c92189281cdfaf293391e2eb264b1f6b856a809cb63c9c7",
+    ("E8", "invariants", "--dot"): "678c2c7b36072c5e55cd5216013c4f03a3b6ce2c5a94c125f29f12a76faa6e44",
+    ("E8", "hf", "--json"): "672dfca9a0139665663555b537b241f0bb4faf59e744c98cfe635971b26fb188",
+    ("E8", "hf", "text"): "dad9242d6c65f02cdd0e2c3a103739aa12406542a03a7ed98c31ca8bce131266",
+    ("E8", "hf", "--dot"): "21e23adf8efa99793d8f2638ce96513519f7b14dcfa49dfff748e7e70798abcc",
+    ("E8", "dinv", "--json"): "3ae2f3382b74d25192acdb4d7c0d6461bccee9793323a86476c094f3bf930323",
+    ("E8", "dinv", "text"): "91c1a862ac9e1af01b8f04f6ffbc1eb71a5f22dbdf91ca28c78b101276d4e0aa",
+    ("E8", "dinv", "--dot"): "32362bd8ccae12754b2daccacd8bcefd685ece5907f68474be590ccb278da233",
+    ("E8", "basic", "--json"): "fa1b2ed4706ae0063fb902e2865ba61d2905432b406858da242852cc0420f366",
+    ("E8", "basic", "text"): "41eb39469dca7b11ee682506084dad1f163092e9b429dedd78091428abee77b6",
+    ("E8", "basic", "--dot"): "6013960eec03be7d1ed1fc047cec1d5d7ea4556ebe99f5c14cf78dc68be9ebd6",
+    ("Sigma237", "invariants", "--json"): "ff997f89785ee15860b8719849b8da7bcbbe3bbec0c07d0e6432a2c33fb60331",
+    ("Sigma237", "invariants", "text"): "3e3fa42422efc1ba0bf00da1c463d59483b39832695c68a23d0fa732783e8765",
+    ("Sigma237", "invariants", "--dot"): "951b37b951bf5b7a150d9fb24ef7ae27621d90e226b2c188d0324e23248d4b6d",
+    ("Sigma237", "hf", "--json"): "5c54073afcc051e518132daedcf89af001bf9b6f2d78650e544c0ff84593062b",
+    ("Sigma237", "hf", "text"): "2bcc06bbf2388135fceb71cc61387872baea52700bb3a8756882d3811357b34f",
+    ("Sigma237", "hf", "--dot"): "9b086d8657d17535c84452ca693c2d60b93222f7f43e6682e953eb082900a5b8",
+    ("Sigma237", "dinv", "--json"): "c428bfab949594f615cf90e28c08e9a4279a89a284d36ef8b4efa8225e62b65c",
+    ("Sigma237", "dinv", "text"): "886c323dcb3979e849e408c4ecb8bf80de5ffa02349b17f74baf47daf0df3e2a",
+    ("Sigma237", "dinv", "--dot"): "d42d936dbc8e933ffb4736950314b7482daf7c97a31a5a065d1e143ac1bbd49a",
+    ("Sigma237", "basic", "--json"): "c01b3bd4e95559e7fbb73108eec8b472858c09f44ce7223f98c4f8bca263de15",
+    ("Sigma237", "basic", "text"): "ec5f13206bbfa5d9e0c3fc21f36fbc1438536d517b807a8fb913ec1b0273e028",
+    ("Sigma237", "basic", "--dot"): "4bc484bc18a930ef3971403277b9b9e3590422f4b0fab37df09e5535b83f910f",
+    ("(-7)^4", "invariants", "--json"): "6bb0d434232869175ecbe51c9b12f97d86e251a640c9322bb7d0526a65a2d69f",
+    ("(-7)^4", "invariants", "text"): "615e41a65ce0a1d05ecdb7a37231fda475b6bb7a83a88dc63119056a0900ec9a",
+    ("(-7)^4", "invariants", "--dot"): "bf3ca68f51e492d04f72fdcb61f4ba338dfc447669007fcdac394e8e740a0c9e",
+    ("(-7)^4", "hf", "--json"): "2c1db1e661f5607218e76c9731f8fbb56c689ddaeaa863fe62caa84fd80135c8",
+    ("(-7)^4", "hf", "text"): "447c420ff27262e3492c9a59e2e4ff2dfd556b303c0327220602bc659f716f1b",
+    ("(-7)^4", "hf", "--dot"): "7b1293a5799fe8f027572ac97acd7e6b9989229fc2fde0242cee9e144707ef01",
+    ("(-7)^4", "dinv", "--json"): "482f9b90b64eedd2c246eca95c72708aa3aa29deb2ef6cac24dc6bbfd6cb336b",
+    ("(-7)^4", "dinv", "text"): "f813250e9b1a54490c7f9dec87ea235263259de042877228c45df29a58ad1eb6",
+    ("(-7)^4", "dinv", "--dot"): "8e9c06c5945ce4799a9730877650bae25a9975b4f4e6e4b99f813c49186859dd",
+    ("(-7)^4", "basic", "--json"): "8f87f0e9c5dff2862dd15e8aa0b0d41b1e448849d3f229a0c890207062381f16",
+    ("(-7)^4", "basic", "text"): "a6529d824ae0fe881b42376009233801664a0b9b7aa1c4c4952e315dafedc00d",
+    ("(-7)^4", "basic", "--dot"): "82a6f588ac87a3cae1e109e01ac5d0d35ad03b695b711fbdb670180b938b7a3c",
+    ("empty", "invariants", "--json"): "c846ad9c97fec10ac44bdc72936b48633cf6e7e444e56087abb3de829a9b8075",
+    ("empty", "invariants", "text"): "8b527d470d76fa414f3e51b34f934ef8448130f63ea253a571f5f990e289d9a2",
+    ("empty", "invariants", "--dot"): "94ee5508a87cf9a48fe5a183eb657cb68c88a86387b3babe1f911f5b08515b49",
+    ("empty", "hf", "--json"): "89eab10da1909a5ec4eccf41b5f70d299bd0c43c46f31fdf740e834710cd3ea6",
+    ("empty", "hf", "text"): "f7f9b383d2622e4c172962dd00d3c0231faf5f23bb297d4d630aa5946e129c0f",
+    ("empty", "hf", "--dot"): "761f5b59fa760dcf07a805cd5613f999743ab90be597a4866a55500b1d5da180",
+    ("empty", "dinv", "--json"): "f452d0c77ee0291a9b7a3b5243e229350136a960d70863dd07012ed67741eca3",
+    ("empty", "dinv", "text"): "a92f1f07d92204acaf19a3a71f64c6c7525b0aa523f6f8d72cf81ec31c230281",
+    ("empty", "dinv", "--dot"): "af2c916f5363fc4a52659af4a8b50013e11bb06a845a05d5ea811769d6a39c9e",
+    ("empty", "basic", "--json"): "e692bd2d8587bc67ad2dd4b9e6ee1c50064acec820d3c75ec7bb64328ec6a4c7",
+    ("empty", "basic", "text"): "64fa20ef20520fce9bc806ece3c5bc9c1abed0b4c7a4898b7f55d73bad2f0aa1",
+    ("empty", "basic", "--dot"): "5a1de9d02c1cb08aef66a5c7c1ff675855cb7d8def6cd0edb0bd9893b10a0fb9",
+    ("two_node_tree", "invariants", "--json"): "ce1d1186b544692ce486c19b98823006b120618a60b35d7b7f3468c32d5976de",
+    ("two_node_tree", "invariants", "text"): "afcc14d4f229ed8151ca604625bbcf6d47ffc3070ebd4f057667f224d8b9fdca",
+    ("two_node_tree", "invariants", "--dot"): "b04c88c313621c9d9beffff186a3ee2dc4b4e44c3137dbe4da32919e4e1b900e",
+    ("two_node_tree", "hf", "--json"): "c91734a6f79228a066b17f53e7a31931a14ee004e586a4f0b71a54846de3cf51",
+    ("two_node_tree", "hf", "text"): "bf93b549116e54e703eff83499401ce076f8dbcb72dcb465ee0cb0508b636eab",
+    ("two_node_tree", "hf", "--dot"): "bf2af372084218fe8a313808bf9b21022e0ece7b9067279f337707c66cc091dd",
+    ("two_node_tree", "dinv", "--json"): "eb4fc7b512a58f742dcfdb5c0e1f8bb06735ef060988339ecb206978eb282b42",
+    ("two_node_tree", "dinv", "text"): "811a8fbbaca1b7070438ea607abc17fc4d4a91f0174767512dad972be14304cc",
+    ("two_node_tree", "dinv", "--dot"): "1b5f791411b43b883eab973a589910e2ca0681b498f45e5acc3a248420a0a9d9",
+    ("two_node_tree", "basic", "--json"): "1cc612901b7a11f9bab4645a189af1fc78482fe624c9e6425d06777cf8ef34a5",
+    ("two_node_tree", "basic", "text"): "513a935bf106770b7996f7184ecee673e6cde764e6082c2b8268afd09653c01a",
+    ("two_node_tree", "basic", "--dot"): "e9be3b3c94ef1788d7758c69278526af7383277f33f1cddc1a8fb0e6d824425a",
+}
+
+
+@pytest.mark.parametrize("graph,command,form", list(PINNED_SHA256))
+def test_output_bytes_are_pinned(capsys, monkeypatch, graph, command, form):
+    text, window = PINNED_GRAPHS[graph]
+    argv = [command, "-"]
+    if command in ("invariants", "hf"):
+        argv += window
+    if form != "text":
+        argv.append(form)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[graph, command, form]
+
+
+def test_invariants_json_builds_no_fraction_or_degree_row(capsys, monkeypatch):
+    """invariants --json on (-7)^4 (2,255 classes) prints its d-invariants
+    and tables from the integers: no Fraction and no DegreeRow is made."""
+    made = Counter()
+    real_new = Fraction.__new__
+
+    def fraction_new(cls, *args, **kwargs):
+        made["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    class CountedRow(relations.DegreeRow):
+        def __new__(cls, *args, **kwargs):
+            made["DegreeRow"] += 1
+            return super().__new__(cls)
+
+    monkeypatch.setattr(Fraction, "__new__", fraction_new)
+    monkeypatch.setattr(relations, "DegreeRow", CountedRow)
+    obj = run_json(capsys, "invariants", "--chain=-7,-7,-7,-7", "--json")
+    assert len(obj["hf"]["classes"]) == 2255
+    assert made == Counter()
+    # the counters see the objects a library caller reads
+    relations.hf_summary(relations.QFormContext(chain_forest([-2]))).classes
+    assert made["Fraction"] > 0 and made["DegreeRow"] > 0

@@ -11,10 +11,10 @@ import pytest
 
 from plumb import census, cli, engine, relations
 from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
-from plumb.forest import PlumbingForest, forest_to_text
+from plumb.forest import PlumbingForest, forest_to_text, is_negative_definite
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import k_square, same_spinc, two_node_tree
+from oracles import class_tables, k_square, same_spinc, two_node_tree
 
 
 def star237():
@@ -333,7 +333,7 @@ def test_row_counts_match_union_find_oracle():
     graphs += [g for n in range(1, 4) for g in census.enumerate_weighted(n, -4)]
     for g in graphs:
         ctx = QFormContext(g)
-        _, q_max = relations._class_reps_and_qmax(ctx)
+        q_max = relations._class_qmax(ctx).tolist()
         expansion = relations.default_expansion(ctx)
         for max_u in range(6):
             tabs = relations.truncated_classes(ctx, max_u=max_u)
@@ -428,7 +428,7 @@ def test_np_shell_enum_matches_exact_oracle():
     graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -4)]
     for g in graphs:
         ctx = QFormContext(g)
-        _, q_max = relations._class_reps_and_qmax(ctx)
+        q_max = relations._class_qmax(ctx).tolist()
         expansion = relations.default_expansion(ctx)
         box_lo = [w + 2 - 2 * expansion for w in ctx.weights]
         box_hi = [-w + 2 * expansion for w in ctx.weights]
@@ -507,18 +507,24 @@ def disjoint(*parts):
 
 
 def unbounded_shell(ctx, max_u=8):
-    """truncated_classes with a box no table can reach past."""
-    return relations.truncated_classes(ctx, max_u=max_u, expansion=10**6)
+    """The shell's integer tables (q_max, counts) with a box no table can
+    reach past."""
+    return relations._shell_classes(ctx, max_u, 10**6)
+
+
+def same_tables(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
 def test_tau_classes_match_unbounded_shell_on_small_trees():
-    """Reps, bottoms and rows equal the shell's on every tree with at most
-    four vertices and weights >= -5 (510 trees, 31,255 classes)."""
+    """Each class's max K^2 (so its bottom) and rows equal the shell's on
+    every tree with at most four vertices and weights >= -5 (510 trees,
+    31,255 classes)."""
     for n in range(1, 5):
         for g in census.enumerate_weighted(n, -5):
             ctx = QFormContext(g)
             v0 = engine.ar_vertex(ctx)
-            assert relations._tau_classes(ctx, 8, v0) == unbounded_shell(ctx), g.weights
+            assert same_tables(relations._tau_classes(ctx, 8, v0), unbounded_shell(ctx)), g.weights
 
 
 NAMED_AR_GRAPHS = {
@@ -542,7 +548,7 @@ def test_tau_classes_match_unbounded_shell_named(name):
     ctx = QFormContext(NAMED_AR_GRAPHS[name])
     v0 = engine.ar_vertex(ctx)
     assert v0 is not None
-    assert relations._tau_classes(ctx, 8, v0) == unbounded_shell(ctx)
+    assert same_tables(relations._tau_classes(ctx, 8, v0), unbounded_shell(ctx))
 
 
 def test_tau_classes_rejects_negative_max_u():
@@ -582,3 +588,57 @@ def test_hf_lens_chains_have_no_reduced_part():
             assert s.converged and s.reduced_total == 0, (p, q)
             checked += 1
     assert checked == 968
+
+
+# ------------------------------------------------- integer tables, on read
+
+def oracle_cases():
+    """(name, forest, max_u): E8, Sigma(2,3,7), every negative-definite
+    chain with at most four vertices and weights >= -5, and the shell
+    graph two_node_tree."""
+    yield "E8", e8_forest(), 8
+    yield "Sigma(2,3,7)", star_forest(-1, [-2, -3, -7]), 8
+    for n in range(1, 5):
+        for weights in itertools.product(range(-5, 0), repeat=n):
+            chain = chain_forest(list(weights))
+            if is_negative_definite(chain):
+                yield str(weights), chain, 8
+    yield "two_node_tree", two_node_tree(), 2
+
+
+def test_hf_summary_reads_back_the_fraction_oracle():
+    """HFSummary holds its tables as integers; the ClassTables it builds
+    on read equal oracles.class_tables, built in Fractions from the same
+    class maxima and row counts."""
+    checked = 0
+    for name, g, max_u in oracle_cases():
+        ctx = QFormContext(g)
+        v0 = engine.ar_vertex(ctx)
+        if v0 is None:
+            q_max, counts = relations._shell_classes(
+                ctx, max_u, relations.default_expansion(ctx)
+            )
+        else:
+            q_max, counts = relations._tau_classes(ctx, max_u, v0)
+        want = class_tables(ctx, ctx.spinc_classes(), q_max.tolist(), counts.tolist())
+        s = relations.hf_summary(ctx, max_u=max_u)
+        assert s.classes == want, name
+        assert s.converged == all(t.converged for t in want), name
+        assert s.reduced_total == sum(t.reduced_rank for t in want), name
+        checked += 1
+    assert checked > 100
+
+
+def test_hf_summary_charges_the_table_rows_first(monkeypatch):
+    """|H1| * (max_u + 1) rows over the budget raise before any walk or
+    shell starts, naming the stage and the size."""
+    def never(*args):
+        raise AssertionError("a table was computed")
+
+    monkeypatch.setattr(relations, "_tau_classes", never)
+    monkeypatch.setattr(relations, "_shell_classes", never)
+    ctx = QFormContext(chain_forest([-2]), budget=1000)
+    with pytest.raises(EnumerationBudgetError, match="class tables: 2 classes of 501 rows, 1002 rows"):
+        relations.hf_summary(ctx, max_u=500)
+    with pytest.raises(EnumerationBudgetError, match="class tables"):
+        relations.truncated_classes(ctx, max_u=500)
