@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .lattice import (
     BoxBatch,
     CharVector,
     QFormContext,
+    _ArrayFields,
     _key_rows,
 )
 
@@ -310,8 +312,13 @@ def enumerate_forests(
     yield from rec(0, nmax, [])
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+@dataclass(frozen=True, eq=False)
+class CensusRecord(_ArrayFields):
+    """One graph's census line. Its d-invariants are held exactly as
+    d_numerators, a read-only sorted int64 array of numerators over the
+    common denominator 4 * spinc (as in engine.DInvariants); the d
+    Fractions are built on first read."""
+
     code: str
     n: int
     weights: tuple[int, ...]
@@ -323,7 +330,16 @@ class CensusRecord:
     lspace: bool
     certified: bool
     minimal: bool
-    d: tuple[Fraction, ...]
+    d_numerators: np.ndarray
+
+    @cached_property
+    def d(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q, 4 * self.spinc) for q in self.d_numerators.tolist())
+
+    def __setstate__(self, state):
+        # an array comes back from a pickle (a pool worker's records) writable
+        state["d_numerators"].flags.writeable = False
+        self.__dict__.update(state)
 
 
 # filters known from a weight column alone run on the grid, before any
@@ -351,10 +367,9 @@ def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusReco
     basics = engine.basic_vectors(ctx)
     verd = engine.verdicts(ctx, basics=basics)
     dinv = engine.d_invariants(ctx, basics=basics)
-    # one common denominator: sorting the numerators sorts the d-invariants;
-    # conjugate classes share a value, so each distinct one is built once
-    value = {q: Fraction(q, dinv.denominator) for q in set(dinv.numerators)}
-    d = tuple(value[q] for q in sorted(dinv.numerators))
+    # one common denominator: sorting the numerators sorts the d-invariants
+    d_numerators = np.sort(np.array(dinv.numerators, dtype=np.int64))
+    d_numerators.flags.writeable = False
     return CensusRecord(
         code=forest.code,
         n=forest.n,
@@ -367,25 +382,8 @@ def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusReco
         lspace=verd.lspace,
         certified=verd.certified,
         minimal=is_minimal(forest),
-        d=d,
+        d_numerators=d_numerators,
     )
-
-
-def record_to_obj(record: CensusRecord) -> dict:
-    return {
-        "code": record.code,
-        "n": record.n,
-        "weights": list(record.weights),
-        "negdef": record.negdef,
-        "det": record.det,
-        "spinc": record.spinc,
-        "basic": record.basic,
-        "rational": record.rational,
-        "lspace": "yes" if record.lspace else "no",
-        "certified": record.certified,
-        "minimal": record.minimal,
-        "d": [[str(x.numerator), str(x.denominator)] for x in record.d],
-    }
 
 
 def schema_header() -> dict:
@@ -442,8 +440,11 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     row is its lexicographically least box vector, so the class of a
     box's first row, the canonical vector, is the canonical class. The
     per-graph checks hold: |H1| classes per graph, none without a basic
-    vector; the box budget and the int64 guard are checked for every
-    graph here and for every AR candidate in engine.ar_status_rows."""
+    vector, and one basic vector in the canonical class exactly when
+    Laufer's test (engine.laufer_rational_rows) says rational, or
+    engine.RationalityDisagreementError names the graph; the box budget
+    and the int64 guard are checked for every graph here and for every AR
+    candidate in engine.ar_status_rows."""
     tables = _shape_tables(task.edges, task.n)
     neighbors, weights = tables.neighbors, task.weights
     batch = BoxBatch(neighbors, weights, task.budget)
@@ -483,17 +484,24 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     canonical = np.empty(len(weights), dtype=np.int64)
     at_start = first == batch.offsets[owner]
     canonical[owner[at_start]] = np.flatnonzero(at_start)
-    rational = (counts[canonical] == 1).tolist()
+    rational = counts[canonical] == 1
+    laufer = engine.laufer_rational_rows(neighbors, weights)
+    for g in np.flatnonzero(rational != laufer)[:1].tolist():
+        try:
+            engine._check_count(int(counts[canonical[g]]), bool(laufer[g]))
+        except engine.RationalityDisagreementError as e:
+            raise engine.RationalityDisagreementError(f"{task.codes[g]}: {e}") from None
+    rational = rational.tolist()
     basic = np.bincount(owner[members], minlength=len(weights)).tolist()
     witness, _ = engine.ar_status_rows(neighbors, weights, budget=task.budget)
     minimal = _minimal_rows(tables, weights).tolist()
+    # one common denominator 4|H1| per graph: sorting the numerators sorts
+    # the d-invariants
     numerators = numerators[np.lexsort((numerators, owner))]
+    numerators.flags.writeable = False
     per_graph = np.split(numerators, np.cumsum(classes)[:-1])
     records = []
     for g, (w, h1, nums) in enumerate(zip(weights.tolist(), batch.h1.tolist(), per_graph)):
-        nums = nums.tolist()
-        # conjugate classes share a value, so each distinct one is built once
-        value = {q: Fraction(q, 4 * h1) for q in set(nums)}
         records.append(
             CensusRecord(
                 code=task.codes[g],
@@ -507,7 +515,7 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
                 lspace=basic[g] == h1,
                 certified=bool(witness[g] >= 0),
                 minimal=minimal[g],
-                d=tuple(value[q] for q in nums),
+                d_numerators=nums,
             )
         )
     return records

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -120,48 +121,59 @@ class _Fill:
         self.values = values
 
 
-def _json(obj, pad: str, templates: dict) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, at the
-    indent pad (a newline and two spaces a level). templates holds each
-    _Fill prototype's %-template by (prototype, indent)."""
+def _write_json(obj, pad: str, templates: dict, write) -> None:
+    """Write obj as json.dumps(obj, sort_keys=True, indent=2) writes it,
+    at the indent pad (a newline and two spaces a level), through write,
+    each item of a dict or list as soon as it is rendered: memory grows
+    with the largest list item, not with the document. templates holds
+    each _Fill prototype's %-template by (prototype, indent)."""
     if type(obj) is _Fill:
         key = (id(obj.proto), pad)
         template = templates.get(key)
         if template is None:
             text = _json(obj.proto, pad, templates)
             template = templates[key] = text.replace("%", "%%").replace("\0", "%d")
-        return template % obj.values
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, _Slot):
-        return obj.text
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items = [
-            f"{inner}{_encode_str(k)}: {_json(obj[k], inner, templates)}" for k in sorted(obj)
-        ]
-        return "{" + ",".join(items) + pad + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
+        write(template % obj.values)
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, str):
+        write(_encode_str(obj))
+    elif isinstance(obj, _Slot):
+        write(obj.text)
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        for i, k in enumerate(sorted(obj)):
+            write(f"{',' if i else '{'}{inner}{_encode_str(k)}: ")
+            _write_json(obj[k], inner, templates, write)
+        write(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
         # a prototype's rows are one object repeated: render it once
-        items, last, text = [], object(), ""
-        for x in obj:
+        inner, last, text = pad + "  ", object(), ""
+        for i, x in enumerate(obj):
             if x is not last:
-                last, text = x, inner + _json(x, inner, templates)
-            items.append(text)
-        return "[" + ",".join(items) + pad + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+                last, text = x, _json(x, inner, templates)
+            write(f"{',' if i else '['}{inner}{text}")
+        write(pad + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json(obj, pad: str, templates: dict) -> str:
+    """obj as _write_json writes it, in one string."""
+    parts = []
+    _write_json(obj, pad, templates, parts.append)
+    return "".join(parts)
 
 
 def _print_json(obj) -> None:
-    print(_json(obj, "\n", {}))
+    _write_json(obj, "\n", {}, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------- tables
@@ -506,26 +518,66 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+# one census record as json.dumps(obj, sort_keys=True) writes it
+_CENSUS_LINE = (
+    '{"basic": %d, "certified": %s, "code": %s, "d": [%s], "det": %d, '
+    '"lspace": "%s", "minimal": %s, "n": %d, "negdef": %s, "rational": %s, '
+    '"spinc": %d, "weights": [%s]}\n'
+)
+_BOOL = {True: "true", False: "false"}
+
+
+def _census_line(r) -> str:
+    """r's JSON line, each d-invariant as the pair of decimal strings of
+    its lowest terms, from the integer numerators over 4 * spinc."""
+    den = 4 * r.spinc
+    nums = r.d_numerators.tolist()
+    # conjugate classes share a value, so each distinct one is rendered once
+    text = {}
+    for q in set(nums):
+        g = math.gcd(q, den)
+        text[q] = f'["{q // g}", "{den // g}"]'
+    return _CENSUS_LINE % (
+        r.basic,
+        _BOOL[r.certified],
+        _encode_str(r.code),
+        ", ".join([text[q] for q in nums]),
+        r.det,
+        "yes" if r.lspace else "no",
+        _BOOL[r.minimal],
+        r.n,
+        _BOOL[r.negdef],
+        _BOOL[r.rational],
+        r.spinc,
+        ", ".join(map(str, r.weights)),
+    )
+
+
 def cmd_census(args) -> int:
     # the output file is opened before the scan, so that one that cannot
-    # be written fails at once
+    # be written fails at once; one this run created goes if the scan fails
+    created = bool(args.out) and not os.path.exists(args.out)
     try:
         dst = open(args.out, "w", encoding="utf-8") if args.out else None
     except OSError as e:
         raise ParseError(f"cannot write {args.out}: {e}")
     with dst or contextlib.nullcontext(sys.stdout) as fh:
-        records = census.census_scan(
-            args.max_vertices,
-            args.min_weight,
-            filters=[name for arg in args.filter for name in arg.split(",")],
-            budget=_budget(args),
-            threads=args.threads,
-        )
-        lines = [json.dumps(census.schema_header(), sort_keys=True)]
-        lines.extend(
-            json.dumps(census.record_to_obj(r), sort_keys=True) for r in records
-        )
-        fh.write("\n".join(lines) + "\n")
+        try:
+            records = census.census_scan(
+                args.max_vertices,
+                args.min_weight,
+                filters=[name for arg in args.filter for name in arg.split(",")],
+                budget=_budget(args),
+                threads=args.threads,
+            )
+        except BaseException:
+            if created:
+                fh.close()
+                os.remove(args.out)
+            raise
+        fh.write(json.dumps(census.schema_header(), sort_keys=True) + "\n")
+        for r in records:
+            fh.write(_census_line(r))
     if args.out:
         print(f"{len(records)} record(s) written to {args.out}")
     return EXIT_OK

@@ -26,6 +26,10 @@ class_tables builds the ClassTables of relations.truncated_classes in
 Fractions, one per row, from each class's |H1| * max K^2 and row
 counts; relations.HFSummary holds the same tables as integers and must
 read back equal to it.
+
+record_to_obj is a census record as a JSON object, read off its d
+Fractions; each line `plumb census` writes from the integers must be
+json.dumps(record_to_obj(r), sort_keys=True).
 """
 
 import heapq
@@ -265,3 +269,20 @@ def class_tables(ctx, reps, q_max, counts) -> tuple[ClassTable, ...]:
             )
         )
     return tuple(tables)
+
+
+def record_to_obj(record) -> dict:
+    return {
+        "code": record.code,
+        "n": record.n,
+        "weights": list(record.weights),
+        "negdef": record.negdef,
+        "det": record.det,
+        "spinc": record.spinc,
+        "basic": record.basic,
+        "rational": record.rational,
+        "lspace": "yes" if record.lspace else "no",
+        "certified": record.certified,
+        "minimal": record.minimal,
+        "d": [[str(x.numerator), str(x.denominator)] for x in record.d],
+    }

@@ -22,7 +22,7 @@ from plumb.forest import (
 )
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import labeled_tree_codes
+from oracles import labeled_tree_codes, record_to_obj
 
 
 # ----------------------------------------------------------------- shapes
@@ -248,11 +248,12 @@ def test_classify_star_record():
     assert not r.rational and not r.lspace
     assert r.certified and r.minimal and r.negdef
     assert r.d == (Fraction(0),)
+    assert r.d_numerators.tolist() == [0] and not r.d_numerators.flags.writeable
 
 
 def test_record_to_obj_schema():
     r = census.classify(chain_forest([-2]))
-    obj = census.record_to_obj(r)
+    obj = record_to_obj(r)
     assert obj["lspace"] == "yes"
     assert obj["rational"] is True
     assert sorted(obj["d"]) == [["-1", "4"], ["1", "4"]]
@@ -328,6 +329,8 @@ def test_census_scan_threads_match_sequential():
     seq = census.census_scan(3, -3)
     par = census.census_scan(3, -3, threads=2)
     assert seq == par
+    # the d-numerators stay read-only, also through a worker's pickle
+    assert not any(r.d_numerators.flags.writeable for r in seq + par)
 
 
 def test_census_scan_threads_bounds(monkeypatch):

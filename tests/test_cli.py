@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plumb import cli, relations
+from plumb import census, cli, relations
 from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import canonical_code, forest_to_text
 from plumb.lattice import DEFAULT_BUDGET
 
-from oracles import two_node_tree
+from oracles import record_to_obj, two_node_tree
 
 
 @pytest.fixture()
@@ -406,6 +406,103 @@ def test_census_unwritable_out_exits_2_before_the_scan(capsys, monkeypatch, tmp_
     assert code == 2
     assert err.startswith(f"input error: cannot write {dst}")
     assert out == ""
+
+
+def test_census_failed_scan_leaves_no_new_out_file(capsys, tmp_path):
+    argv = ("census", "--max-vertices", "13", "--min-weight", "-2", "--out")
+    dst = tmp_path / "new.jsonl"
+    code, out, err = run(capsys, *argv, str(dst))
+    assert code == 3 and err.startswith("budget exceeded:")
+    assert not dst.exists()
+    # a file this run did not create stays
+    old = tmp_path / "old.jsonl"
+    old.write_text("kept\n")
+    assert run(capsys, *argv, str(old))[0] == 3
+    assert old.exists()
+
+
+def test_census_laufer_disagreement_exits_1(capsys, monkeypatch):
+    """Each census task checks its canonical-class counts against Laufer's
+    test on the same graphs: a disagreement names the graph, and `plumb
+    census` exits 1."""
+    engine = cli.engine
+    real = engine.laufer_rational_rows
+    flipped = []
+
+    def flip_first(neighbors, weights):
+        rational = real(neighbors, weights)
+        if not flipped:
+            flipped.append(weights[0].tolist())
+            rational[0] = ~rational[0]
+        return rational
+
+    monkeypatch.setattr(engine, "laufer_rational_rows", flip_first)
+    with pytest.raises(engine.RationalityDisagreementError) as e:
+        census.census_scan(3, -3)
+    assert str(e.value).startswith(f"{canonical_code(chain_forest(flipped.pop()))}: ")
+    code, out, err = run(capsys, "census", "--max-vertices", "2", "--min-weight", "-2")
+    assert code == 1
+    assert err.startswith(f"computation failed: {canonical_code(chain_forest(flipped[0]))}: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [()] + [("--filter", name) for name in census.FILTER_NAMES] + [("--threads", "2")],
+    ids=lambda extra: "-".join(a.lstrip("-") for a in extra) or "all",
+)
+def test_census_lines_match_the_oracle(capsys, extra):
+    """Every record line is json.dumps of the oracle's object, read off
+    the record's d Fractions, on all of census_scan(4, -5) and under
+    each filter and a pool of two workers."""
+    code, out, err = run(capsys, "census", "--max-vertices", "4", "--min-weight", "-5", *extra)
+    assert code == 0, err
+    header, *lines = out.splitlines()
+    assert header == '{"schema": "plumb-census", "version": 1}'
+    filters = extra[1:] if extra[:1] == ("--filter",) else ()
+    records = census.census_scan(4, -5, filters=filters)
+    assert len(records) > 0
+    assert lines == [json.dumps(record_to_obj(r), sort_keys=True) for r in records]
+
+
+# sha256 of census stdout, taken before the records held integer d-numerators
+CENSUS_SHA256 = {
+    ("3", "-3"): "569932fe1147de0fe6a223819a8003671f9b889de67f4ee58a75448217f83e61",
+    ("4", "-4", "--filter", "zhs,minimal"): "65801bbd5c6395ccf79f9b5a7b29dd78053041f4fe7baa9fc8bf513f048a1fce",
+    ("4", "-6"): "6c8ab42f32070fef0f68ffda2b2ef427118db09ef8c9b0d9060e68e0d0d20e1a",
+}
+
+
+@pytest.mark.parametrize("args", list(CENSUS_SHA256), ids=" ".join)
+def test_census_bytes_are_pinned(capsys, args):
+    nmax, wmin, *extra = args
+    code, out, err = run(capsys, "census", "--max-vertices", nmax, "--min-weight", wmin, *extra)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256[args]
+
+
+def test_census_builds_no_fraction(capsys, monkeypatch):
+    """census writes its d-invariants from the integer numerators: no
+    Fraction is made; a library caller still reads the Fractions the
+    lines print."""
+    made = Counter()
+    real_new = Fraction.__new__
+
+    def fraction_new(cls, *args, **kwargs):
+        made["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", fraction_new)
+    code, out, err = run(capsys, "census", "--max-vertices", "4", "--min-weight", "-6")
+    assert code == 0, err
+    assert made == Counter()
+    records = census.census_scan(4, -6)
+    lines = out.splitlines()[1:]
+    assert len(records) == len(lines) == 1042
+    assert made == Counter()
+    for r, line in zip(records, lines):
+        assert [[str(x.numerator), str(x.denominator)] for x in r.d] == json.loads(line)["d"]
+    assert made["Fraction"] > 0
 
 
 def test_census_bad_filter_exit_2(capsys):
