@@ -554,15 +554,25 @@ def _census_line(r) -> str:
 
 
 def cmd_census(args) -> int:
-    # the output file is opened before the scan, so that one that cannot
-    # be written fails at once; one this run created goes if the scan fails
-    created = bool(args.out) and not os.path.exists(args.out)
-    try:
-        dst = open(args.out, "w", encoding="utf-8") if args.out else None
-    except OSError as e:
-        raise ParseError(f"cannot write {args.out}: {e}")
-    with dst or contextlib.nullcontext(sys.stdout) as fh:
+    # a regular --out is written through a temporary file beside it, made
+    # before the scan so that a path that cannot be written fails at once,
+    # and renamed over it after the last line, so a scan that fails leaves
+    # it as it was; anything else (a device, a pipe) is written directly
+    dst = tmp = None
+    if args.out:
+        out = os.path.realpath(args.out)
         try:
+            if os.path.exists(out) and not os.path.isfile(out):
+                dst = open(out, "w", encoding="utf-8")
+            else:
+                if os.path.exists(out):
+                    open(out, "a").close()
+                tmp = f"{out}.{os.getpid()}.tmp"
+                dst = open(tmp, "x", encoding="utf-8")
+        except OSError as e:
+            raise ParseError(f"cannot write {args.out}: {e}")
+    try:
+        with dst or contextlib.nullcontext(sys.stdout) as fh:
             records = census.census_scan(
                 args.max_vertices,
                 args.min_weight,
@@ -570,14 +580,15 @@ def cmd_census(args) -> int:
                 budget=_budget(args),
                 threads=args.threads,
             )
-        except BaseException:
-            if created:
-                fh.close()
-                os.remove(args.out)
-            raise
-        fh.write(json.dumps(census.schema_header(), sort_keys=True) + "\n")
-        for r in records:
-            fh.write(_census_line(r))
+            fh.write(json.dumps(census.schema_header(), sort_keys=True) + "\n")
+            for r in records:
+                fh.write(_census_line(r))
+    except BaseException:
+        if tmp:
+            os.remove(tmp)
+        raise
+    if tmp:
+        os.replace(tmp, out)
     if args.out:
         print(f"{len(records)} record(s) written to {args.out}")
     return EXIT_OK

@@ -28,8 +28,9 @@ from .lattice import (
     CharVector,
     QFormContext,
     _ArrayFields,
+    _box_sizes,
     _char_vectors,
-    _check_box_budget,
+    _check_boxes,
 )
 
 
@@ -312,17 +313,13 @@ def canonical_counts_rows(
 ) -> np.ndarray:
     """Basic vectors of the canonical class of each graph of a batch on
     the one shape that neighbors describes (one int64 weight row per
-    graph). The boxes are swept block by block (BoxBatch, which checks
-    the budget and the int64 guard); the rows whose spin^c key is that of
-    their graph's canonical vector W + 2 go through _basic_rows."""
+    graph). BoxBatch checks the budget and the int64 guard, and its
+    canonical_blocks builds only the box members of each graph's
+    canonical class, by a meet in the middle on the coset W + 2 + 2 Q.Z^n;
+    they go through _basic_rows a block at a time."""
     batch = BoxBatch(neighbors, weights, budget)
-    modulus = 2 * batch.h1
-    canonical = batch.pairings(np.arange(len(weights)), weights + 2) % modulus[:, None]
     counts = np.zeros(len(weights), dtype=np.int64)
-    for graph, block in batch.blocks():
-        keys = batch.pairings(graph, block) % modulus[graph, None]
-        members = (keys == canonical[graph]).all(axis=1)
-        graph, block = graph[members], block[members]
+    for graph, block in batch.canonical_blocks():
         basic = _basic_rows(block, weights[graph], neighbors)
         counts += np.bincount(graph[basic], minlength=len(counts))
     return counts
@@ -355,9 +352,10 @@ def is_rational(ctx: QFormContext) -> bool:
     is certified by two basic members of the canonical class
     (canonical_pair_rows of this one graph); a rational one, or a
     non-rational one the pair cannot certify (a forest with a rational
-    component), by the full canonical-class count. A count that
-    contradicts Laufer raises RationalityDisagreementError. The box
-    budget is checked first."""
+    component), by the basic count of the whole canonical class
+    (canonical_counts_rows, which builds only that class's box members).
+    A count that contradicts Laufer raises RationalityDisagreementError.
+    The box budget is checked first."""
     ctx.check_box_budget()
     weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
     laufer = bool(laufer_rational_rows(ctx.neighbors, weights)[0])
@@ -434,8 +432,7 @@ def ar_status_rows(
     graph, drop, at = tried[np.lexsort(tried.T[::-1])].T
     rows = weights[graph]
     rows[np.arange(len(rows)), at] -= drop
-    for w in rows.tolist():
-        _check_box_budget(math.prod(-x for x in w), budget)
+    _check_boxes(_box_sizes(rows), budget)
     witness = (vertex[graph] == at) & (delta[graph] == drop)
     nonrational = rows[~witness]
     certified = np.zeros(len(nonrational), dtype=bool)

@@ -18,7 +18,13 @@ from functools import cached_property
 import numpy as np
 
 from . import exact
-from .forest import PlumbingForest, _forest_det_negdef, intersection_matrix
+from .forest import (
+    PlumbingForest,
+    _det_negdef,
+    _forest_det_negdef,
+    _shape_tables,
+    intersection_matrix,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -147,7 +153,7 @@ class QFormContext:
         return all(w + 2 <= x <= -w for x, w in zip(_coords(k), self.weights))
 
     def check_box_budget(self) -> None:
-        _check_box_budget(self.box_size, self.budget)
+        _check_boxes([self.box_size], self.budget)
 
     def iter_box(self):
         """Yield the box pairing tuples in lexicographic order."""
@@ -179,7 +185,9 @@ class QFormContext:
         block is built: every box vector k has |k_v| <= |m_v|, which bounds
         the spin^c keys adj(Q).k and k.adj(Q).k."""
         self.check_box_budget()
-        _check_box_guard(self.box_size, self.weights, self.adjugate)
+        rowsum = max((sum(abs(x) for x in row) for row in self.adjugate), default=0)
+        weights = np.array(self.weights, dtype=object).reshape(1, self.n)
+        _check_boxes([self.box_size], self.budget, weights, [rowsum])
         return self._blocks()
 
     def _blocks(self):
@@ -260,13 +268,23 @@ class QFormContext:
         return int(self.class_indices(np.array([key], dtype=np.int64).reshape(1, self.n))[0])
 
 
+def _digits(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The digits j of index[i] in the mixed radix |weights[i]|, most
+    significant first, for every i: the box vector at position index[i]
+    is weights[i] + 2 + 2j."""
+    digits = np.empty(weights.shape, dtype=np.int64)
+    for v in range(weights.shape[1] - 1, -1, -1):
+        index, digits[:, v] = np.divmod(index, -weights[:, v])
+    return digits
+
+
 def _box_vectors(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The box vector at position index[i] of the lexicographic order of
     the box of weight row weights[i], for every i."""
-    rows = np.empty(weights.shape, dtype=np.int64)
-    for v in range(weights.shape[1] - 1, -1, -1):
-        index, digit = np.divmod(index, -weights[:, v])
-        rows[:, v] = weights[:, v] + 2 + 2 * digit
+    rows = _digits(weights, index)
+    rows *= 2
+    rows += weights
+    rows += 2
     return rows
 
 
@@ -280,20 +298,105 @@ def _key_rows(keys: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
 
 
-def _check_box_budget(size: int, budget: int) -> None:
-    if size > budget:
-        raise EnumerationBudgetError(f"box holds {size} vectors, budget is {budget}")
+def _box_sizes(weights: np.ndarray) -> np.ndarray:
+    """The box size, the product of |m_v|, of each weight row: in int64
+    when every product is below 2^61, else as exact ints (an object
+    array)."""
+    radices = np.abs(weights)
+    if np.log2(np.maximum(radices, 1)).sum(axis=1).max(initial=0) < 61:
+        return radices.prod(axis=1)
+    return radices.astype(object).prod(axis=1)
 
 
-def _check_box_guard(size: int, weights, adjugate) -> None:
-    """The box layer runs in int64: every box vector k has |k_v| <= |m_v|,
+def _check_boxes(sizes, budget: int, weights=None, rowsums=None) -> None:
+    """Raise EnumerationBudgetError at the first box, in row order, that
+    holds more vectors than the budget or, when weights (one row per
+    box) and rowsums (the largest row sum of |adj(Q)| of each box's
+    form) are given, that the int64 guard refuses: size or rowsum *
+    max|m_v|^2 * n at least _INT64_GUARD, tested by floor divisions,
+    which are exact on int64 and on exact ints alike.
+
+    The box layer runs in int64: every box vector k has |k_v| <= |m_v|,
     which bounds the spin^c keys adj(Q).k and k.adj(Q).k."""
-    big = max((abs(w) for w in weights), default=0)
-    rowsum = max((sum(abs(x) for x in row) for row in adjugate), default=0)
-    if size >= _INT64_GUARD or rowsum * big * big * len(weights) >= _INT64_GUARD:
-        raise EnumerationBudgetError(
-            f"box layer: {size} vectors with pairings up to {big} overflow int64"
-        )
+    sizes = np.asarray(sizes)
+    over = sizes > budget
+    fault = over
+    if rowsums is not None:
+        big = np.abs(weights).max(axis=1, initial=0)
+        one = np.maximum(big, 1)
+        room = (_INT64_GUARD - 1) // one // one // max(weights.shape[1], 1)
+        fault = over | (sizes >= _INT64_GUARD) | ((big > 0) & (np.asarray(rowsums) > room))
+    bad = np.flatnonzero(fault)
+    if not len(bad):
+        return
+    g = bad[0]
+    if over[g]:
+        raise EnumerationBudgetError(f"box holds {sizes[g]} vectors, budget is {budget}")
+    raise EnumerationBudgetError(
+        f"box layer: {sizes[g]} vectors with pairings up to {big[g]} overflow int64"
+    )
+
+
+def _forms(neighbors, weights: np.ndarray) -> np.ndarray:
+    """The intersection matrix of each weight row on the one shape that
+    neighbors describes, as an int64 array of shape (graphs, n, n)."""
+    graphs, n = weights.shape
+    q = np.zeros((graphs, n, n), dtype=np.int64)
+    for v, nbs in enumerate(neighbors):
+        q[:, v, list(nbs)] = 1
+    q[:, np.arange(n), np.arange(n)] = weights
+    return q
+
+
+def _adjugates(q: np.ndarray, sizes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """adj(Q) of each wanted negative-definite form of a batch q (graphs,
+    n, n), whose boxes hold sizes vectors; the other rows are left as the
+    identity's. exact.adjugate's fraction-free Gauss-Jordan, run on the
+    whole batch at once. Every entry it holds is, up to sign, a minor of
+    Q, at most the box size in magnitude: for a definite form a minor is
+    at most the geometric mean of two principal minors, and a principal
+    minor at most the product of its diagonal (Hadamard). So each
+    product it forms is at most the box size squared, and int64 holds
+    them while the largest wanted box is below 2^31; above that the batch
+    runs on exact ints (an object array)."""
+    graphs, n = q.shape[:2]
+    eye = np.eye(n, dtype=np.int64)
+    m = np.concatenate([np.where(wanted[:, None, None], q, eye), np.broadcast_to(eye, q.shape)], axis=2)
+    if int(np.max(sizes[wanted], initial=0)) ** 2 >= _INT64_GUARD:
+        m = m.astype(object)
+    prev = 1
+    for k in range(n):
+        piv = m[:, k, k, None, None]
+        step = (m * piv - m[:, :, k, None] * m[:, k, None, :]) // prev
+        step[:, k] = m[:, k]
+        m, prev = step, piv
+    return m[:, :, n:]
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Where each of a run of blocks of the given sizes starts, and the
+    total at the end."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def _spread(offsets: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(block, position inside it) of each flat position of a run of
+    blocks laid end to end at offsets."""
+    block = np.searchsorted(offsets, flat, side="right") - 1
+    return block, flat - offsets[block]
+
+
+def _held_coordinates(weights: np.ndarray) -> np.ndarray:
+    """A cut of each weight row's coordinates into a prefix and a suffix,
+    where the larger of their boxes (the products of |m_v|) is smallest,
+    as a mask of the smaller side."""
+    logs = np.log2(-weights)
+    cum = np.concatenate([np.zeros((len(logs), 1)), np.cumsum(logs, axis=1)], axis=1)
+    total = cum[:, -1:]
+    cut = np.argmin(np.maximum(cum, total - cum), axis=1)
+    prefix = np.arange(weights.shape[1]) < cut[:, None]
+    larger = 2 * np.take_along_axis(cum, cut[:, None], axis=1) > total
+    return prefix ^ larger
 
 
 class BoxBatch:
@@ -301,34 +404,42 @@ class BoxBatch:
     that neighbors describes, one int64 weight row per graph, laid end to
     end: graph by graph, each box in lexicographic order (iter_box's). It
     is read in blocks of rows (blocks), which may span graphs and cut a
-    large box.
+    large box, or by the members of each graph's canonical class alone
+    (canonical_blocks).
 
-    Each graph's adjugate is exact.adjugate of its form. The budget and
-    the int64 guard of box_blocks are checked for every graph when the
-    batch is made, and the first graph at fault raises."""
+    The set-up runs on the whole batch in array operations: det from the
+    subtree recursion (forest._det_negdef) and the adjugates from one
+    fraction-free elimination (_adjugates), each in int64 where a bound
+    proves int64 exact and in exact ints past it; then the budget and
+    the int64 guard of box_blocks for every graph, the first graph at
+    fault raising (_check_boxes). A graph whose form is not negative
+    definite raises NotNegativeDefiniteError."""
 
     def __init__(self, neighbors, weights: np.ndarray, budget: int = DEFAULT_BUDGET):
         self.weights = weights
-        adjugates, dets, sizes = [], [], []
-        for w in weights.tolist():
-            size = math.prod(abs(x) for x in w)
-            _check_box_budget(size, budget)
-            q = [[0] * len(w) for _ in w]
-            for v, nbs in enumerate(neighbors):
-                q[v][v] = w[v]
-                for u in nbs:
-                    q[v][u] = 1
-            adj = exact.adjugate(q)
-            _check_box_guard(size, w, adj)
-            adjugates.append(adj)
-            # det Q from the first row of Q against the first column of adj(Q)
-            dets.append(sum(a * row[0] for a, row in zip(q[0], adj)) if w else 1)
-            sizes.append(size)
         n = weights.shape[1]
-        self.adjugates = np.array(adjugates, dtype=np.int64).reshape(len(sizes), n, n)
-        self.det = np.array(dets, dtype=np.int64)
+        edges = [(a, b) for a, nbs in enumerate(neighbors) for b in nbs if a < b]
+        tables = _shape_tables(edges, n)
+        # every value of the subtree recursion is at most n + 1 times a
+        # principal minor of Q, which is at most the product of
+        # |m_v| + deg_v + 1 over its vertices (Hadamard)
+        degrees = np.array(tables.degrees, dtype=np.int64)
+        bound = np.log2(np.abs(weights) + degrees + 1).sum(axis=1) + math.log2(n + 1)
+        exact_ints = weights if bound.max(initial=0) < 61 else weights.astype(object)
+        sizes = np.abs(exact_ints).prod(axis=1)
+        det, negdef = _det_negdef(tables, exact_ints.T)
+        det = np.broadcast_to(det, sizes.shape)
+        if not np.all(negdef):
+            raise NotNegativeDefiniteError("intersection form is not negative definite")
+        wanted = (sizes <= budget) & (sizes < _INT64_GUARD)
+        adjugates = _adjugates(_forms(neighbors, weights), sizes, wanted)
+        rowsums = np.abs(adjugates).sum(axis=2).max(axis=1, initial=0)
+        _check_boxes(sizes, budget, weights, rowsums)
+        self.adjugates = adjugates.astype(np.int64)
+        # |det| <= the box size on a negative-definite form (Hadamard)
+        self.det = det.astype(np.int64)
         self.h1 = np.abs(self.det)
-        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
+        self.offsets = _offsets(sizes.astype(np.int64))
 
     def blocks(self):
         """rows() of the whole batch, _BATCH_ROWS rows at a time."""
@@ -338,8 +449,8 @@ class BoxBatch:
 
     def rows(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(graph index, box vector) of the rows at the given positions."""
-        graph = np.searchsorted(self.offsets, flat, side="right") - 1
-        return graph, _box_vectors(self.weights[graph], flat - self.offsets[graph])
+        graph, index = _spread(self.offsets, flat)
+        return graph, _box_vectors(self.weights[graph], index)
 
     def pairings(self, graph: np.ndarray, block: np.ndarray) -> np.ndarray:
         """adj(Q).k of every row k of a block, by its own graph's adjugate,
@@ -348,3 +459,48 @@ class BoxBatch:
         for j in range(block.shape[1]):
             out[:, j] = np.einsum("ij,ij->i", self.adjugates[graph, j], block)
         return out
+
+    def _coset_keys(self, graph: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(graph, adj(Q).j mod |det|) of every row j, as one opaque
+        scalar per row (_key_rows)."""
+        keys = self.pairings(graph, j) % self.h1[graph, None]
+        return _key_rows(np.column_stack([graph, keys]))
+
+    def canonical_blocks(self):
+        """The members of each graph's canonical class in its box, as
+        (graph index, box vectors) blocks of at most _BATCH_ROWS rows; no
+        other box row is built.
+
+        The box vector W + 2 + 2j (0 <= j_v < |m_v|) is in the class of
+        the canonical vector W + 2 iff j is in Q.Z^n, that is iff
+        adj(Q).j = 0 mod |det|. Each graph's coordinates are cut in two
+        (_held_coordinates), j = h + s with h on one side and s on the
+        other, and the test reads adj(Q).h = adj(Q).(-s) mod |det|: a
+        meet in the middle. The held halves, at most the square root of
+        each box, are built whole and sorted by (graph, key); the other
+        halves are streamed _BATCH_ROWS rows at a time, each row joined to
+        the held rows of its key, and the joined rows leave in blocks of
+        _BATCH_ROWS."""
+        held = _held_coordinates(self.weights)
+        # each half as a box of its own: weight -1 (one digit, 0) off its side
+        held, streamed = np.where(held, self.weights, -1), np.where(held, -1, self.weights)
+        offsets = _offsets(np.prod(-held, axis=1))
+        graph, index = _spread(offsets, np.arange(offsets[-1]))
+        h = _digits(held[graph], index)
+        keys = self._coset_keys(graph, h)
+        order = np.argsort(keys, kind="stable")
+        keys, h = keys[order], h[order]
+        offsets = _offsets(np.prod(-streamed, axis=1))
+        total = int(offsets[-1])
+        for start in range(0, total, _BATCH_ROWS):
+            graph, index = _spread(offsets, np.arange(start, min(start + _BATCH_ROWS, total)))
+            s = _digits(streamed[graph], index)
+            want = self._coset_keys(graph, -s)
+            hi = np.searchsorted(keys, want, side="right")
+            ends = np.cumsum(hi - np.searchsorted(keys, want, side="left"))
+            for out in range(0, int(ends[-1]), _BATCH_ROWS):
+                at = np.arange(out, min(out + _BATCH_ROWS, int(ends[-1])))
+                row = np.searchsorted(ends, at, side="right")
+                pick = hi[row] - (ends[row] - at)
+                g = graph[row]
+                yield g, self.weights[g] + 2 + 2 * (s[row] + h[pick])

@@ -16,6 +16,11 @@ closures. The batched closure (engine._laufer_close), which adds every
 positive vertex at once, and the certificate built on it
 (engine.canonical_pair_rows) must agree with them.
 
+canonical_counts_sweep is the canonical-class count by a full sweep of
+each box, keeping the rows whose spin^c key is the canonical vector's;
+engine.canonical_counts_rows, which builds only that class's members,
+must agree with it.
+
 ar_status_loop is engine.ar_status as a loop over candidates, one
 is_rational each; the batched scan (engine.ar_status_rows) must agree.
 
@@ -37,15 +42,18 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from plumb.engine import (
     ArStatus,
     SafetyLimitError,
     TerminationResult,
+    _basic_rows,
     default_ar_bound,
     is_rational,
 )
 from plumb.forest import PlumbingForest, canonical_code
-from plumb.lattice import CharVector, QFormContext
+from plumb.lattice import BoxBatch, CharVector, QFormContext
 from plumb.relations import ClassTable, DegreeRow
 
 
@@ -223,6 +231,23 @@ def canonical_walk(ctx):
             seen.add(key)
             queue.append((key, tuple(cp)))
             yield tuple(b - 2 * x for b, x in zip(base, cp))
+
+
+def canonical_counts_sweep(neighbors, weights):
+    """engine.canonical_counts_rows by a sweep of every box row: the rows
+    whose spin^c key is that of their graph's canonical vector W + 2 go
+    through _basic_rows."""
+    batch = BoxBatch(neighbors, weights)
+    modulus = 2 * batch.h1
+    canonical = batch.pairings(np.arange(len(weights)), weights + 2) % modulus[:, None]
+    counts = np.zeros(len(weights), dtype=np.int64)
+    for graph, block in batch.blocks():
+        keys = batch.pairings(graph, block) % modulus[graph, None]
+        members = (keys == canonical[graph]).all(axis=1)
+        graph, block = graph[members], block[members]
+        basic = _basic_rows(block, weights[graph], neighbors)
+        counts += np.bincount(graph[basic], minlength=len(counts))
+    return counts
 
 
 def ar_status_loop(ctx, bound=None) -> ArStatus:

@@ -8,12 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plumb import census, engine, lattice
+from plumb import census, engine, exact, lattice
 from plumb.catalog import chain_forest, e8_forest, star_forest
-from plumb.forest import parse_forest
-from plumb.lattice import CharVector, EnumerationBudgetError, QFormContext
+from plumb.forest import _forest_det_negdef, _shape_tables, parse_forest
+from plumb.lattice import (
+    CharVector,
+    EnumerationBudgetError,
+    NotNegativeDefiniteError,
+    QFormContext,
+)
 
-from oracles import k_square
+from oracles import canonical_counts_sweep, k_square
 
 
 @pytest.fixture()
@@ -89,6 +94,110 @@ def test_box_batch_checks_every_graph_before_any_block():
     big = np.array([[-2], [-(2**31 + 1)]], dtype=np.int64)
     with pytest.raises(EnumerationBudgetError, match="box layer"):
         lattice.BoxBatch(((),), big, budget=2**32)
+
+
+def _by_shape(forests):
+    """(neighbors, int64 weight rows, forests) of each shape among the
+    forests, the shape read off the neighbour lists."""
+    shapes = {}
+    for f in forests:
+        shapes.setdefault(f.neighbors(), []).append(f)
+    return [
+        (nb, np.array([f.weights for f in fs], dtype=np.int64).reshape(len(fs), -1), fs)
+        for nb, fs in shapes.items()
+    ]
+
+
+@pytest.fixture(scope="module")
+def two_component_forests():
+    """The forests of enumerate_forests(5, -3) with two components."""
+    return [
+        f for f in census.enumerate_forests(5, -3)
+        if len({v.split(".")[0] for v in f.ids}) == 2
+    ]
+
+
+def test_canonical_counts_match_the_sweep(monkeypatch, trees, two_component_forests):
+    """canonical_counts_rows builds only the canonical class's members by
+    a meet in the middle; its counts equal those of the full sweep
+    (oracles.canonical_counts_sweep), batched by shape, with chunks of 7
+    rows that cut through the join (the sweep runs first, in full-size
+    blocks)."""
+    assert len(two_component_forests) > 100
+    chains = [chain_forest([-8] + [-7] * 5), chain_forest([-3] * 12)]
+    batches = _by_shape(trees) + _by_shape(two_component_forests)
+    batches += _by_shape([e8_forest()]) + _by_shape(chains)
+    want = [canonical_counts_sweep(nb, weights).tolist() for nb, weights, _ in batches]
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
+    monkeypatch.setattr(engine, "_BATCH_ROWS", 7)
+    for (nb, weights, _), counts in zip(batches, want):
+        assert engine.canonical_counts_rows(nb, weights).tolist() == counts, weights
+    assert QFormContext(e8_forest()).h1 == 1
+
+
+def test_canonical_counts_build_no_row_outside_the_class(monkeypatch, trees):
+    """Every row canonical_counts_rows sends to _basic_rows is a box member
+    of its graph's canonical class, and each member is sent once."""
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
+    sent = []
+    real = engine._basic_rows
+
+    def recording(block, weights, neighbors, rng=None):
+        sent.extend(zip(np.asarray(weights).tolist(), block.tolist()))
+        return real(block, weights, neighbors, rng)
+
+    monkeypatch.setattr(engine, "_basic_rows", recording)
+    for nb, weights, forests in _by_shape(trees + [e8_forest(), chain_forest([-5] * 5)]):
+        sent.clear()
+        engine.canonical_counts_rows(nb, weights)
+        got = sorted((tuple(w), tuple(k)) for w, k in sent)
+        want = []
+        for f in forests:
+            ctx = QFormContext(f)
+            key = ctx.spinc_key(ctx.canonical_char())
+            want += [(f.weights, k) for k in ctx.iter_box() if ctx.spinc_key(k) == key]
+        assert got == sorted(want), weights
+
+
+def test_box_batch_setup_matches_exact(two_component_forests):
+    """BoxBatch builds det, |H1| and the adjugates of a whole batch in
+    array operations; they equal the subtree recursion and exact.adjugate
+    on every graph of the (4, -6) census grid and on the forests."""
+    batches = []
+    for n in range(1, 5):
+        for edges in census.enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            rows = census._distinct_rows(tables, -6)
+            forests = [census._shape_forest(edges, n, w) for w in rows.tolist()]
+            batches.append((tables.neighbors, rows, forests))
+    assert sum(len(rows) for _, rows, _ in batches) == 1042
+    for nb, rows, forests in batches + _by_shape(two_component_forests):
+        batch = lattice.BoxBatch(nb, rows)
+        contexts = [QFormContext(f) for f in forests]
+        assert batch.adjugates.tolist() == [
+            [list(row) for row in exact.adjugate(ctx.q)] for ctx in contexts
+        ]
+        assert batch.det.tolist() == [_forest_det_negdef(f)[0] for f in forests]
+        assert batch.h1.tolist() == [ctx.h1 for ctx in contexts]
+    # (-1, -1) is not negative definite: det 0
+    nb = chain_forest([-2, -2]).neighbors()
+    with pytest.raises(NotNegativeDefiniteError):
+        lattice.BoxBatch(nb, np.array([[-2, -2], [-1, -1]], dtype=np.int64))
+
+
+def test_box_batch_past_its_int64_bounds_is_exact():
+    """Past the bounds under which the set-up runs in int64 it runs on
+    exact ints, with the same det and adjugates: the elimination past a
+    box of 2^31 vectors (2^32 here), and the subtree recursion past a
+    product of |m_v| + deg_v + 1 of 2^61 (2^86 on the star with centre
+    -21 and 40 legs -2, whose box is 21 * 2^40)."""
+    chains = [chain_forest([-3, -2, -4]), chain_forest([-2**11, -2**10, -2**11])]
+    for forests, budget in ((chains, 2**32), ([star_forest(-21, [-2] * 40)], 2**50)):
+        nb, rows, _ = _by_shape(forests)[0]
+        batch = lattice.BoxBatch(nb, rows, budget=budget)
+        contexts = [QFormContext(f, budget=budget) for f in forests]
+        assert batch.adjugates.tolist() == [[list(r) for r in ctx.adjugate] for ctx in contexts]
+        assert batch.det.tolist() == [ctx.det for ctx in contexts]
 
 
 def test_box_layer_matches_scalar_oracles(small_blocks, trees):

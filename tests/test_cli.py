@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -414,11 +415,35 @@ def test_census_failed_scan_leaves_no_new_out_file(capsys, tmp_path):
     code, out, err = run(capsys, *argv, str(dst))
     assert code == 3 and err.startswith("budget exceeded:")
     assert not dst.exists()
-    # a file this run did not create stays
+    # a file this run did not create stays, byte for byte
     old = tmp_path / "old.jsonl"
-    old.write_text("kept\n")
+    old.write_bytes(b"kept\n")
     assert run(capsys, *argv, str(old))[0] == 3
-    assert old.exists()
+    assert old.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+
+def test_census_out_through_a_link_or_into_a_pipe(capsys, tmp_path):
+    """--out replaces a regular file, through a symbolic link too (the
+    link stays), and writes what is not a regular file, such as a named
+    pipe, directly."""
+    argv = ("census", "--max-vertices", "2", "--min-weight", "-2", "--out")
+    real = tmp_path / "real.jsonl"
+    real.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    assert run(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink() and real.read_text().startswith('{"schema"')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, *argv, str(pipe))[0] == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive() and got[0] == real.read_text()
+    assert pipe.is_fifo()
 
 
 def test_census_laufer_disagreement_exits_1(capsys, monkeypatch):

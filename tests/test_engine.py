@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -404,6 +405,20 @@ def test_is_rational_on_a_skewed_box_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000, peak
+
+
+def test_canonical_count_on_a_large_chain_is_fast():
+    """The chain (-8, -7^7) has a box of 6,588,344 vectors; the canonical
+    class's members are found by a meet in the middle, so is_rational and
+    ar_status (whose witness is counted too) take well under a second."""
+    ctx = QFormContext(chain_forest([-8] + [-7] * 7))
+    assert ctx.box_size == 6_588_344
+    start = time.perf_counter()
+    assert engine.is_rational(ctx)
+    st = engine.ar_status(ctx)
+    elapsed = time.perf_counter() - start
+    assert (st.vertex, st.delta) == ("v1", 1)
+    assert elapsed < 1.0, elapsed
 
 
 def test_is_rational_shares_the_box_layer_int64_guard():
