@@ -38,6 +38,7 @@ from .lattice import (
     CharVector,
     QFormContext,
     _ArrayFields,
+    _first_rows,
     _key_rows,
 )
 
@@ -435,55 +436,49 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     """classify() of every graph of a task, in one sweep of their boxes
     laid end to end (lattice.BoxBatch), a block of rows at a time. Each
     block goes through engine._basic_rows with one weight row per box
-    row, and takes its spin^c keys from each row's own graph's adjugate.
-    One np.unique over (graph, key) gives the classes; a class's first
-    row is its lexicographically least box vector, so the class of a
-    box's first row, the canonical vector, is the canonical class. The
-    per-graph checks hold: |H1| classes per graph, none without a basic
-    vector, and one basic vector in the canonical class exactly when
-    Laufer's test (engine.laufer_rational_rows) says rational, or
+    row, and takes its class ids (BoxBatch.classes) and K^2 from each
+    row's own graph: ids are graph-major and each graph's canonical
+    class comes first, so one np.bincount counts every class's basic
+    vectors and one np.maximum.at takes its maximum K^2. The per-graph
+    checks hold: |H1| classes per graph, none without a basic vector,
+    and one basic vector in the canonical class exactly when Laufer's
+    test (engine.laufer_rational_rows) says rational, or
     engine.RationalityDisagreementError names the graph; the box budget
-    and the int64 guard are checked for every graph here and for every AR
-    candidate in engine.ar_status_rows."""
+    and the int64 guard are checked for every graph here and for every
+    AR candidate in engine.ar_status_rows."""
     tables = _shape_tables(task.edges, task.n)
     neighbors, weights = tables.neighbors, task.weights
     batch = BoxBatch(neighbors, weights, task.budget)
-    modulus, sign = 2 * batch.h1, np.sign(batch.det)
-    keys, firsts, basic_keys, basic_k2 = [], [], [], []
+    sign, rows = np.sign(batch.det), batch.offsets[-1]
+    first = np.full(batch.class_offsets[-1], rows, dtype=np.int64)
+    basic_ids, basic_k2 = [], []
     start = 0
     for graph, block in batch.blocks():
-        pairings = batch.pairings(graph, block)
-        key = _key_rows(np.column_stack([graph, pairings % modulus[graph, None]]))
-        uniq, first = np.unique(key, return_index=True)
-        keys.append(uniq)
-        firsts.append(start + first)
+        ids = batch.classes(graph, block)
+        _first_rows(first, ids, start)
         start += len(block)
         basic = engine._basic_rows(block, weights[graph], neighbors)
-        basic_keys.append(key[basic])
-        basic_k2.append(
-            sign[graph[basic]] * np.einsum("ij,ij->i", pairings[basic], block[basic])
-        )
-    table, pick = np.unique(np.concatenate(keys), return_index=True)
-    first = np.concatenate(firsts)[pick]
-    owner, reps = batch.rows(first)
-    classes = np.bincount(owner, minlength=len(weights))
+        basic_ids.append(ids[basic])
+        graph, block = graph[basic], block[basic]
+        pairings = batch.pairings(graph, block)
+        basic_k2.append(sign[graph] * np.einsum("ij,ij->i", pairings, block))
+    owner = np.repeat(np.arange(len(weights)), batch.h1)
+    classes = np.bincount(owner[first < rows], minlength=len(weights))
     wrong = np.flatnonzero(classes != batch.h1)
     if len(wrong):
         g = wrong[0]
         raise AssertionError(f"found {classes[g]} spin^c classes, expected {batch.h1[g]}")
-    members = np.searchsorted(table, np.concatenate(basic_keys))
-    counts = np.bincount(members, minlength=len(table))
+    members = np.concatenate(basic_ids)
+    counts = np.bincount(members, minlength=len(first))
     if not counts.all():
-        empty = reps[np.argmin(counts)]
+        _, (empty,) = batch.rows(first[np.argmin(counts), None])
         rep = CharVector(tuple(empty.tolist()))
         raise AssertionError(f"spin^c class of {rep} has no basic vector")
     # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
-    top = np.full(len(table), np.iinfo(np.int64).min)
+    top = np.full(len(first), np.iinfo(np.int64).min)
     np.maximum.at(top, members, np.concatenate(basic_k2))
     numerators = top + task.n * batch.h1[owner]
-    canonical = np.empty(len(weights), dtype=np.int64)
-    at_start = first == batch.offsets[owner]
-    canonical[owner[at_start]] = np.flatnonzero(at_start)
+    canonical = batch.class_offsets[:-1]
     rational = counts[canonical] == 1
     laufer = engine.laufer_rational_rows(neighbors, weights)
     for g in np.flatnonzero(rational != laufer)[:1].tolist():
@@ -492,7 +487,7 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
         except engine.RationalityDisagreementError as e:
             raise engine.RationalityDisagreementError(f"{task.codes[g]}: {e}") from None
     rational = rational.tolist()
-    basic = np.bincount(owner[members], minlength=len(weights)).tolist()
+    basic = np.add.reduceat(counts, canonical).tolist()
     witness, _ = engine.ar_status_rows(neighbors, weights, budget=task.budget)
     minimal = _minimal_rows(tables, weights).tolist()
     # one common denominator 4|H1| per graph: sorting the numerators sorts

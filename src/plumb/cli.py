@@ -112,7 +112,10 @@ _STR = _Slot('"\0"')  # the integer's decimal digits, as a JSON string
 
 class _Fill:
     """A JSON value shaped like proto, whose _Slots take values in text
-    order. The writer renders proto once per indent, as a %-template."""
+    order: a tuple of ints, or an int64 array when there are more than
+    _FILL_CHUNK. The writer renders proto once per indent, as a
+    %-template; a fill of more than _FILL_CHUNK values is written a
+    chunk at a time."""
 
     __slots__ = ("proto", "values")
 
@@ -121,18 +124,69 @@ class _Fill:
         self.values = values
 
 
+# a _Fill of more values than this is written in chunks of about as many
+_FILL_CHUNK = 2**14
+
+
+def _template(text: str) -> str:
+    """Rendered JSON, a NUL character at each slot, as a %-template."""
+    return text.replace("%", "%%").replace("\0", "%d")
+
+
+def _fill_pieces(proto, pad: str, templates: dict):
+    """The %-template of proto at the indent pad, as (piece, slot count)
+    pairs in text order: the keys and brackets of its dicts and lists,
+    and each list item whole. An item repeated in a row is rendered once
+    and yielded once per repeat."""
+    inner = pad + "  "
+    if isinstance(proto, dict) and proto:
+        for i, k in enumerate(sorted(proto)):
+            yield _template(f"{',' if i else '{'}{inner}{_encode_str(k)}: "), 0
+            yield from _fill_pieces(proto[k], inner, templates)
+        yield pad + "}", 0
+    elif isinstance(proto, (list, tuple)) and proto:
+        last = object()
+        for i, x in enumerate(proto):
+            if x is not last:
+                last, text = x, _json(x, inner, templates)
+                slots, text = text.count("\0"), _template(inner + text)
+                head, rest = "[" + text, "," + text
+            yield (rest if i else head), slots
+        yield pad + "]", 0
+    else:
+        text = _json(proto, pad, templates)
+        yield _template(text), text.count("\0")
+
+
+def _write_long_fill(fill: _Fill, pad: str, templates: dict, write) -> None:
+    """Write a _Fill a chunk at a time: the pieces of its template
+    (_fill_pieces) are joined until they hold _FILL_CHUNK slots, and
+    filled from the next values, so that no string holds the whole."""
+    values = np.asarray(fill.values)
+    pieces, slots, at = [], 0, 0
+    for piece, count in _fill_pieces(fill.proto, pad, templates):
+        pieces.append(piece)
+        slots += count
+        if slots >= _FILL_CHUNK:
+            write("".join(pieces) % tuple(values[at:at + slots].tolist()))
+            pieces, at, slots = [], at + slots, 0
+    write("".join(pieces) % tuple(values[at:at + slots].tolist()))
+
+
 def _write_json(obj, pad: str, templates: dict, write) -> None:
     """Write obj as json.dumps(obj, sort_keys=True, indent=2) writes it,
     at the indent pad (a newline and two spaces a level), through write,
     each item of a dict or list as soon as it is rendered: memory grows
-    with the largest list item, not with the document. templates holds
-    each _Fill prototype's %-template by (prototype, indent)."""
-    if type(obj) is _Fill:
+    with the largest list item, not with the document, and a _Fill's
+    values past _FILL_CHUNK are written in chunks. templates holds each
+    small _Fill prototype's %-template by (prototype, indent)."""
+    if type(obj) is _Fill and len(obj.values) > _FILL_CHUNK:
+        _write_long_fill(obj, pad, templates, write)
+    elif type(obj) is _Fill:
         key = (id(obj.proto), pad)
         template = templates.get(key)
         if template is None:
-            text = _json(obj.proto, pad, templates)
-            template = templates[key] = text.replace("%", "%%").replace("\0", "%d")
+            template = templates[key] = _template(_json(obj.proto, pad, templates))
         write(template % obj.values)
     elif obj is None:
         write("null")
@@ -156,6 +210,10 @@ def _write_json(obj, pad: str, templates: dict, write) -> None:
         # a prototype's rows are one object repeated: render it once
         inner, last, text = pad + "  ", object(), ""
         for i, x in enumerate(obj):
+            if type(x) is _Fill and len(x.values) > _FILL_CHUNK:
+                write(f"{',' if i else '['}{inner}")
+                _write_long_fill(x, inner, templates, write)
+                continue
             if x is not last:
                 last, text = x, _json(x, inner, templates)
             write(f"{',' if i else '['}{inner}{text}")
@@ -325,7 +383,9 @@ def _hf_obj(summary) -> dict:
     )
     values = np.column_stack(
         [*bottom, summary.reps, summary.reduced_ranks, rows.reshape(h1, 3 * width)]
-    ).tolist()
+    )
+    # a class of more values than a chunk stays an int64 row
+    values = values if values.shape[1] > _FILL_CHUNK else map(tuple, values.tolist())
     protos = {
         converged: {
             "bottom": [_STR, _STR],
@@ -342,7 +402,7 @@ def _hf_obj(summary) -> dict:
         "expansion": summary.expansion,
         "converged": summary.converged,
         "reduced_rank": summary.reduced_total,
-        "classes": [_Fill(protos[c], tuple(v)) for c, v in zip(converged, values)],
+        "classes": [_Fill(protos[c], v) for c, v in zip(converged, values)],
     }
 
 
@@ -436,7 +496,7 @@ def cmd_dinv(args) -> int:
         _print_json({"classes": _d_obj(dinv)})
         return EXIT_OK
     d = _frac_strs(dinv.numerators, dinv.denominator)
-    dual = _frac_strs([-q for q in dinv.numerators], dinv.denominator)
+    dual = _frac_strs(-dinv.numerators, dinv.denominator)
     if args.dot:
         rows = [("class", "d", "dual")]
         rows += list(zip(_spaced(dinv.reps), d, dual))

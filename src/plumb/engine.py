@@ -194,7 +194,7 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     for block in ctx.box_blocks():
         found = block[_basic_rows(block, ctx.weights, ctx.neighbors, rng)]
         rows.append(found)
-        classes.append(ctx.class_indices(ctx.spinc_keys(found)))
+        classes.append(ctx.class_indices(found))
     rows = np.concatenate(rows)
     classes = np.concatenate(classes)
     counts = np.bincount(classes, minlength=len(reps))
@@ -493,16 +493,12 @@ def verdicts(
     """
     if basics is None:
         basics = basic_vectors(ctx)
-    if ctx.n == 0:
-        rational = True
-    else:
-        canonical_index = ctx.class_index(ctx.canonical_char())
-        rational = int(basics.counts[canonical_index]) == 1
     ar = ar_status(ctx, bound=ar_bound)
     return Verdicts(
         lspace=basics.total == ctx.h1,
         certified=ar.found,
-        rational=rational,
+        # the canonical vector, the box's first row, is in class 0
+        rational=int(basics.counts[0]) == 1,
         ar=ar,
         basic_total=basics.total,
         spinc_count=ctx.h1,
@@ -517,13 +513,13 @@ class DInvariants(_ArrayFields):
     is the value for the reversed orientation, the side the lens-space
     oracle computes. They are held exactly as integer numerators over
     one common denominator 4|H1|, numerators[i] = |det| * max K^2 +
-    |V| * |H1|, beside the class representatives reps (an int64 array,
-    as in BasicSet); classes and the d and dual Fractions are built on
-    first read.
+    |V| * |H1| (a read-only int64 array), beside the class
+    representatives reps (an int64 array, as in BasicSet); classes and
+    the d and dual Fractions are built on first read.
     """
 
     reps: np.ndarray
-    numerators: tuple[int, ...]
+    numerators: np.ndarray
     denominator: int
 
     @cached_property
@@ -532,7 +528,7 @@ class DInvariants(_ArrayFields):
 
     @cached_property
     def d(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(q, self.denominator) for q in self.numerators)
+        return tuple(Fraction(q, self.denominator) for q in self.numerators.tolist())
 
     @cached_property
     def dual(self) -> tuple[Fraction, ...]:
@@ -544,9 +540,10 @@ def d_invariants(ctx: QFormContext, basics: BasicSet | None = None) -> DInvarian
         basics = basic_vectors(ctx)
     starts = np.cumsum(basics.counts) - basics.counts
     # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
-    top = np.maximum.reduceat(ctx.k_square_numerators(basics.rows), starts).tolist()
-    shift = ctx.n * ctx.h1
-    return DInvariants(basics.reps, tuple(q + shift for q in top), 4 * ctx.h1)
+    numerators = np.maximum.reduceat(ctx.k_square_numerators(basics.rows), starts)
+    numerators += ctx.n * ctx.h1
+    numerators.flags.writeable = False
+    return DInvariants(basics.reps, numerators, 4 * ctx.h1)
 
 
 def lens_d_oracle(p: int, q: int, i: int) -> Fraction:

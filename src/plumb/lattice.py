@@ -161,16 +161,6 @@ class QFormContext:
         ranges = [range(w + 2, -w + 1, 2) for w in self.weights]
         return itertools.product(*ranges)
 
-    def adj_image(self, k) -> tuple[int, ...]:
-        """adj(Q) . k — integer vector, det * Q^{-1} k."""
-        k = _coords(k)
-        return tuple(sum(r * kj for r, kj in zip(row, k)) for row in self.adjugate)
-
-    def spinc_key(self, k) -> tuple[int, ...]:
-        """Hashable spin^c invariant: adj(Q).k reduced mod 2|det Q|."""
-        m = 2 * self.h1
-        return tuple(x % m for x in self.adj_image(k))
-
     # ----------------------------------------------------------- box layer
 
     @cached_property
@@ -183,25 +173,32 @@ class QFormContext:
 
         The budget and the int64 guard are checked here, before the first
         block is built: every box vector k has |k_v| <= |m_v|, which bounds
-        the spin^c keys adj(Q).k and k.adj(Q).k."""
+        adj(Q).k and k.adj(Q).k, and |H1| bounds the spin^c residues."""
+        self._check_box_layer()
+        return self._blocks()
+
+    def _check_box_layer(self) -> None:
         self.check_box_budget()
         rowsum = max((sum(abs(x) for x in row) for row in self.adjugate), default=0)
         weights = np.array(self.weights, dtype=object).reshape(1, self.n)
-        _check_boxes([self.box_size], self.budget, weights, [rowsum])
-        return self._blocks()
+        _check_boxes([self.box_size], self.budget, weights, [rowsum], [self.h1])
+
+    def _positions(self):
+        """The box positions, _BLOCK at a time."""
+        for start in range(0, self.box_size, _BLOCK):
+            yield np.arange(start, min(start + _BLOCK, self.box_size))
 
     def _blocks(self):
-        for start in range(0, self.box_size, _BLOCK):
-            yield self._box_rows(np.arange(start, min(start + _BLOCK, self.box_size)))
+        for flat in self._positions():
+            yield self._box_rows(flat)
+
+    @cached_property
+    def _weights_np(self) -> np.ndarray:
+        return np.array(self.weights, dtype=np.int64).reshape(1, self.n)
 
     def _box_rows(self, flat: np.ndarray) -> np.ndarray:
         """The box vectors at the given positions of the lexicographic order."""
-        weights = np.array(self.weights, dtype=np.int64).reshape(1, self.n)
-        return _box_vectors(np.broadcast_to(weights, (len(flat), self.n)), flat)
-
-    def spinc_keys(self, block: np.ndarray) -> np.ndarray:
-        """spinc_key of every row of a block, in one matmul."""
-        return block @ self._adj_np.T % (2 * self.h1)
+        return _box_vectors(self._weights_np, flat)
 
     def k_square_numerators(self, block: np.ndarray) -> np.ndarray:
         """|det| * K^2 = sign(det) * k.adj(Q).k of every row of a block."""
@@ -209,33 +206,39 @@ class QFormContext:
         return np.einsum("ij,ij->i", block @ self._adj_np.T, block) * sgn
 
     @cached_property
+    def _residue_map(self):
+        """The (u, d, stride) of _residue_maps for this one form."""
+        q = np.array(self.q, dtype=np.int64).reshape(1, self.n, self.n)
+        maps = _residue_maps(q, self._adj_np.reshape(1, self.n, self.n), np.array([self.h1]))
+        return tuple(a[0] for a in maps)
+
+    @cached_property
     def _classes(self):
         """The box sweep behind class_reps and class_indices():
-        (representative rows, sorted key rows, class index of each sorted key).
+        (representative rows, class index of each spin^c residue).
 
-        np.unique reports each key's first row in a block. Over the blocks'
-        keys, concatenated in box order, it reports the first block that
-        holds the key, so that row is the class's lexicographically least
-        box vector. Classes are numbered in the order of those rows."""
-        keys, firsts = [], []
-        offset = 0
-        for block in self.box_blocks():
-            uniq, first = np.unique(_key_rows(self.spinc_keys(block)), return_index=True)
-            keys.append(uniq)
-            firsts.append(offset + first)
-            offset += len(block)
-        table, pick = np.unique(np.concatenate(keys), return_index=True)
-        if len(table) != self.h1:
-            raise AssertionError(
-                f"found {len(table)} spin^c classes, expected {self.h1}"
-            )
-        first = np.concatenate(firsts)[pick]
+        Each residue's first row in the box, in lexicographic order, is
+        its class's lexicographically least box vector; the sweep stops
+        once every one of the |H1| residues has its row. Classes are
+        numbered in the order of those rows. The box vector at position i
+        is m + 2 + 2j, j the digits of i (_digits), so the sweep reads the
+        residues off the digits."""
+        self._check_box_layer()
+        first = np.full(self.h1, self.box_size, dtype=np.int64)
+        found = 0
+        for flat in self._positions():
+            j = _digits(self._weights_np, flat)
+            found += _first_rows(first, _residues(j, *self._residue_map), int(flat[0]))
+            if found == self.h1:
+                break
+        if found != self.h1:
+            raise AssertionError(f"found {found} spin^c classes, expected {self.h1}")
         order = np.argsort(first)
-        index = np.empty(len(first), dtype=np.int64)
-        index[order] = np.arange(len(first))
+        index = np.empty(self.h1, dtype=np.int64)
+        index[order] = np.arange(self.h1)
         reps = self._box_rows(first[order])
         reps.flags.writeable = False
-        return reps, table, index
+        return reps, index
 
     @property
     def class_reps(self) -> np.ndarray:
@@ -252,27 +255,27 @@ class QFormContext:
         are built on first read; class_reps holds the same rows."""
         return self._spinc_classes
 
-    def class_indices(self, keys: np.ndarray) -> np.ndarray:
-        """spinc_classes() index of each row of spin^c keys (spinc_keys).
-        Raises ValueError on a key of no class."""
-        _, table, index = self._classes
-        rows = _key_rows(keys)
-        pos = np.minimum(np.searchsorted(table, rows), len(table) - 1)
-        if not (table[pos] == rows).all():
-            raise ValueError("vector's class has no box representative (not characteristic?)")
-        return index[pos]
+    def class_indices(self, vectors: np.ndarray) -> np.ndarray:
+        """spinc_classes() index of each row of an int64 array of pairing
+        vectors, read off its spin^c residue (_residues). Raises
+        ValueError on a row that is not characteristic."""
+        index = self._classes[1]
+        half = vectors - self._weights_np - 2
+        if (half & 1).any():
+            raise ValueError("vector is not characteristic, so its class has no box representative")
+        return index[_residues(half >> 1, *self._residue_map)]
 
     def class_index(self, k) -> int:
         """Index of k's spin^c class in the spinc_classes() ordering."""
-        key = self.spinc_key(self.require_characteristic(k))
-        return int(self.class_indices(np.array([key], dtype=np.int64).reshape(1, self.n))[0])
+        k = self.require_characteristic(k)
+        return int(self.class_indices(np.array(k, dtype=np.int64).reshape(1, self.n))[0])
 
 
 def _digits(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The digits j of index[i] in the mixed radix |weights[i]|, most
     significant first, for every i: the box vector at position index[i]
     is weights[i] + 2 + 2j."""
-    digits = np.empty(weights.shape, dtype=np.int64)
+    digits = np.empty((len(index), weights.shape[1]), dtype=np.int64)
     for v in range(weights.shape[1] - 1, -1, -1):
         index, digits[:, v] = np.divmod(index, -weights[:, v])
     return digits
@@ -286,6 +289,71 @@ def _box_vectors(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
     rows += weights
     rows += 2
     return rows
+
+
+def _residue_maps(forms: np.ndarray, adjugates: np.ndarray, h1: np.ndarray):
+    """The spin^c residue map of each of a batch of negative-definite forms
+    Q (graphs, n, n), given their int64 adjugates and |H1|: (u, d, stride),
+    of shapes (graphs, r, n), (graphs, r) and (graphs, r), for _residues.
+
+    The characteristic vectors m + 2 + 2j and m + 2 + 2j' share a class iff
+    j - j' lies in Q.Z^n. From a Smith normal form U Q V = diag(d)
+    (exact.smith_form), that holds iff U j = U j' mod d_i in each row i,
+    so the rows of U with d_i != 1, each reduced mod d_i, map H1 =
+    Z^n / Q.Z^n onto the product of the Z/d_i. A row a of adj(Q) whose
+    entries have gcd 1 with |H1| does the same in one row, d = |H1|: it
+    vanishes on Q.Z^n, as adj(Q) Q = det I, and its image is all of
+    Z/|H1|. Such a row, where there is one, is the map of its graph, and
+    only the other graphs (among them every graph whose H1 is not cyclic)
+    take a Smith normal form. Maps of fewer rows are padded with d = 1,
+    which adds 0."""
+    graphs, n = adjugates.shape[:2]
+    prime = np.gcd(np.gcd.reduce(adjugates, axis=2), h1[:, None]) == 1
+    smith = {}
+    for g in np.flatnonzero(~prime.any(axis=1)).tolist():
+        d, u = exact.smith_form(forms[g].tolist())
+        smith[g] = [(di, [x % di for x in ui]) for di, ui in zip(d, u) if di != 1]
+    r = max([1, *map(len, smith.values())])
+    u = np.zeros((graphs, r, n), dtype=np.int64)
+    d = np.ones((graphs, r), dtype=np.int64)
+    stride = np.zeros((graphs, r), dtype=np.int64)
+    by_row = np.flatnonzero(prime.any(axis=1))
+    if len(by_row):
+        row = prime[by_row].argmax(axis=1)
+        u[by_row, 0] = adjugates[by_row, row] % h1[by_row, None]
+        d[by_row, 0] = h1[by_row]
+        stride[by_row, 0] = 1
+    for g, factors in smith.items():
+        place = 1
+        for i, (di, ui) in enumerate(factors):
+            u[g, i], d[g, i], stride[g, i] = ui, di, place
+            place *= di
+    return u, d, stride
+
+
+def _residues(j: np.ndarray, u: np.ndarray, d: np.ndarray, stride: np.ndarray) -> np.ndarray:
+    """The spin^c residue sum_i (u_i.j mod d_i) * stride_i, one int64 in
+    [0, |H1|), of every row j of an int64 array, for one map (u of shape
+    (r, n), d and stride (r,)) or one map per row (u (rows, r, n), d and
+    stride (rows, r)): see _residue_maps. Residue 0 is the canonical
+    class, j = 0. Each term u_iv * (j_v mod d_i) is below d_i^2, so the
+    sums stay below n |H1|^2, which _check_boxes bounds."""
+    out = np.zeros(len(j), dtype=np.int64)
+    for i in range(d.shape[-1]):
+        di = d[..., i]
+        dot = np.einsum("...v,...v->...", j % di[..., None], u[..., i, :])
+        out += dot % di * stride[..., i]
+    return out
+
+
+def _first_rows(first: np.ndarray, ids: np.ndarray, start: int) -> int:
+    """Lower first[id] to start + i, the position of row i of ids, for the
+    first row i that holds each id: first starts at a position past every
+    row, and rows come in order. Returns how many ids these rows hold
+    first."""
+    at = np.arange(start, start + len(ids))
+    np.minimum.at(first, ids, at)
+    return int(np.count_nonzero(first[ids] == at))
 
 
 def _key_rows(keys: np.ndarray) -> np.ndarray:
@@ -308,33 +376,43 @@ def _box_sizes(weights: np.ndarray) -> np.ndarray:
     return radices.astype(object).prod(axis=1)
 
 
-def _check_boxes(sizes, budget: int, weights=None, rowsums=None) -> None:
+def _check_boxes(sizes, budget: int, weights=None, rowsums=None, h1=None) -> None:
     """Raise EnumerationBudgetError at the first box, in row order, that
-    holds more vectors than the budget or, when weights (one row per
-    box) and rowsums (the largest row sum of |adj(Q)| of each box's
-    form) are given, that the int64 guard refuses: size or rowsum *
-    max|m_v|^2 * n at least _INT64_GUARD, tested by floor divisions,
-    which are exact on int64 and on exact ints alike.
+    holds more vectors than the budget or that the int64 guard refuses.
+    The guard needs weights (one row per box) and takes rowsums (the
+    largest row sum of |adj(Q)| of each box's form) and h1 (|H1| of
+    each form) where given: it refuses a size at least _INT64_GUARD, a
+    rowsum * max|m_v|^2 * n or an h1^2 * n beyond it, tested by floor
+    divisions, which are exact on int64 and on exact ints alike.
 
     The box layer runs in int64: every box vector k has |k_v| <= |m_v|,
-    which bounds the spin^c keys adj(Q).k and k.adj(Q).k."""
+    which bounds adj(Q).k and k.adj(Q).k, and every term of a spin^c
+    residue (_residues) is below |H1|^2."""
     sizes = np.asarray(sizes)
     over = sizes > budget
-    fault = over
-    if rowsums is not None:
+    # wide: sizes or pairings past int64; deep: residues past int64
+    wide = deep = np.zeros(sizes.shape, dtype=bool)
+    if weights is not None:
         big = np.abs(weights).max(axis=1, initial=0)
-        one = np.maximum(big, 1)
-        room = (_INT64_GUARD - 1) // one // one // max(weights.shape[1], 1)
-        fault = over | (sizes >= _INT64_GUARD) | ((big > 0) & (np.asarray(rowsums) > room))
-    bad = np.flatnonzero(fault)
+        room = (_INT64_GUARD - 1) // max(weights.shape[1], 1)
+        wide = sizes >= _INT64_GUARD
+        if rowsums is not None:
+            one = np.maximum(big, 1)
+            wide = wide | ((big > 0) & (np.asarray(rowsums) > room // one // one))
+        if h1 is not None:
+            h1 = np.asarray(h1)
+            deep = h1 > room // np.maximum(h1, 1)
+    bad = np.flatnonzero(over | wide | deep)
     if not len(bad):
         return
     g = bad[0]
     if over[g]:
         raise EnumerationBudgetError(f"box holds {sizes[g]} vectors, budget is {budget}")
-    raise EnumerationBudgetError(
-        f"box layer: {sizes[g]} vectors with pairings up to {big[g]} overflow int64"
-    )
+    if wide[g]:
+        raise EnumerationBudgetError(
+            f"box layer: {sizes[g]} vectors with pairings up to {big[g]} overflow int64"
+        )
+    raise EnumerationBudgetError(f"box layer: spin^c residues mod {h1[g]} overflow int64")
 
 
 def _forms(neighbors, weights: np.ndarray) -> np.ndarray:
@@ -405,7 +483,8 @@ class BoxBatch:
     end: graph by graph, each box in lexicographic order (iter_box's). It
     is read in blocks of rows (blocks), which may span graphs and cut a
     large box, or by the members of each graph's canonical class alone
-    (canonical_blocks).
+    (canonical_blocks). classes numbers the spin^c classes of the whole
+    batch.
 
     The set-up runs on the whole batch in array operations: det from the
     subtree recursion (forest._det_negdef) and the adjugates from one
@@ -416,7 +495,9 @@ class BoxBatch:
     definite raises NotNegativeDefiniteError."""
 
     def __init__(self, neighbors, weights: np.ndarray, budget: int = DEFAULT_BUDGET):
+        self.neighbors = neighbors
         self.weights = weights
+        self.budget = budget
         n = weights.shape[1]
         edges = [(a, b) for a, nbs in enumerate(neighbors) for b in nbs if a < b]
         tables = _shape_tables(edges, n)
@@ -459,6 +540,28 @@ class BoxBatch:
         for j in range(block.shape[1]):
             out[:, j] = np.einsum("ij,ij->i", self.adjugates[graph, j], block)
         return out
+
+    @cached_property
+    def class_offsets(self) -> np.ndarray:
+        """Where each graph's ids start among the class ids (classes), and
+        their total at the end."""
+        return _offsets(self.h1)
+
+    @cached_property
+    def _residue_map(self):
+        """_residue_maps of every graph, once the int64 guard of the
+        residues holds for every graph (_check_boxes with |H1|)."""
+        _check_boxes(np.diff(self.offsets), self.budget, self.weights, h1=self.h1)
+        return _residue_maps(_forms(self.neighbors, self.weights), self.adjugates, self.h1)
+
+    def classes(self, graph: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """The class id of every row of a block: its graph's class offset
+        plus its spin^c residue (_residues). Graph g's classes are the ids
+        from class_offsets[g] to class_offsets[g + 1], its canonical class
+        first."""
+        u, d, stride = self._residue_map
+        j = (block - self.weights[graph] - 2) >> 1
+        return self.class_offsets[graph] + _residues(j, u[graph], d[graph], stride[graph])
 
     def _coset_keys(self, graph: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(graph, adj(Q).j mod |det|) of every row j, as one opaque

@@ -368,7 +368,7 @@ def _class_qmax(ctx) -> np.ndarray:
     attained inside the box."""
     q_max = np.full(ctx.h1, np.iinfo(np.int64).min, dtype=np.int64)
     for block in ctx.box_blocks():
-        classes = ctx.class_indices(ctx.spinc_keys(block))
+        classes = ctx.class_indices(block)
         np.maximum.at(q_max, classes, ctx.k_square_numerators(block))
     return q_max
 
@@ -457,7 +457,7 @@ def _shell_classes(ctx: QFormContext, max_u: int, expansion: int):
     _check_int64(ctx, lo, hi)
 
     states, q = _np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-    cls = ctx.class_indices(ctx.spinc_keys(states))
+    cls = ctx.class_indices(states)
     # within a class, |det| * K^2 moves in steps of 8|H1|: exact levels
     level = (q_max[cls] - q) // (8 * h1)
     del q  # not held through the row counts, which set the peak memory
@@ -599,7 +599,7 @@ def hf_summary(
     summary = _summary(ctx, max_u, expansion, *tables)
     if d_inv is None:
         d_inv = engine.d_invariants(ctx)
-    wrong = np.flatnonzero(summary.bottoms + np.array(d_inv.numerators, dtype=np.int64))
+    wrong = np.flatnonzero(summary.bottoms + d_inv.numerators)
     if len(wrong) or not np.array_equal(summary.reps, d_inv.reps):
         i = int(wrong[0]) if len(wrong) else 0
         raise AssertionError(

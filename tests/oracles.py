@@ -5,8 +5,10 @@ rule: the library always moves at the lowest eligible vertex, and the
 tests use this runner to check that the outcome, and a basic run's final
 vector, do not depend on that choice.
 
-char_box, in_terminal_box, k_square and same_spinc are the scalar
-counterparts of the box layer's blocks, K^2 numerators and spin^c keys;
+char_box, in_terminal_box, k_square and spinc_key are the scalar
+counterparts of the box layer's blocks, K^2 numerators and spin^c
+classes: spinc_key(ctx, k), adj(Q) k mod 2|det|, is the partition the
+class indices must reproduce, and same_spinc compares two keys;
 labeled_tree_codes cross-checks census.enumerate_trees.
 
 laufer_steps is Laufer's closure one vertex at a time, in stack order,
@@ -74,10 +76,20 @@ def k_square(ctx, k) -> Fraction:
     return Fraction(total, ctx.det)
 
 
+def adj_image(ctx, k) -> tuple[int, ...]:
+    """adj(Q) . k, the integer vector det * Q^{-1} k."""
+    return tuple(sum(r * kj for r, kj in zip(row, k)) for row in ctx.adjugate)
+
+
+def spinc_key(ctx, k) -> tuple[int, ...]:
+    """The partition oracle: adj(Q) . k mod 2|det Q|, equal for two
+    characteristic vectors iff they share a spin^c class."""
+    return tuple(x % (2 * ctx.h1) for x in adj_image(ctx, k))
+
+
 def same_spinc(ctx, k1, k2) -> bool:
     """True iff K1 - K2 is twice an integer combination of matrix rows."""
-    m = 2 * ctx.h1
-    return all((a - b) % m == 0 for a, b in zip(ctx.adj_image(k1), ctx.adj_image(k2)))
+    return spinc_key(ctx, k1) == spinc_key(ctx, k2)
 
 
 def labeled_tree_codes(n, weights=None) -> set[str]:

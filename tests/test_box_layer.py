@@ -10,7 +10,7 @@ import pytest
 
 from plumb import census, engine, exact, lattice
 from plumb.catalog import chain_forest, e8_forest, star_forest
-from plumb.forest import _forest_det_negdef, _shape_tables, parse_forest
+from plumb.forest import PlumbingForest, _forest_det_negdef, _shape_tables, parse_forest
 from plumb.lattice import (
     CharVector,
     EnumerationBudgetError,
@@ -18,7 +18,7 @@ from plumb.lattice import (
     QFormContext,
 )
 
-from oracles import canonical_counts_sweep, k_square
+from oracles import adj_image, canonical_counts_sweep, k_square, spinc_key
 
 
 @pytest.fixture()
@@ -37,14 +37,14 @@ def scalar_oracle(ctx):
     reps, members = {}, {}
     overflow = 0
     for k in ctx.iter_box():
-        key = ctx.spinc_key(k)
+        key = spinc_key(ctx, k)
         reps.setdefault(key, CharVector(k))
         if engine.run_path(ctx, k).basic:
             members.setdefault(key, []).append(CharVector(k))
         else:
             overflow += 1
     classes = tuple(sorted(reps.values()))
-    per_class = tuple(tuple(members[ctx.spinc_key(rep)]) for rep in classes)
+    per_class = tuple(tuple(members[spinc_key(ctx, rep)]) for rep in classes)
     d = tuple(max(k_square(ctx, k) + ctx.n for k in group) / 4 for group in per_class)
     return classes, per_class, overflow, d
 
@@ -57,8 +57,9 @@ def test_box_blocks_match_iter_box(small_blocks):
         assert all(len(b) <= 7 and b.dtype == np.int64 for b in blocks)
         got = [tuple(k) for k in np.concatenate(blocks).tolist()]
         assert got == list(ctx.iter_box())
-        keys = np.concatenate([ctx.spinc_keys(b) for b in blocks]).tolist()
-        assert [tuple(k) for k in keys] == [ctx.spinc_key(k) for k in got]
+        classes = np.concatenate([ctx.class_indices(b) for b in blocks]).tolist()
+        reps = [tuple(rep) for rep in ctx.class_reps.tolist()]
+        assert [spinc_key(ctx, reps[c]) for c in classes] == [spinc_key(ctx, k) for k in got]
 
 
 def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
@@ -79,7 +80,7 @@ def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
     assert [(g, tuple(k)) for g, k in zip(graph, rows.tolist())] == [
         (i, k) for i, ctx in enumerate(contexts) for k in ctx.iter_box()
     ]
-    assert pairings == [list(contexts[g].adj_image(k)) for g, k in zip(graph, rows.tolist())]
+    assert pairings == [list(adj_image(contexts[g], k)) for g, k in zip(graph, rows.tolist())]
     assert batch.det.tolist() == [ctx.det for ctx in contexts]
     assert batch.h1.tolist() == [ctx.h1 for ctx in contexts]
 
@@ -94,6 +95,24 @@ def test_box_batch_checks_every_graph_before_any_block():
     big = np.array([[-2], [-(2**31 + 1)]], dtype=np.int64)
     with pytest.raises(EnumerationBudgetError, match="box layer"):
         lattice.BoxBatch(((),), big, budget=2**32)
+
+
+def test_residue_guard_raises_before_any_class(monkeypatch):
+    """The chain (-2^11, -2^10, -2^11) passes the guard on its pairings,
+    but |H1| = 4,294,963,200 puts n |H1|^2 past int64, so its spin^c
+    residues are refused, in QFormContext before any block is built and
+    in a BoxBatch (whose set-up passes) before any class id."""
+    ctx = QFormContext(chain_forest([-2**11, -2**10, -2**11]), budget=2**32)
+    built = []
+    monkeypatch.setattr(QFormContext, "_blocks", lambda self: built.append(1))
+    for call in (ctx.box_blocks, ctx.spinc_classes):
+        with pytest.raises(EnumerationBudgetError, match="spin\\^c residues"):
+            call()
+    assert not built
+    weights = np.array([ctx.weights], dtype=np.int64)
+    batch = lattice.BoxBatch(ctx.neighbors, weights, budget=2**32)
+    with pytest.raises(EnumerationBudgetError, match="spin\\^c residues"):
+        batch.classes(np.array([0]), weights + 2)
 
 
 def _by_shape(forests):
@@ -154,8 +173,8 @@ def test_canonical_counts_build_no_row_outside_the_class(monkeypatch, trees):
         want = []
         for f in forests:
             ctx = QFormContext(f)
-            key = ctx.spinc_key(ctx.canonical_char())
-            want += [(f.weights, k) for k in ctx.iter_box() if ctx.spinc_key(k) == key]
+            key = spinc_key(ctx, ctx.canonical_char())
+            want += [(f.weights, k) for k in ctx.iter_box() if spinc_key(ctx, k) == key]
         assert got == sorted(want), weights
 
 
@@ -218,6 +237,58 @@ def test_box_layer_matches_scalar_oracles(small_blocks, trees):
         assert dinv.denominator == 4 * ctx.h1
         assert [Fraction(q, dinv.denominator) for q in dinv.numerators] == list(d)
         assert [ctx.class_index(rep) for rep in classes] == list(range(len(classes)))
+
+
+def oracle_partition(ctx):
+    """(representatives, class of each box row) of the box's spin^c
+    classes, keyed by the oracle spinc_key (computed for all rows in one
+    matrix product): each class is represented by its first box row, and
+    classes are numbered in the order of those rows."""
+    rows = np.array(list(ctx.iter_box()), dtype=np.int64).reshape(ctx.box_size, ctx.n)
+    adj = np.array(ctx.adjugate, dtype=np.int64).reshape(ctx.n, ctx.n)
+    keys = np.column_stack([rows @ adj.T % (2 * ctx.h1), np.zeros(len(rows), dtype=np.int64)])
+    _, first, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    index = np.empty(len(first), dtype=np.int64)
+    index[order] = np.arange(len(first))
+    return rows, rows[first[order]], index[key.ravel()]
+
+
+def test_residue_classes_match_the_oracle_partition(trees, two_component_forests):
+    """The Smith-form residues give the classes of the oracle partition:
+    the same representatives and the same class for every box row, and
+    for the rows moved by twice a row of Q (out of the box). Covered: the
+    trees with n <= 4 and weights >= -5, the two-component forests, the
+    empty forest and E8 (|H1| = 1), the D4 star, whose H1 is Z/2 + Z/2,
+    and the chains (-2)^12 and (-7)^6. The last graph has H1 = Z/24, but
+    no row of its adjugate is prime to 24, so it takes the Smith form."""
+    d4 = star_forest(-2, [-2, -2, -2])
+    large = [chain_forest([-2] * 12), chain_forest([-7] * 6)]
+    edges = ((0, 1), (0, 4), (0, 5), (1, 2), (1, 3))
+    z24 = PlumbingForest(tuple(f"v{i}" for i in range(6)), (-3, -1, -4, -4, -3, -3), edges)
+    graphs = trees + two_component_forests + [parse_forest(""), e8_forest(), d4, z24]
+    for g in graphs + large:
+        ctx = QFormContext(g)
+        rows, reps, index = oracle_partition(ctx)
+        assert len(reps) == ctx.h1, g.weights
+        assert ctx.class_reps.tolist() == reps.tolist(), g.weights
+        assert ctx.spinc_classes() == tuple(CharVector(tuple(k)) for k in reps.tolist())
+        assert ctx.class_indices(rows).tolist() == index.tolist(), g.weights
+        q = np.array(ctx.q, dtype=np.int64).reshape(ctx.n, ctx.n)
+        for v in range(ctx.n):
+            moved = rows - 2 * (v + 1) * q[v]
+            assert ctx.class_indices(moved).tolist() == index.tolist(), g.weights
+    assert sorted(exact.smith_form(QFormContext(d4).q)[0]) == [1, 1, 2, 2]
+
+
+def test_class_indices_reject_a_vector_that_is_not_characteristic():
+    ctx = QFormContext(star_forest(-2, [-2, -2, -2]))
+    assert ctx.class_index((0, 0, 0, 2)) == 1
+    for k in ((1, 0, 0, 0), (0, 0, 0, -1)):
+        with pytest.raises(ValueError, match="not characteristic"):
+            ctx.class_index(k)
+        with pytest.raises(ValueError, match="not characteristic"):
+            ctx.class_indices(np.array([k, (0, 0, 0, 0)], dtype=np.int64))
 
 
 def test_basic_vectors_rng_matches_lowest_eligible(small_blocks, trees):

@@ -11,6 +11,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -717,6 +718,37 @@ def test_json_writer_fills_match_json_dumps(obj):
     nested = {"a": [fill, {"b": fill}]}
     want = {"a": [obj, {"b": obj}]}
     assert cli._json(nested, "\n", {}) == json.dumps(want, sort_keys=True, indent=2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values, st.integers(min_value=0, max_value=3))
+@example(AWKWARD, 0)
+def test_json_writer_long_fills_match_json_dumps(obj, chunk):
+    """A _Fill of more than _FILL_CHUNK values is written a chunk at a
+    time, each item of a prototype's list whole and a repeated item
+    rendered once; it writes what json.dumps writes."""
+    values = []
+    proto = slotted(obj, values)
+    row = [[cli._STR, cli._STR], cli._INT]
+    rows = [[[str(i), str(-i)], 2 * i] for i in range(5)]
+    head = tuple(x for i in range(5) for x in (i, -i, 2 * i))
+    fill = cli._Fill({"rows": [row] * 5, "x": proto}, head + tuple(values))
+    want = {"a": [{"rows": rows, "x": obj}]}
+    with mock.patch.object(cli, "_FILL_CHUNK", chunk):
+        assert cli._json({"a": [fill]}, "\n", {}) == json.dumps(want, sort_keys=True, indent=2)
+
+
+def test_json_writer_bounds_a_long_fill_by_its_chunks(monkeypatch):
+    """A _Fill of 3,000 rows, cut into chunks of 30 values, is written in
+    pieces of about 10 rows, and the pieces make json.dumps' text."""
+    monkeypatch.setattr(cli, "_FILL_CHUNK", 30)
+    row = [[cli._STR, cli._STR], cli._INT]
+    values = tuple(x for i in range(3000) for x in (i, 7, i))
+    pieces = []
+    cli._write_json(cli._Fill({"rows": [row] * 3000}, values), "\n", {}, pieces.append)
+    want = json.dumps({"rows": [[[str(i), "7"], i] for i in range(3000)]}, sort_keys=True, indent=2)
+    assert "".join(pieces) == want
+    assert max(map(len, pieces)) < len(want) / 100
 
 
 # ------------------------------------------------- pinned output bytes

@@ -1,7 +1,9 @@
 """The forest determinant/definiteness recursion and the exact adjugate
-against a slow Laplace-expansion oracle."""
+against a slow Laplace-expansion oracle, and the Smith normal form."""
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,3 +176,59 @@ def test_adjugate_identity():
 
 def test_adjugate_empty():
     assert exact.adjugate([]) == ()
+
+
+def fraction_det(rows):
+    """det by Gaussian elimination over the rationals, with row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for t in range(len(m)):
+        pivot = next((i for i in range(t, len(m)) if m[i][t]), None)
+        if pivot is None:
+            return 0
+        if pivot != t:
+            m[t], m[pivot] = m[pivot], m[t]
+            det = -det
+        det *= m[t][t]
+        for i in range(t + 1, len(m)):
+            f = m[i][t] / m[t][t]
+            m[i] = [a - f * b for a, b in zip(m[i], m[t])]
+    return det
+
+
+def check_smith(q):
+    d, u = exact.smith_form(q)
+    n = len(q)
+    assert math.prod(d) == abs(fraction_det(q))
+    assert all(x > 0 for x in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
+    assert abs(fraction_det(u)) == 1
+    for di, ui in zip(d, u):
+        assert all(sum(ui[k] * q[k][j] for k in range(n)) % di == 0 for j in range(n))
+    return d
+
+
+def test_smith_form():
+    """U Q V = diag(d): the product of the d_i is |det Q|, each d_i divides
+    the next, U is unimodular, and row i of U Q is 0 mod d_i. On plumbing
+    forms (every tree with n <= 4 and weights >= -5, the D4 star, E8 and
+    two chains) and on random integer matrices that are not symmetric."""
+    from plumb import census
+
+    graphs = [g for n in range(1, 5) for g in census.enumerate_weighted(n, -5)]
+    graphs += [e8_forest(), chain_forest([-7] * 6), chain_forest([-2] * 12)]
+    for g in graphs:
+        check_smith(intersection_matrix(g))
+    assert check_smith(intersection_matrix(star_forest(-2, [-2, -2, -2]))) == (1, 1, 2, 2)
+    assert check_smith(intersection_matrix(chain_forest([-7] * 6)))[-1] == 105_937
+    rng = random.Random(7)
+    tried = 0
+    while tried < 200:
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if fraction_det(m):
+            check_smith(m)
+            tried += 1
+    assert exact.smith_form([]) == ((), ())
+    with pytest.raises(ValueError):
+        exact.smith_form([[2, 4], [1, 2]])

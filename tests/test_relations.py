@@ -14,7 +14,7 @@ from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
 from plumb.forest import PlumbingForest, forest_to_text, is_negative_definite
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import class_tables, k_square, same_spinc, two_node_tree
+from oracles import class_tables, k_square, same_spinc, spinc_key, two_node_tree
 
 
 def star237():
@@ -172,7 +172,7 @@ def oracle_tables(ctx, max_u, expansion):
     uf, states = ustate_oracle(ctx, max_u, expansion)
     by_class = {}
     for a, k in states:
-        key = ctx.spinc_key(k)
+        key = spinc_key(ctx, k)
         deg = degree_of(ctx, a, k)
         root = uf.find((a, k))
         by_class.setdefault(key, {}).setdefault(deg, set()).add(root)
@@ -193,7 +193,7 @@ def test_truncated_matches_ustate_oracle_chains(weights):
     oracle = oracle_tables(ctx, max_u, expansion)
     assert len(tabs) == ctx.h1
     for tab in tabs:
-        counts = oracle[ctx.spinc_key(tab.rep)]
+        counts = oracle[spinc_key(ctx, tab.rep)]
         for j, row in enumerate(tab.rows):
             assert row.degree == tab.bottom + 2 * j
             assert row.count == counts[row.degree], (
@@ -207,7 +207,7 @@ def test_truncated_matches_ustate_oracle_star():
     tabs = relations.truncated_classes(ctx, max_u=max_u, expansion=expansion)
     oracle = oracle_tables(ctx, max_u, expansion)
     (tab,) = tabs
-    counts = oracle[ctx.spinc_key(tab.rep)]
+    counts = oracle[spinc_key(ctx, tab.rep)]
     for j, row in enumerate(tab.rows):
         assert row.count == counts[tab.bottom + 2 * j]
 
@@ -340,7 +340,7 @@ def test_row_counts_match_union_find_oracle():
             rhs = 8 * max_u * ctx.h1 - min(q_max)
             lo, hi = relations._shell_bounds(ctx, expansion, rhs)
             states, q = relations._np_shell_enum(ctx, rhs, lo, hi, ctx.budget)
-            cls = ctx.class_indices(ctx.spinc_keys(states))
+            cls = ctx.class_indices(states)
             assert len(tabs) == len(q_max)
             for ci, (tab, qm) in enumerate(zip(tabs, q_max)):
                 sel = cls == ci
