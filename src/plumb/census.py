@@ -445,7 +445,7 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     test (engine.laufer_rational_rows) says rational, or
     engine.RationalityDisagreementError names the graph; the box budget
     and the int64 guard are checked for every graph here and for every
-    AR candidate in engine.ar_status_rows."""
+    AR witness in engine.ar_status_rows."""
     tables = _shape_tables(task.edges, task.n)
     neighbors, weights = tables.neighbors, task.weights
     batch = BoxBatch(neighbors, weights, task.budget)

@@ -410,7 +410,7 @@ def cmd_invariants(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
     basics = engine.basic_vectors(ctx, rng=_rng(args))
-    verd = engine.verdicts(ctx, basics=basics, ar_bound=args.ar_bound)
+    verd = engine.verdicts(ctx, basics=basics)
     dinv = engine.d_invariants(ctx, basics=basics)
     summary = relations.hf_summary(
         ctx, max_u=args.max_u, expansion=args.expansion, d_inv=dinv
@@ -717,13 +717,11 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dot", action="store_true", help="DOT diagram output")
 
 
-def _add_knobs(p: argparse.ArgumentParser, ar: bool = False, hf: bool = False) -> None:
+def _add_knobs(p: argparse.ArgumentParser, hf: bool = False) -> None:
     p.add_argument("--budget", type=int, help="enumeration budget")
     p.add_argument(
         "--seed", type=int, help="step each path at a random eligible vertex"
     )
-    if ar:
-        p.add_argument("--ar-bound", type=int, help="weight-drop search bound")
     if hf:
         p.add_argument("--max-u", type=int, default=8, help="U-power window size")
         p.add_argument(
@@ -745,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="full invariant report")
     _add_graph_input(p)
-    _add_knobs(p, ar=True, hf=True)
+    _add_knobs(p, hf=True)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("basic", help="basic vectors per spin-c class")

@@ -28,9 +28,7 @@ from .lattice import (
     CharVector,
     QFormContext,
     _ArrayFields,
-    _box_sizes,
     _char_vectors,
-    _check_boxes,
 )
 
 
@@ -270,19 +268,31 @@ def laufer_rational_rows(neighbors, weights: np.ndarray) -> np.ndarray:
     return _laufer_close(adj, weights, weights + adj.sum(axis=1), fall=True) == 0
 
 
+def _skip_closures(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Laufer's test with one vertex's weight at -infinity, so that it
+    never steps, for every vertex of each graph of a batch on the one
+    shape that neighbors describes (one int64 weight row per graph): n
+    rows per graph in one _laufer_close call. Returns (passes, top), each
+    of shape (graphs, n): passes[i, v] when the run skipping v takes only
+    unit steps, and top[i, v], on a passing row, v's pairing p_v with
+    that run's closure."""
+    graphs, n = weights.shape
+    adj = _adjacency(neighbors)
+    rows = np.repeat(weights, n, axis=0)
+    pairing = rows + adj.sum(axis=1)
+    skip = np.tile(np.arange(n), graphs)
+    rise = _laufer_close(adj, rows, pairing, skip=skip, fall=True)
+    top = pairing[np.arange(len(skip)), skip]
+    return (rise == 0).reshape(graphs, n), top.reshape(graphs, n)
+
+
 def ar_vertex(ctx: QFormContext) -> int | None:
     """The first vertex v such that the graph turns rational once v's
     weight is lowered far enough, or None if there is none (the graph is
-    not almost-rational): Laufer's test with v's weight at -infinity, so
-    that v never steps, on one row per vertex.
-
-    Lowering a weight keeps a rational graph rational, so every vertex
-    ar_status can witness passes here."""
-    adj = _adjacency(ctx.neighbors)
-    weights = np.array(ctx.weights, dtype=np.int64)
-    start = np.tile(weights + adj.sum(axis=1), (ctx.n, 1))
-    rise = _laufer_close(adj, weights, start, skip=np.arange(ctx.n), fall=True)
-    hit = np.flatnonzero(rise == 0)
+    not almost-rational): _skip_closures of this one graph, the decider
+    ar_status_rows builds on."""
+    weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
+    hit = np.flatnonzero(_skip_closures(ctx.neighbors, weights)[0][0])
     return int(hit[0]) if len(hit) else None
 
 
@@ -367,8 +377,8 @@ def is_rational(ctx: QFormContext) -> bool:
 
 @dataclass(frozen=True)
 class ArStatus:
-    """Witness that the graph becomes rational after decreasing a single
-    weight (found), or the exhausted search bound (not found)."""
+    """The least single-weight decrease that makes the graph rational
+    (found), or none within bound = default_ar_bound (not found)."""
 
     found: bool
     vertex: str | None
@@ -381,60 +391,57 @@ def default_ar_bound(ctx: QFormContext) -> int:
 
 
 def ar_status_rows(
-    neighbors, weights: np.ndarray, bound: int | None = None, budget: int = DEFAULT_BUDGET
+    neighbors, weights: np.ndarray, budget: int = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
     """ar_status of a batch of negative-definite graphs on the one shape
     that neighbors describes, one int64 weight row per graph (n >= 1).
     Returns (vertex, delta): graph i turns rational once the weight of
-    vertex[i] drops by delta[i], the first such drop in (delta, vertex)
-    order, or vertex[i] = -1 (and delta[i] = 0) if no drop up to the bound
-    (by default, default_ar_bound of each graph) does.
+    vertex[i] drops by delta[i], the least such drop in (delta, vertex)
+    order, or vertex[i] = -1 (and delta[i] = 0) if no drop up to
+    default_ar_bound of the graph does.
 
-    Round delta lowers each weight of every graph still open by delta,
-    and laufer_rational_rows decides all these candidates at once; a
-    graph's witness is its first Laufer-rational candidate. Every
-    candidate tried, up to and including the witness, must fit the box
-    budget. The ones before a witness are Laufer-non-rational:
-    canonical_pair_rows certifies them, and is_rational checks the rest
-    one by one. A canonical-class count (canonical_counts_rows) confirms
-    each witness; a count that contradicts Laufer raises
+    Lowering a weight keeps a rational graph rational: lowering m_v by d
+    raises chi(Z) by d Z_v (Z_v - 1) / 2 >= 0 for every cycle Z, and
+    Artin's criterion asks chi(Z) >= 1 of every Z > 0. So the drops at v
+    that work are all d from a least one, d_v, on. They exist iff v
+    passes _skip_closures, and then d_v lies in [1, max(1, p_v)]:
+    - with v's weight lowered by d, Laufer's cycle pairs with E_v to its
+      pairing in the run skipping v, less d, as long as v has not
+      stepped; that pairing only rises (a step at u != v adds
+      E_u.E_v >= 0), up to p_v. For d >= p_v, v never steps, Laufer's
+      run is the skip run, and the graph is rational iff v passes.
+    - if some d works, so does every larger d'. Laufer's run at d' stays
+      below the fundamental cycle Z at d, which pairs non-positively
+      there too, so once d' >= m_v plus the sum of Z over v's neighbours,
+      v never steps, and the skip run is that rational run.
+
+    One bisection on [1, max(1, p_v)] then finds d_v for every passing
+    (graph, v) at once, each round one laufer_rational_rows call. Every
+    probe Laufer finds non-rational is certified by canonical_pair_rows,
+    and is_rational checks the rest one by one. A canonical-class count
+    (canonical_counts_rows, which checks the box budget) confirms each
+    reported witness; a count that contradicts Laufer raises
     RationalityDisagreementError, as in is_rational."""
     graphs, n = weights.shape
-    if bound is None:
-        bounds = n + np.abs(weights).sum(axis=1)
-    elif bound < 0:
-        raise ValueError("bound must be nonnegative")
-    else:
-        bounds = np.full(graphs, bound)
     vertex = np.full(graphs, -1, dtype=np.int64)
     delta = np.zeros(graphs, dtype=np.int64)
-    live = np.arange(graphs)
-    tried = []  # (graph, delta, vertex) of the candidates tried, per round
-    for d in range(1, int(bounds.max(initial=0)) + 1):
-        live = live[bounds[live] >= d]
-        if not len(live):
+    passes, top = _skip_closures(neighbors, weights)
+    graph, at = np.nonzero(passes)
+    lo = np.ones(len(graph), dtype=np.int64)
+    hi = np.maximum(top[graph, at], 1)
+    probes = [np.empty((0, n), dtype=np.int64)]  # the Laufer-non-rational ones
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if not len(open_):
             break
-        at = np.tile(np.arange(n), len(live))
-        candidates = np.repeat(weights[live], n, axis=0)
-        candidates[np.arange(len(at)), at] -= d
-        laufer = laufer_rational_rows(neighbors, candidates).reshape(len(live), n)
-        hit = laufer.any(axis=1)
-        last = np.where(hit, laufer.argmax(axis=1), n - 1)
-        upto = (np.arange(n) <= last[:, None]).ravel()
-        tried.append(np.stack([np.repeat(live, n), np.full(len(at), d), at], axis=1)[upto])
-        vertex[live[hit]] = last[hit]
-        delta[live[hit]] = d
-        live = live[~hit]
-    if not tried:
-        return vertex, delta
-    # in the per-graph order: graph, then delta, then vertex
-    tried = np.concatenate(tried)
-    graph, drop, at = tried[np.lexsort(tried.T[::-1])].T
-    rows = weights[graph]
-    rows[np.arange(len(rows)), at] -= drop
-    _check_boxes(_box_sizes(rows), budget)
-    witness = (vertex[graph] == at) & (delta[graph] == drop)
-    nonrational = rows[~witness]
+        mid = (lo[open_] + hi[open_]) // 2
+        rows = weights[graph[open_]]
+        rows[np.arange(len(open_)), at[open_]] -= mid
+        rational = laufer_rational_rows(neighbors, rows)
+        hi[open_[rational]] = mid[rational]
+        lo[open_[~rational]] = mid[~rational] + 1
+        probes.append(rows[~rational])
+    nonrational = np.concatenate(probes)
     certified = np.zeros(len(nonrational), dtype=bool)
     step = _BATCH_ROWS // 2  # canonical_pair_rows runs two rows per graph
     for start in range(0, len(nonrational), step):
@@ -446,25 +453,30 @@ def ar_status_rows(
         edges = tuple((a, b) for a, nbs in enumerate(neighbors) for b in nbs if a < b)
         for w in nonrational[~certified].tolist():
             is_rational(QFormContext(PlumbingForest(ids, tuple(w), edges), budget=budget))
-    for count in canonical_counts_rows(neighbors, rows[witness], budget).tolist():
+    # each graph's least (delta, vertex), if within its default_ar_bound
+    order = np.lexsort((at, lo, graph))
+    first = order[np.unique(graph[order], return_index=True)[1]]
+    first = first[lo[first] <= n + np.abs(weights[graph[first]]).sum(axis=1)]
+    vertex[graph[first]] = at[first]
+    delta[graph[first]] = lo[first]
+    witnesses = weights[graph[first]]
+    witnesses[np.arange(len(first)), at[first]] -= lo[first]
+    for count in canonical_counts_rows(neighbors, witnesses, budget).tolist():
         _check_count(count, True)
     return vertex, delta
 
 
-def ar_status(ctx: QFormContext, bound: int | None = None) -> ArStatus:
-    """Scan delta = 1..bound (then vertices in definition order) for a
-    single-weight decrease making the graph rational: ar_status_rows of
-    this one graph. The scan never stops early on failure, only on the
-    first success, so the reported delta is the smallest that works."""
-    if bound is None:
-        bound = default_ar_bound(ctx)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+def ar_status(ctx: QFormContext) -> ArStatus:
+    """The least single-weight decrease, in (delta, vertex) order with
+    vertices in definition order, that makes the graph rational, if its
+    delta is at most default_ar_bound: ar_status_rows of this one
+    graph."""
+    bound = default_ar_bound(ctx)
     if ctx.n == 0:
         # the empty graph is rational as it stands; decreasing nothing is moot
         return ArStatus(True, None, 0, bound)
     weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
-    vertex, delta = ar_status_rows(ctx.neighbors, weights, bound, ctx.budget)
+    vertex, delta = ar_status_rows(ctx.neighbors, weights, ctx.budget)
     if vertex[0] < 0:
         return ArStatus(False, None, None, bound)
     return ArStatus(True, ctx.forest.ids[int(vertex[0])], int(delta[0]), bound)
@@ -480,20 +492,18 @@ class Verdicts:
     spinc_count: int
 
 
-def verdicts(
-    ctx: QFormContext,
-    basics: BasicSet | None = None,
-    ar_bound: int | None = None,
-) -> Verdicts:
+def verdicts(ctx: QFormContext, basics: BasicSet | None = None) -> Verdicts:
     """L-space / rationality / almost-rationality verdicts.
 
     lspace holds iff the total basic count equals the spin^c count (one
-    basic vector per class); the verdict is certified when the AR scan
-    finds a witness, and otherwise stands at the combinatorial level only.
+    basic vector per class); the verdict is certified when ar_status
+    finds a single-weight drop that makes the graph rational (the graph
+    is almost-rational), and otherwise stands at the combinatorial level
+    only.
     """
     if basics is None:
         basics = basic_vectors(ctx)
-    ar = ar_status(ctx, bound=ar_bound)
+    ar = ar_status(ctx)
     return Verdicts(
         lspace=basics.total == ctx.h1,
         certified=ar.found,

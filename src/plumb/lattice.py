@@ -366,16 +366,6 @@ def _key_rows(keys: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
 
 
-def _box_sizes(weights: np.ndarray) -> np.ndarray:
-    """The box size, the product of |m_v|, of each weight row: in int64
-    when every product is below 2^61, else as exact ints (an object
-    array)."""
-    radices = np.abs(weights)
-    if np.log2(np.maximum(radices, 1)).sum(axis=1).max(initial=0) < 61:
-        return radices.prod(axis=1)
-    return radices.astype(object).prod(axis=1)
-
-
 def _check_boxes(sizes, budget: int, weights=None, rowsums=None, h1=None) -> None:
     """Raise EnumerationBudgetError at the first box, in row order, that
     holds more vectors than the budget or that the int64 guard refuses.

@@ -24,7 +24,8 @@ engine.canonical_counts_rows, which builds only that class's members,
 must agree with it.
 
 ar_status_loop is engine.ar_status as a loop over candidates, one
-is_rational each; the batched scan (engine.ar_status_rows) must agree.
+is_rational each; the batched decider (engine.ar_status_rows: a skip
+closure per vertex, then a bisection on the drop) must agree.
 
 two_node_tree is a graph that is not almost-rational, so the tests can
 reach the code kept for such graphs.
@@ -262,11 +263,11 @@ def canonical_counts_sweep(neighbors, weights):
     return counts
 
 
-def ar_status_loop(ctx, bound=None) -> ArStatus:
-    """Scan delta = 1..bound, then vertices in definition order, for the
-    first single-weight decrease that is_rational accepts."""
-    if bound is None:
-        bound = default_ar_bound(ctx)
+def ar_status_loop(ctx) -> ArStatus:
+    """Scan delta = 1..default_ar_bound, then vertices in definition
+    order, for the first single-weight decrease that is_rational
+    accepts."""
+    bound = default_ar_bound(ctx)
     if ctx.n == 0:
         return ArStatus(True, None, 0, bound)
     for delta in range(1, bound + 1):

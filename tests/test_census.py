@@ -450,11 +450,11 @@ def test_census_scan_builds_no_context_per_graph(monkeypatch):
 
 
 def test_census_scan_sends_uncertified_candidates_to_is_rational(monkeypatch):
-    """With a certificate that certifies nothing, every AR candidate tried
-    before a witness goes to is_rational, which alone builds a
-    QFormContext, one per candidate; the records stay the same. At
-    (6, -3) there are 12 such candidates (none at (4, -6): every witness
-    there is the first candidate)."""
+    """With a certificate that certifies nothing, every AR probe that
+    Laufer finds non-rational goes to is_rational, which alone builds a
+    QFormContext, one per probe; the records stay the same. At (6, -3)
+    the bisection makes 2 such probes, the weight rows (-3^5, -2) and
+    (-3^6) (none at (4, -6), where every probe is Laufer-rational)."""
     want = census.census_scan(6, -3)
     real = engine.canonical_pair_rows
 
@@ -473,7 +473,8 @@ def test_census_scan_sends_uncertified_candidates_to_is_rational(monkeypatch):
     monkeypatch.setattr(engine, "is_rational", counting)
     made = _counting_contexts(monkeypatch)
     assert census.census_scan(6, -3) == want
-    assert len(checked) == 12 and made == checked
+    assert checked == [(-3, -3, -3, -3, -3, -2), (-3, -3, -3, -3, -3, -3)]
+    assert made == checked
 
 
 def test_census_scan_raises_on_a_count_that_contradicts_laufer(monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -174,6 +175,14 @@ def test_invariants_e8_json(capsys, e8_file):
     assert obj["d"] == [{"class": [0] * 8, "d": ["2", "1"], "dual": ["-2", "1"]}]
     assert obj["hf"]["reduced_rank"] == 0
     assert obj["hf"]["converged"] is True
+
+
+def test_invariants_certifies_every_almost_rational_graph(capsys):
+    """The AR certificate has no search bound of its own: the chain
+    (-5, -3, -1, -4), whose tables take the tau path, is certified."""
+    code, out, err = run(capsys, "invariants", "--chain=-5,-3,-1,-4")
+    assert code == 0, err
+    assert "L-space: yes, certified (drop weight of v1 by 1)" in out
 
 
 def test_invariants_star_json(capsys, star_file):
@@ -623,7 +632,6 @@ def test_verify_classification_reports_laufer_disagreement(capsys, monkeypatch):
 BAD_ARGUMENTS = [
     (("hf", "--chain=-2,-3", "--expansion", "-5"), 2),
     (("hf", "--chain=-2,-3", "--max-u", "-1"), 2),
-    (("invariants", "--chain=-2,-3", "--ar-bound", "-3"), 2),
     (("verify-classification", "--max-vertices", "13", "--min-weight", "-2"), 3),
     (("verify-classification", "--max-vertices", "6", "--min-weight", "0"), 2),
     (("verify-classification", "--max-vertices", "0", "--min-weight", "-3"), 2),
@@ -641,6 +649,28 @@ def test_bad_arguments_exit_code(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected, err
     assert "Traceback" not in err
+
+
+def test_readme_names_every_flag_the_parser_accepts():
+    """Every optional flag of every subcommand is named in README.md, and
+    every flag of README's "Common flags" list is accepted by some
+    subcommand, so neither can drift from the other."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {f for a in p._actions for f in a.option_strings if f.startswith("--")}
+        - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    accepted = set().union(*flags.values())
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
+    for name, own in flags.items():
+        assert own <= named, (name, own - named)
+    common = readme.split("Common flags:", 1)[1].split("\n\n", 2)[1]
+    listed = set(re.findall(r"--[a-z][a-z0-9-]*", common))
+    assert {"--json", "--budget", "--out"} <= listed
+    assert listed <= accepted, listed - accepted
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

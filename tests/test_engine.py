@@ -310,12 +310,57 @@ def test_ar_vertex_found_whenever_ar_status_finds():
                 assert engine.ar_vertex(ctx) is not None, g.weights
 
 
+def _ar_forests():
+    """Forests of two components for the AR decider: a rational component
+    beside a non-rational one, and two non-rational ones."""
+    s237, a2 = star_forest(-1, [-2, -3, -7]), chain_forest([-2, -2])
+    return [_disjoint(e8_forest(), s237), _disjoint(a2, s237), _disjoint(s237, s237)]
+
+
+def test_verdicts_certified_iff_ar_vertex():
+    """verdicts certifies exactly the graphs ar_vertex calls almost-
+    rational: every tree with n <= 6 and weights >= -4, the two-node tree
+    and the forests. The chain (-5, -3, -1, -4) takes the tau path in
+    hf_summary and is certified as well."""
+    graphs = [g for n in range(1, 7) for g in census.enumerate_weighted(n, -4)]
+    assert len(graphs) == 6_235
+    for g in graphs + [two_node_tree()] + _ar_forests():
+        ctx = QFormContext(g)
+        assert engine.verdicts(ctx).certified == (engine.ar_vertex(ctx) is not None), g
+    ctx = QFormContext(chain_forest([-5, -3, -1, -4]))
+    assert engine.verdicts(ctx).certified and engine.ar_vertex(ctx) is not None
+
+
+def test_least_drop_lies_in_the_bisection_range():
+    """The two facts the bisection of ar_status_rows rests on, held to
+    the scalar Laufer test on every tree with n <= 5 and weights >= -5:
+    for each vertex v that passes the skip closure, with closure pairing
+    p_v, the graph is rational once v's weight drops by max(1, p_v), and
+    once rational stays rational as the drop rises over 1..max(1, p_v) + 1."""
+    passing = 0
+    for n in range(1, 6):
+        for g in census.enumerate_weighted(n, -5):
+            passes, top = engine._skip_closures(g.neighbors(), np.array([g.weights]))
+            for v in np.flatnonzero(passes[0]).tolist():
+                hi = max(1, int(top[0, v]))
+                rational = [
+                    laufer_rational_scalar(
+                        QFormContext(g.with_weight(v, g.weights[v] - d))
+                    )
+                    for d in range(1, hi + 2)
+                ]
+                assert rational[hi - 1], (g, v)
+                assert rational == sorted(rational), (g, v)
+                passing += 1
+    assert passing > 5_000
+
+
 def test_ar_status_rows_match_the_candidate_loop():
-    """The batched AR scan, run on each shape's distinct graphs together,
-    gives the witness of the per-candidate loop (oracles.ar_status_loop)
-    on every tree with n <= 5 and weights >= -4, on the two-node tree (no
-    witness) and on forests of two components; ar_status is its one-row
-    call."""
+    """The batched AR decider, run on each shape's distinct graphs
+    together, gives the witness of the per-candidate loop
+    (oracles.ar_status_loop) on every tree with n <= 5 and weights >= -4,
+    on the two-node tree (no witness) and on forests of two components;
+    ar_status is its one-row call."""
     found = missing = 0
     for n in range(1, 6):
         for edges in census.enumerate_trees(n):
@@ -333,26 +378,39 @@ def test_ar_status_rows_match_the_candidate_loop():
                     assert (ctx.forest.ids[v], d) == (want.vertex, want.delta)
                     found += 1
     assert found > 1000 and missing == 0
-    s237, a2 = star_forest(-1, [-2, -3, -7]), chain_forest([-2, -2])
-    forests = [_disjoint(e8_forest(), s237), _disjoint(a2, s237), _disjoint(s237, s237)]
-    for g in [two_node_tree()] + forests:
+    for g in [two_node_tree()] + _ar_forests():
         ctx = QFormContext(g)
         assert engine.ar_status(ctx) == ar_status_loop(ctx), g
-    for bound in (0, 1, 3):
-        ctx = QFormContext(star_forest(-1, [-2, -3, -7]))
-        assert engine.ar_status(ctx, bound) == ar_status_loop(ctx, bound)
 
 
-def test_ar_status_rows_checks_each_candidate_budget():
-    """Every candidate tried must fit the budget, not only a witness: the
-    two-node tree (box 2,592) has none, so all its 9 * 31 candidates are
-    tried, the largest holding 2,592 * 33 / 2 = 42,768 vectors."""
-    g = two_node_tree()
+def test_ar_status_rows_checks_the_witness_budget(monkeypatch):
+    """The box budget is charged on the witness, whose canonical class is
+    counted: the star with centre -2 and leaves -4, -3, -3, -2, -2 (box
+    288) turns rational once its centre drops by 2, to a box of 576. The
+    two-node tree has no witness, so it passes any budget and builds no
+    box."""
+    g = PlumbingForest(
+        tuple(f"v{i}" for i in range(6)),
+        (-2, -4, -3, -3, -2, -2),
+        tuple((0, i) for i in range(1, 6)),
+    )
     rows = np.array([g.weights], dtype=np.int64)
     nb = g.neighbors()
-    assert engine.ar_status_rows(nb, rows, budget=42_768)[0].tolist() == [-1]
-    with pytest.raises(EnumerationBudgetError, match="box holds 42768 vectors"):
-        engine.ar_status_rows(nb, rows, budget=42_767)
+    assert [a.tolist() for a in engine.ar_status_rows(nb, rows, budget=576)] == [[0], [2]]
+    with pytest.raises(EnumerationBudgetError, match="box holds 576 vectors"):
+        engine.ar_status_rows(nb, rows, budget=575)
+    built = []
+    real = engine.BoxBatch
+
+    def recording(neighbors, weights, budget):
+        built.append(len(weights))
+        return real(neighbors, weights, budget)
+
+    monkeypatch.setattr(engine, "BoxBatch", recording)
+    g = two_node_tree()
+    rows = np.array([g.weights], dtype=np.int64)
+    assert engine.ar_status_rows(g.neighbors(), rows, budget=0)[0].tolist() == [-1]
+    assert sum(built) == 0
 
 
 def test_ar_vertex_none_on_two_node_tree():
@@ -455,16 +513,6 @@ def test_ar_status_star_finds_center():
     st = engine.ar_status(star237())
     assert st.found
     assert st.vertex == "c" or st.delta >= 1
-
-
-def test_ar_status_bound_exhaustion_is_a_value():
-    ctx = QFormContext(chain_forest([-2]))
-    # impossible bound of 0 iterations: the scan finds nothing
-    st = engine.ar_status(ctx, bound=0)
-    assert not st.found
-    assert st.bound == 0
-    with pytest.raises(ValueError, match="bound must be nonnegative"):
-        engine.ar_status(ctx, bound=-3)
 
 
 def test_verdicts_e8():
