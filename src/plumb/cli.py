@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -100,7 +100,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 class _Slot:
-    """The place of one integer in the prototype of a _Fill."""
+    """The place of one integer in the prototype of a _Table's items."""
 
     def __init__(self, text: str):
         self.text = text
@@ -110,21 +110,22 @@ _INT = _Slot("\0")  # the integer, as a JSON number
 _STR = _Slot('"\0"')  # the integer's decimal digits, as a JSON string
 
 
-class _Fill:
-    """A JSON value shaped like proto, whose _Slots take values in text
-    order: a tuple of ints, or an int64 array when there are more than
-    _FILL_CHUNK. The writer renders proto once per indent, as a
-    %-template; a fill of more than _FILL_CHUNK values is written a
-    chunk at a time."""
+class _Table:
+    """A JSON list of items filled in from integers. runs holds (proto,
+    count) pairs in order: count items shaped like proto, whose _Slots
+    take values in text order. values(lo, hi) gives the int64 values at
+    flat positions lo..hi-1 of all the items laid end to end. The writer
+    renders each proto once per indent and writes the items a chunk of at
+    most _FILL_CHUNK values at a time (_write_table)."""
 
-    __slots__ = ("proto", "values")
+    __slots__ = ("runs", "values")
 
-    def __init__(self, proto, values: tuple):
-        self.proto = proto
+    def __init__(self, runs, values):
+        self.runs = runs
         self.values = values
 
 
-# a _Fill of more values than this is written in chunks of about as many
+# values per chunk of a table (_write_table)
 _FILL_CHUNK = 2**14
 
 
@@ -158,36 +159,103 @@ def _fill_pieces(proto, pad: str, templates: dict):
         yield _template(text), text.count("\0")
 
 
-def _write_long_fill(fill: _Fill, pad: str, templates: dict, write) -> None:
-    """Write a _Fill a chunk at a time: the pieces of its template
-    (_fill_pieces) are joined until they hold _FILL_CHUNK slots, and
-    filled from the next values, so that no string holds the whole."""
-    values = np.asarray(fill.values)
-    pieces, slots, at = [], 0, 0
-    for piece, count in _fill_pieces(fill.proto, pad, templates):
+def _write_long_fill(proto, pad: str, templates: dict, write, values, at: int) -> int:
+    """Write one item shaped like proto, its values from flat position at
+    on, a chunk at a time: the pieces of its template (_fill_pieces) are
+    joined until they hold _FILL_CHUNK slots, and filled from the next
+    values, so that no string holds the whole item. Returns the position
+    past its values."""
+    pieces, slots = [], 0
+    for piece, count in _fill_pieces(proto, pad, templates):
         pieces.append(piece)
         slots += count
         if slots >= _FILL_CHUNK:
-            write("".join(pieces) % tuple(values[at:at + slots].tolist()))
+            write("".join(pieces) % tuple(values(at, at + slots).tolist()))
             pieces, at, slots = [], at + slots, 0
-    write("".join(pieces) % tuple(values[at:at + slots].tolist()))
+    write("".join(pieces) % tuple(values(at, at + slots).tolist()))
+    return at + slots
+
+
+def _item_template(proto, pad: str, templates: dict):
+    """(template, ends) of one list item shaped like proto at the indent
+    pad: its %-template, the separator "," first, and ends[i] the position
+    just past slot i's %d in it; None for an item of more than _FILL_CHUNK
+    values, which is rendered only that far. Kept in templates by
+    (prototype, indent)."""
+    key = (id(proto), pad)
+    if key not in templates:
+        pieces, slots = ["," + pad], 0
+        for piece, count in _fill_pieces(proto, pad, templates):
+            pieces.append(piece)
+            slots += count
+            if slots > _FILL_CHUNK:
+                templates[key] = None
+                break
+        else:
+            text = "".join(pieces)
+            # every % of a template starts a %% or a %d
+            templates[key] = text, [m.end() for m in re.finditer("%.", text) if m[0] == "%d"]
+    return templates[key]
+
+
+def _write_run(template: str, ends: list, count: int, head: str, values, at: int, write) -> int:
+    """Write count items of a template of _item_template, the first with
+    the separator head, their values from flat position at on, a chunk of
+    _FILL_CHUNK values at a time. A chunk may end inside an item: its
+    template is the slice of the item template, repeated, from just past
+    the %d of the value before its first one to just past its last %d,
+    and the last chunk takes the last item's tail too. Returns the
+    position past their values."""
+    size, slots = len(template), len(ends)
+    total = count * slots
+
+    def cut(x: int) -> int:  # where the text of the run's value x begins
+        item, slot = divmod(x - 1, slots)
+        return item * size + ends[slot]
+
+    # a run of items with no slot is one chunk
+    for lo in range(0, total or 1, _FILL_CHUNK):
+        hi = min(lo + _FILL_CHUNK, total)
+        start = cut(lo) if lo else 0
+        stop = cut(hi) if hi < total else count * size
+        first = start // size
+        text = (template * (-(-stop // size) - first))[start - first * size:stop - first * size]
+        if not lo:
+            text = head + text[1:]
+        write(text % tuple(values(at + lo, at + hi).tolist()))
+    return at + total
+
+
+def _write_table(table: _Table, pad: str, templates: dict, write) -> None:
+    """Write a _Table as the JSON list of its items, run by run
+    (_write_run). An item of more than _FILL_CHUNK values is written
+    alone, a chunk of its pieces at a time (_write_long_fill)."""
+    inner = pad + "  "
+    head, at = "[", 0
+    for proto, count in table.runs:
+        if not count:
+            continue
+        item = _item_template(proto, inner, templates)
+        if item is None:
+            for _ in range(count):
+                write(head + inner)
+                head = ","
+                at = _write_long_fill(proto, inner, templates, write, table.values, at)
+        else:
+            at = _write_run(*item, count, head, table.values, at, write)
+        head = ","
+    write(pad + "]" if head == "," else "[]")
 
 
 def _write_json(obj, pad: str, templates: dict, write) -> None:
     """Write obj as json.dumps(obj, sort_keys=True, indent=2) writes it,
     at the indent pad (a newline and two spaces a level), through write,
     each item of a dict or list as soon as it is rendered: memory grows
-    with the largest list item, not with the document, and a _Fill's
-    values past _FILL_CHUNK are written in chunks. templates holds each
-    small _Fill prototype's %-template by (prototype, indent)."""
-    if type(obj) is _Fill and len(obj.values) > _FILL_CHUNK:
-        _write_long_fill(obj, pad, templates, write)
-    elif type(obj) is _Fill:
-        key = (id(obj.proto), pad)
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _template(_json(obj.proto, pad, templates))
-        write(template % obj.values)
+    with the largest list item, not with the document, and a _Table is
+    written a chunk of at most _FILL_CHUNK values at a time. templates
+    holds each _Table prototype's item template by (prototype, indent)."""
+    if type(obj) is _Table:
+        _write_table(obj, pad, templates, write)
     elif obj is None:
         write("null")
     elif obj is True:
@@ -210,10 +278,6 @@ def _write_json(obj, pad: str, templates: dict, write) -> None:
         # a prototype's rows are one object repeated: render it once
         inner, last, text = pad + "  ", object(), ""
         for i, x in enumerate(obj):
-            if type(x) is _Fill and len(x.values) > _FILL_CHUNK:
-                write(f"{',' if i else '['}{inner}")
-                _write_long_fill(x, inner, templates, write)
-                continue
             if x is not last:
                 last, text = x, _json(x, inner, templates)
             write(f"{',' if i else '['}{inner}{text}")
@@ -330,24 +394,35 @@ def _class_vectors(basics) -> list[list]:
     return [vectors[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
+def _runs(keys: np.ndarray):
+    """(key, start, stop) of each run of equal values of keys."""
+    cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+    return [(keys[a].item(), a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def _basic_obj(basics) -> dict:
+    """The basic vectors as a _Table: a run per run of classes with one
+    basic count, each class's values its representative and then its
+    basic vectors, laid out in one int64 array."""
     n = basics.reps.shape[1]
-    protos, classes = {}, []
-    for rep, vecs in zip(basics.reps.tolist(), _class_vectors(basics)):
-        count = len(vecs)
-        proto = protos.get(count)
-        if proto is None:
-            proto = protos[count] = {
-                "class": [_INT] * n,
-                "count": count,
-                "vectors": [[_INT] * n] * count,
-            }
-        classes.append(_Fill(proto, (*rep, *itertools.chain.from_iterable(vecs))))
+    protos, runs = {}, []
+    for count, start, stop in _runs(basics.counts):
+        if count not in protos:
+            protos[count] = {"class": [_INT] * n, "count": count, "vectors": [[_INT] * n] * count}
+        runs.append((protos[count], stop - start))
+    # class i's representative comes after i representatives and the
+    # basic vectors of the classes before it, and its own follow it
+    at = np.arange(len(basics.counts)) + np.cumsum(basics.counts) - basics.counts
+    rep = np.zeros(len(at) + basics.total, dtype=bool)
+    rep[at] = True
+    table = np.empty((len(rep), n), dtype=np.int64)
+    table[rep], table[~rep] = basics.reps, basics.rows
+    flat = table.ravel()
     return {
         "box": basics.box_size,
         "overflowed": basics.overflow_count,
         "total": basics.total,
-        "classes": classes,
+        "classes": _Table(runs, lambda lo, hi: flat[lo:hi]),
     }
 
 
@@ -367,42 +442,54 @@ def _verdict_obj(verd) -> dict:
     }
 
 
-def _d_obj(dinv) -> list:
+def _d_obj(dinv) -> _Table:
     num, den = _lowest_terms(dinv.numerators, dinv.denominator)
     proto = {"class": [_INT] * dinv.reps.shape[1], "d": [_STR, _STR], "dual": [_STR, _STR]}
-    values = np.column_stack([dinv.reps, num, den, -num, den]).tolist()
-    return [_Fill(proto, tuple(v)) for v in values]
+    flat = np.column_stack([dinv.reps, num, den, -num, den]).ravel()
+    return _Table([(proto, len(num))], lambda lo, hi: flat[lo:hi])
 
 
 def _hf_obj(summary) -> dict:
-    h1, n = summary.reps.shape
-    width = summary.max_u + 1
-    bottom = _lowest_terms(summary.bottoms, summary.denominator)
-    rows = np.stack(
-        [*_lowest_terms(summary.degrees, summary.denominator), summary.counts], axis=2
+    """The graded tables, "classes" as a _Table with a run per run of
+    classes with one converged flag. Its values are read off summary's
+    arrays a chunk at a time, so a wide class is never held whole. A
+    row's degree (bottom + 2j * den) / den has the lowest terms of its
+    class's bottom / den, scaled: gcd(bottom + 2j * den, den) =
+    gcd(bottom, den)."""
+    n = summary.reps.shape[1]
+    # each class's values: bottom, class, reduced rank, then its rows
+    head = np.column_stack(
+        [*_lowest_terms(summary.bottoms, summary.denominator), summary.reps, summary.reduced_ranks]
     )
-    values = np.column_stack(
-        [*bottom, summary.reps, summary.reduced_ranks, rows.reshape(h1, 3 * width)]
-    )
-    # a class of more values than a chunk stays an int64 row
-    values = values if values.shape[1] > _FILL_CHUNK else map(tuple, values.tolist())
+    lead, slots = n + 3, n + 3 + 3 * (summary.max_u + 1)
+
+    def values(lo, hi):
+        cls, col = np.divmod(np.arange(lo, hi), slots)
+        out = np.empty(hi - lo, dtype=np.int64)
+        top = col < lead
+        out[top] = head[cls[top], col[top]]
+        cls, (row, part) = cls[~top], np.divmod(col[~top] - lead, 3)
+        num, den = head[cls, 0], head[cls, 1]
+        out[~top] = np.choose(part, [num + 2 * den * row, den, summary.counts[cls, row]])
+        return out
+
     protos = {
         converged: {
             "bottom": [_STR, _STR],
             "class": [_INT] * n,
             "converged": converged,
             "reduced_rank": _INT,
-            "rows": [[[_STR, _STR], _INT]] * width,
+            "rows": [[[_STR, _STR], _INT]] * (summary.max_u + 1),
         }
         for converged in (False, True)
     }
-    converged = (summary.counts[:, -1] == 1).tolist()
+    runs = [(protos[c], stop - start) for c, start, stop in _runs(summary.counts[:, -1] == 1)]
     return {
         "max_u": summary.max_u,
         "expansion": summary.expansion,
         "converged": summary.converged,
         "reduced_rank": summary.reduced_total,
-        "classes": [_Fill(protos[c], v) for c, v in zip(converged, values)],
+        "classes": _Table(runs, values),
     }
 
 

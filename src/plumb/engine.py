@@ -183,18 +183,21 @@ def _basic_rows(block: np.ndarray, weights, neighbors, rng=None) -> np.ndarray:
 def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> BasicSet:
     """Classify every box vector's run and group the basic ones by class.
 
-    The box is swept block by block (QFormContext.box_blocks). The result
-    does not depend on the choice of eligible vertex; passing an rng (a
-    uniformly random eligible vertex per row and step) only exercises
-    that property."""
+    One sweep of the box (QFormContext.box_sweep) gives each block's
+    vectors and spin^c residues: the paths run on the block, the basic
+    rows keep their residues, and the finished sweep settles the class
+    table, so that class_reps does not sweep again. The result does not
+    depend on the choice of eligible vertex; passing an rng (a uniformly
+    random eligible vertex per row and step) only exercises that
+    property."""
+    rows, residues = [], []
+    for block, res in ctx.box_sweep():
+        basic = _basic_rows(block, ctx.weights, ctx.neighbors, rng)
+        rows.append(block[basic])
+        residues.append(res[basic])
     reps = ctx.class_reps
-    rows, classes = [], []
-    for block in ctx.box_blocks():
-        found = block[_basic_rows(block, ctx.weights, ctx.neighbors, rng)]
-        rows.append(found)
-        classes.append(ctx.class_indices(found))
     rows = np.concatenate(rows)
-    classes = np.concatenate(classes)
+    classes = ctx.classes_of(np.concatenate(residues))
     counts = np.bincount(classes, minlength=len(reps))
     if not counts.all():
         empty = tuple(reps[int(np.argmin(counts))].tolist())
@@ -365,8 +368,8 @@ def is_rational(ctx: QFormContext) -> bool:
     component), by the basic count of the whole canonical class
     (canonical_counts_rows, which builds only that class's box members).
     A count that contradicts Laufer raises RationalityDisagreementError.
-    The box budget is checked first."""
-    ctx.check_box_budget()
+    Only that count builds box rows, so only it checks the box budget
+    (canonical_counts_rows, through BoxBatch)."""
     weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
     laufer = bool(laufer_rational_rows(ctx.neighbors, weights)[0])
     if not laufer and canonical_pair_rows(ctx.neighbors, weights)[0][0]:

@@ -31,8 +31,8 @@ DEFAULT_BUDGET = 10_000_000
 # numpy paths run in int64 only while their magnitudes stay below this
 _INT64_GUARD = 2**62
 
-# rows per block of the box layer (box_blocks)
-_BLOCK = 2**16
+# rows per block of the box layer (box_sweep)
+_BLOCK = 2**14
 
 # rows per block of a batch of boxes (BoxBatch.blocks): small, so that a
 # census holds little at once
@@ -167,15 +167,18 @@ class QFormContext:
     def _adj_np(self) -> np.ndarray:
         return np.array(self.adjugate, dtype=np.int64).reshape(self.n, self.n)
 
-    def box_blocks(self):
-        """The box pairing vectors in lexicographic order (the order of
-        iter_box), as int64 arrays of at most _BLOCK rows.
+    def box_sweep(self):
+        """The box in lexicographic order (iter_box's), _BLOCK rows at a
+        time, as (block, residues): an int64 array of box vectors and the
+        spin^c residue (_residues) of each, both read off one _digits call.
+        A sweep run to its end also settles the class table behind
+        class_reps, so that class_reps never sweeps again.
 
         The budget and the int64 guard are checked here, before the first
         block is built: every box vector k has |k_v| <= |m_v|, which bounds
         adj(Q).k and k.adj(Q).k, and |H1| bounds the spin^c residues."""
         self._check_box_layer()
-        return self._blocks()
+        return self._sweep()
 
     def _check_box_layer(self) -> None:
         self.check_box_budget()
@@ -183,22 +186,41 @@ class QFormContext:
         weights = np.array(self.weights, dtype=object).reshape(1, self.n)
         _check_boxes([self.box_size], self.budget, weights, [rowsum], [self.h1])
 
-    def _positions(self):
-        """The box positions, _BLOCK at a time."""
+    def _sweep(self, early: bool = False):
+        """The blocks of box_sweep. Until the class table is settled, each
+        residue's first row and its position are noted as the blocks go,
+        and the table is settled at the end of the box, or with early once
+        every one of the |H1| residues has its row (no block is yielded
+        then)."""
+        settle = "_table" not in self.__dict__
+        first = np.full(self.h1 if settle else 0, self.box_size, dtype=np.int64)
+        reps = np.empty((len(first), self.n), dtype=np.int64)
+        found = 0
         for start in range(0, self.box_size, _BLOCK):
-            yield np.arange(start, min(start + _BLOCK, self.box_size))
+            block, residues = self._block(start)
+            if settle:
+                new = _first_rows(first, residues, start)
+                reps[residues[new]] = block.take(new, axis=0)
+                found += len(new)
+                if early and found == self.h1:
+                    break
+            yield block, residues
+        if settle:
+            self.__dict__.setdefault("_table", self._class_table(first, reps))
 
-    def _blocks(self):
-        for flat in self._positions():
-            yield self._box_rows(flat)
+    def _block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The box vectors from position start on, at most _BLOCK of them,
+        and their spin^c residues: the vector at position i is m + 2 + 2j,
+        j the digits of i (_digits), and its residue is j's."""
+        j = _digits(self._weights_np, np.arange(start, min(start + _BLOCK, self.box_size)))
+        residues = _residues(j, *self._residue_map)
+        j *= 2
+        j += self._weights_np + 2
+        return j, residues
 
     @cached_property
     def _weights_np(self) -> np.ndarray:
         return np.array(self.weights, dtype=np.int64).reshape(1, self.n)
-
-    def _box_rows(self, flat: np.ndarray) -> np.ndarray:
-        """The box vectors at the given positions of the lexicographic order."""
-        return _box_vectors(self._weights_np, flat)
 
     def k_square_numerators(self, block: np.ndarray) -> np.ndarray:
         """|det| * K^2 = sign(det) * k.adj(Q).k of every row of a block."""
@@ -212,31 +234,30 @@ class QFormContext:
         maps = _residue_maps(q, self._adj_np.reshape(1, self.n, self.n), np.array([self.h1]))
         return tuple(a[0] for a in maps)
 
-    @cached_property
+    @property
     def _classes(self):
-        """The box sweep behind class_reps and class_indices():
-        (representative rows, class index of each spin^c residue).
+        """The class table behind class_reps and class_indices(), from a
+        sweep that stops once every residue has its first row, unless a
+        sweep has settled it."""
+        if "_table" not in self.__dict__:
+            self._check_box_layer()
+            for _ in self._sweep(early=True):
+                pass
+        return self.__dict__["_table"]
 
-        Each residue's first row in the box, in lexicographic order, is
-        its class's lexicographically least box vector; the sweep stops
-        once every one of the |H1| residues has its row. Classes are
-        numbered in the order of those rows. The box vector at position i
-        is m + 2 + 2j, j the digits of i (_digits), so the sweep reads the
-        residues off the digits."""
-        self._check_box_layer()
-        first = np.full(self.h1, self.box_size, dtype=np.int64)
-        found = 0
-        for flat in self._positions():
-            j = _digits(self._weights_np, flat)
-            found += _first_rows(first, _residues(j, *self._residue_map), int(flat[0]))
-            if found == self.h1:
-                break
+    def _class_table(self, first: np.ndarray, reps: np.ndarray):
+        """(representative rows, class index of each spin^c residue), from
+        first[r], the box position of residue r's first row (box_size for
+        a residue with none), and reps[r], that row. It is its class's
+        lexicographically least box vector, and classes are numbered in
+        the order of those rows."""
+        found = int(np.count_nonzero(first < self.box_size))
         if found != self.h1:
             raise AssertionError(f"found {found} spin^c classes, expected {self.h1}")
         order = np.argsort(first)
         index = np.empty(self.h1, dtype=np.int64)
         index[order] = np.arange(self.h1)
-        reps = self._box_rows(first[order])
+        reps = reps[order]
         reps.flags.writeable = False
         return reps, index
 
@@ -255,15 +276,19 @@ class QFormContext:
         are built on first read; class_reps holds the same rows."""
         return self._spinc_classes
 
+    def classes_of(self, residues: np.ndarray) -> np.ndarray:
+        """spinc_classes() index of each spin^c residue (box_sweep's)."""
+        return self._classes[1][residues]
+
     def class_indices(self, vectors: np.ndarray) -> np.ndarray:
         """spinc_classes() index of each row of an int64 array of pairing
-        vectors, read off its spin^c residue (_residues). Raises
-        ValueError on a row that is not characteristic."""
-        index = self._classes[1]
+        vectors, read off its spin^c residue (_residues): for vectors that
+        box_sweep did not give, such as shell states. Raises ValueError on
+        a row that is not characteristic."""
         half = vectors - self._weights_np - 2
         if (half & 1).any():
             raise ValueError("vector is not characteristic, so its class has no box representative")
-        return index[_residues(half >> 1, *self._residue_map)]
+        return self.classes_of(_residues(half >> 1, *self._residue_map))
 
     def class_index(self, k) -> int:
         """Index of k's spin^c class in the spinc_classes() ordering."""
@@ -346,14 +371,14 @@ def _residues(j: np.ndarray, u: np.ndarray, d: np.ndarray, stride: np.ndarray) -
     return out
 
 
-def _first_rows(first: np.ndarray, ids: np.ndarray, start: int) -> int:
+def _first_rows(first: np.ndarray, ids: np.ndarray, start: int) -> np.ndarray:
     """Lower first[id] to start + i, the position of row i of ids, for the
     first row i that holds each id: first starts at a position past every
-    row, and rows come in order. Returns how many ids these rows hold
+    row, and rows come in order. Returns the rows i that hold their ids
     first."""
     at = np.arange(start, start + len(ids))
     np.minimum.at(first, ids, at)
-    return int(np.count_nonzero(first[ids] == at))
+    return np.flatnonzero(first[ids] == at)
 
 
 def _key_rows(keys: np.ndarray) -> np.ndarray:
@@ -480,7 +505,7 @@ class BoxBatch:
     subtree recursion (forest._det_negdef) and the adjugates from one
     fraction-free elimination (_adjugates), each in int64 where a bound
     proves int64 exact and in exact ints past it; then the budget and
-    the int64 guard of box_blocks for every graph, the first graph at
+    the int64 guard of box_sweep for every graph, the first graph at
     fault raising (_check_boxes). A graph whose form is not negative
     definite raises NotNegativeDefiniteError."""
 

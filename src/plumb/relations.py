@@ -364,13 +364,15 @@ def _np_shell_enum(ctx, rhs, lo, hi, budget):
 
 def _class_qmax(ctx) -> np.ndarray:
     """Box sweep: the exact maximum of q = K^2 * |det| over the box, per
-    class (in class_reps order). The class-wide maximum of K^2 is
-    attained inside the box."""
+    class (in class_reps order), taken per spin^c residue and then put in
+    class order. The class-wide maximum of K^2 is attained inside the
+    box."""
     q_max = np.full(ctx.h1, np.iinfo(np.int64).min, dtype=np.int64)
-    for block in ctx.box_blocks():
-        classes = ctx.class_indices(block)
-        np.maximum.at(q_max, classes, ctx.k_square_numerators(block))
-    return q_max
+    for block, residues in ctx.box_sweep():
+        np.maximum.at(q_max, residues, ctx.k_square_numerators(block))
+    by_class = np.empty_like(q_max)
+    by_class[ctx.classes_of(np.arange(ctx.h1))] = q_max
+    return by_class
 
 
 def _row_counts(ctx, states, cls, level, nclasses, max_u):

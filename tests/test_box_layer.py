@@ -1,4 +1,4 @@
-"""The block-wise box layer (QFormContext.box_blocks and the sweeps built
+"""The block-wise box layer (QFormContext.box_sweep and the sweeps built
 on it) against the scalar oracles iter_box, run_path, spinc_key and
 k_square. Blocks are shrunk to 7 rows so that block boundaries cut
 through spin^c classes."""
@@ -53,11 +53,13 @@ def test_box_blocks_match_iter_box(small_blocks):
     graphs = [chain_forest([-3, -2, -4]), e8_forest(), star_forest(-2, [-2, -3, -5])]
     for g in graphs + [parse_forest("")]:
         ctx = QFormContext(g)
-        blocks = list(ctx.box_blocks())
+        sweep = list(ctx.box_sweep())
+        blocks = [b for b, _ in sweep]
         assert all(len(b) <= 7 and b.dtype == np.int64 for b in blocks)
         got = [tuple(k) for k in np.concatenate(blocks).tolist()]
         assert got == list(ctx.iter_box())
         classes = np.concatenate([ctx.class_indices(b) for b in blocks]).tolist()
+        assert np.concatenate([ctx.classes_of(r) for _, r in sweep]).tolist() == classes
         reps = [tuple(rep) for rep in ctx.class_reps.tolist()]
         assert [spinc_key(ctx, reps[c]) for c in classes] == [spinc_key(ctx, k) for k in got]
 
@@ -86,7 +88,7 @@ def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
 
 
 def test_box_batch_checks_every_graph_before_any_block():
-    """The budget and the int64 guard of box_blocks hold for each graph of
+    """The budget and the int64 guard of box_sweep hold for each graph of
     a batch; the first graph at fault raises."""
     nb = chain_forest([-2, -2]).neighbors()
     weights = np.array([[-2, -2], [-30, -2], [-40, -40]], dtype=np.int64)
@@ -104,8 +106,8 @@ def test_residue_guard_raises_before_any_class(monkeypatch):
     in a BoxBatch (whose set-up passes) before any class id."""
     ctx = QFormContext(chain_forest([-2**11, -2**10, -2**11]), budget=2**32)
     built = []
-    monkeypatch.setattr(QFormContext, "_blocks", lambda self: built.append(1))
-    for call in (ctx.box_blocks, ctx.spinc_classes):
+    monkeypatch.setattr(lattice, "_digits", lambda *args: built.append(1))
+    for call in (ctx.box_sweep, ctx.spinc_classes):
         with pytest.raises(EnumerationBudgetError, match="spin\\^c residues"):
             call()
     assert not built
@@ -346,8 +348,57 @@ def test_box_layer_int64_guard_raises_before_any_block(monkeypatch):
     is within budget, so only the guard stops a 2^31-vector sweep."""
     ctx = QFormContext(chain_forest([-(2**31 + 1)]), budget=2**32)
     built = []
-    monkeypatch.setattr(QFormContext, "_blocks", lambda self: built.append(1))
-    for call in (ctx.box_blocks, ctx.spinc_classes, lambda: engine.basic_vectors(ctx)):
+    monkeypatch.setattr(lattice, "_digits", lambda *args: built.append(1))
+    for call in (ctx.box_sweep, ctx.spinc_classes, lambda: engine.basic_vectors(ctx)):
         with pytest.raises(EnumerationBudgetError, match="box layer"):
             call()
     assert not built
+
+
+def test_basic_vectors_sweeps_the_box_once(monkeypatch, two_component_forests):
+    """On a fresh context, basic_vectors reads each block's vectors and
+    residues off one _digits call, and settles the class table as it
+    goes: class_reps then calls _digits no more. The classes and the
+    BasicSet match the oracle partition and the scalar path runner.
+    Blocks of 7 rows cut through the classes; covered: (-7)^4, the D4
+    star and a two-component forest."""
+    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    calls = []
+    real = lattice._digits
+
+    def counting(weights, index):
+        calls.append(len(index))
+        return real(weights, index)
+
+    monkeypatch.setattr(lattice, "_digits", counting)
+    forest = next(f for f in two_component_forests if QFormContext(f).box_size > 7)
+    for g in [chain_forest([-7] * 4), star_forest(-2, [-2, -2, -2]), forest]:
+        ctx = QFormContext(g)
+        calls.clear()
+        basics = engine.basic_vectors(ctx)
+        assert calls == [min(7, ctx.box_size - i) for i in range(0, ctx.box_size, 7)], g.weights
+        calls.clear()
+        reps = ctx.class_reps
+        assert calls == [], g.weights
+        rows, want_reps, index = oracle_partition(ctx)
+        assert reps.tolist() == want_reps.tolist(), g.weights
+        basic = np.array([engine.run_path(ctx, k).basic for k in rows.tolist()])
+        order = np.argsort(index[basic], kind="stable")
+        assert basics.rows.tolist() == rows[basic][order].tolist(), g.weights
+        assert basics.counts.tolist() == np.bincount(index[basic], minlength=ctx.h1).tolist()
+        assert basics.reps is reps
+
+
+def test_class_reps_alone_stops_early_and_a_later_sweep_keeps_it(monkeypatch):
+    """class_reps read alone stops its sweep once every residue has a row
+    (the D4 star's four classes lie in its first box rows); a later
+    box_sweep does not replace the table it settled."""
+    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    ctx = QFormContext(star_forest(-2, [-2, -2, -2]))
+    calls = []
+    real = lattice._digits
+    monkeypatch.setattr(lattice, "_digits", lambda w, i: calls.append(1) or real(w, i))
+    reps = ctx.class_reps
+    assert 0 < len(calls) < ctx.box_size // 7
+    basics = engine.basic_vectors(ctx)
+    assert ctx.class_reps is reps and basics.reps is reps

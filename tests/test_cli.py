@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -736,17 +738,37 @@ def slotted(obj, values):
     return [slotted(x, values) for x in obj]
 
 
+def table(runs, values):
+    """A cli._Table of the (proto, count) runs, its values from a list
+    of ints (held as exact ints, past int64 too)."""
+    return cli._Table(runs, lambda lo, hi: np.array(values[lo:hi], dtype=object))
+
+
+def filled(proto, values):
+    """proto with its slots filled from the iterator values: the JSON
+    value a table item shaped like proto stands for."""
+    if proto is cli._INT:
+        return next(values)
+    if proto is cli._STR:
+        return str(next(values))
+    if isinstance(proto, dict):
+        return {k: filled(proto[k], values) for k in sorted(proto)}
+    if isinstance(proto, list):
+        return [filled(x, values) for x in proto]
+    return proto
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(json_values)
 @example(AWKWARD)
 def test_json_writer_fills_match_json_dumps(obj):
-    """A _Fill, its prototype rendered once as a %-template, writes what
-    json.dumps writes for the filled-in value, at any depth."""
+    """A table item, its prototype rendered once as a %-template, writes
+    what json.dumps writes for the filled-in value, at any depth."""
     values = []
     proto = slotted(obj, values)
-    fill = cli._Fill(proto, tuple(values))
+    fill = table([(proto, 1)], values)
     nested = {"a": [fill, {"b": fill}]}
-    want = {"a": [obj, {"b": obj}]}
+    want = {"a": [[obj], {"b": [obj]}]}
     assert cli._json(nested, "\n", {}) == json.dumps(want, sort_keys=True, indent=2)
 
 
@@ -754,31 +776,85 @@ def test_json_writer_fills_match_json_dumps(obj):
 @given(json_values, st.integers(min_value=0, max_value=3))
 @example(AWKWARD, 0)
 def test_json_writer_long_fills_match_json_dumps(obj, chunk):
-    """A _Fill of more than _FILL_CHUNK values is written a chunk at a
-    time, each item of a prototype's list whole and a repeated item
+    """A table item of more than _FILL_CHUNK values is written a chunk at
+    a time, each item of a prototype's list whole and a repeated item
     rendered once; it writes what json.dumps writes."""
     values = []
     proto = slotted(obj, values)
     row = [[cli._STR, cli._STR], cli._INT]
     rows = [[[str(i), str(-i)], 2 * i] for i in range(5)]
-    head = tuple(x for i in range(5) for x in (i, -i, 2 * i))
-    fill = cli._Fill({"rows": [row] * 5, "x": proto}, head + tuple(values))
-    want = {"a": [{"rows": rows, "x": obj}]}
+    head = [x for i in range(5) for x in (i, -i, 2 * i)]
+    fill = table([({"rows": [row] * 5, "x": proto}, 1)], head + values)
+    want = {"a": [[{"rows": rows, "x": obj}]]}
     with mock.patch.object(cli, "_FILL_CHUNK", chunk):
         assert cli._json({"a": [fill]}, "\n", {}) == json.dumps(want, sort_keys=True, indent=2)
 
 
 def test_json_writer_bounds_a_long_fill_by_its_chunks(monkeypatch):
-    """A _Fill of 3,000 rows, cut into chunks of 30 values, is written in
-    pieces of about 10 rows, and the pieces make json.dumps' text."""
+    """A table item of 3,000 rows, cut into chunks of 30 values, is
+    written in pieces of about 10 rows, and the pieces make json.dumps'
+    text."""
     monkeypatch.setattr(cli, "_FILL_CHUNK", 30)
     row = [[cli._STR, cli._STR], cli._INT]
-    values = tuple(x for i in range(3000) for x in (i, 7, i))
+    values = [x for i in range(3000) for x in (i, 7, i)]
     pieces = []
-    cli._write_json(cli._Fill({"rows": [row] * 3000}, values), "\n", {}, pieces.append)
-    want = json.dumps({"rows": [[[str(i), "7"], i] for i in range(3000)]}, sort_keys=True, indent=2)
+    cli._write_json(table([({"rows": [row] * 3000}, 1)], values), "\n", {}, pieces.append)
+    want = json.dumps([{"rows": [[[str(i), "7"], i] for i in range(3000)]}], sort_keys=True, indent=2)
     assert "".join(pieces) == want
     assert max(map(len, pieces)) < len(want) / 100
+
+
+@st.composite
+def tables(draw):
+    """(runs, values, want): the runs and flat values of a table whose
+    prototypes come from JSON values (with empty runs, runs of items
+    with no slot, and runs wider than a small chunk), and the JSON list
+    it stands for."""
+    runs, values, want = [], [], []
+    for obj in draw(st.lists(json_values, max_size=4)):
+        ints = []
+        proto = slotted(obj, ints)
+        count = draw(st.integers(min_value=0, max_value=5))
+        size = count * len(ints)
+        fresh = draw(st.lists(st.integers(-(2**40), 2**40), min_size=size, max_size=size))
+        runs.append((proto, count))
+        values += fresh
+        it = iter(fresh)
+        want += [filled(proto, it) for _ in range(count)]
+    return runs, values, want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables(), st.integers(min_value=1, max_value=7))
+def test_json_writer_tables_match_json_dumps(drawn, chunk):
+    """A table of runs with different prototypes, cut into chunks of 1-7
+    values (so chunks end inside items and items can be wider than a
+    chunk), writes what json.dumps writes for its list of items, alone
+    and nested."""
+    runs, values, want = drawn
+    with mock.patch.object(cli, "_FILL_CHUNK", chunk):
+        assert cli._json(table(runs, values), "\n", {}) == json.dumps(want, sort_keys=True, indent=2)
+        nested = {"t": [table(runs, values), 1]}
+        assert cli._json(nested, "\n", {}) == json.dumps({"t": [want, 1]}, sort_keys=True, indent=2)
+
+
+def test_json_writer_writes_a_table_in_chunks(monkeypatch):
+    """A table of R rows of S slots, cut into chunks of _FILL_CHUNK
+    values, calls write at most ceil(R * S / _FILL_CHUNK) + (runs) + 1
+    times, and no piece holds more than a chunk of values."""
+    monkeypatch.setattr(cli, "_FILL_CHUNK", 7)
+    pair = [[cli._STR, cli._STR], cli._INT]
+    triple = {"k": [cli._INT, cli._INT], "v": cli._STR}
+    runs = [(pair, 100), (triple, 0), (triple, 50), (pair, 31)]
+    rows = sum(count for _, count in runs)
+    values = list(range(3 * rows))
+    pieces = []
+    cli._write_json(table(runs, values), "\n", {}, pieces.append)
+    it = iter(values)
+    want = [filled(proto, it) for proto, count in runs for _ in range(count)]
+    assert "".join(pieces) == json.dumps(want, sort_keys=True, indent=2)
+    assert len(pieces) <= -(-3 * rows // 7) + len(runs) + 1
+    assert max(len(re.findall(r"-?[0-9]+", p)) for p in pieces) <= 7
 
 
 # ------------------------------------------------- pinned output bytes
@@ -894,3 +970,78 @@ def test_invariants_json_builds_no_fraction_or_degree_row(capsys, monkeypatch):
     # the counters see the objects a library caller reads
     relations.hf_summary(relations.QFormContext(chain_forest([-2]))).classes
     assert made["Fraction"] > 0 and made["DegreeRow"] > 0
+
+
+ROUND_TRIP_GRAPHS = {
+    "(-7)^4": forest_to_text(chain_forest([-7] * 4)),
+    "D4": forest_to_text(star_forest(-2, [-2, -2, -2])),
+    # basic counts 2, 1, 1, ... and converged flags that change along
+    # the classes at max_u 2
+    "two_node_tree": forest_to_text(two_node_tree()),
+}
+
+
+@pytest.mark.parametrize("graph", list(ROUND_TRIP_GRAPHS))
+@pytest.mark.parametrize("command", ["basic", "dinv", "hf", "invariants"])
+def test_json_output_is_json_dumps_of_itself(capsys, monkeypatch, graph, command):
+    """Each --json table round-trips: stdout is json.dumps of what it
+    parses to."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(ROUND_TRIP_GRAPHS[graph]))
+    window = ["--max-u", "2"] if command in ("hf", "invariants") else []
+    code, out, err = run(capsys, command, "-", "--json", *window)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_round_trip_graphs_vary_counts_and_flags():
+    """The round-trip graphs cover runs of several prototypes: basic
+    counts that differ between classes and mixed converged flags."""
+    from plumb import engine
+    from plumb.lattice import QFormContext
+
+    ctx = QFormContext(two_node_tree())
+    counts = engine.basic_vectors(ctx).counts
+    flags = relations.hf_summary(ctx, max_u=2).counts[:, -1] == 1
+    assert len(cli._runs(counts)) > 1 and len(cli._runs(flags)) > 1
+
+
+def test_invariants_json_on_many_classes_is_fast(capsys):
+    """invariants --json on (-7)^4 (2,255 classes) runs in process in
+    under a second."""
+    run(capsys, "invariants", "--chain=-7,-7,-7,-7", "--json")  # imports warm
+    t = time.perf_counter()
+    code, out, _ = run(capsys, "invariants", "--chain=-7,-7,-7,-7", "--json")
+    assert code == 0 and len(json.loads(out)["hf"]["classes"]) == 2255
+    assert time.perf_counter() - t < 1.0
+
+
+def test_hf_json_holds_no_wide_class_whole(monkeypatch):
+    """hf --json of a class wider than a chunk reads the summary's arrays
+    a chunk at a time: rendering the tables of the (-2) chain at max_u
+    20,000 (two classes of 60,007 values), chunks of 1,024 values, peaks
+    below what one class's values take as an int64 array."""
+    from plumb import engine
+    from plumb.lattice import QFormContext
+
+    monkeypatch.setattr(cli, "_FILL_CHUNK", 2**10)
+    ctx = QFormContext(chain_forest([-2]))
+    summary = relations.hf_summary(ctx, max_u=20_000)
+    size = [0]
+
+    def count(text):
+        size[0] += len(text)
+
+    tracemalloc.start()
+    try:
+        cli._write_json(cli._hf_obj(summary), "\n", {}, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buf = io.StringIO()
+    monkeypatch.setattr("sys.stdout", buf)
+    cli._print_json(cli._hf_obj(summary))
+    assert size[0] + 1 == len(buf.getvalue())
+    top = Fraction(int(summary.bottoms[1]) + 2 * summary.denominator * 20_000, summary.denominator)
+    want = [[str(top.numerator), str(top.denominator)], int(summary.counts[1, -1])]
+    assert json.loads(buf.getvalue())["classes"][1]["rows"][20_000] == want
+    assert peak < 8 * 60_007, peak

@@ -696,3 +696,20 @@ def test_canonical_pair_rows_are_the_walks_first_members():
                 assert not ctx.in_box(pair[1])
                 alone += 1
     assert second and alone
+
+
+def test_is_rational_certifies_before_the_box_budget():
+    """A non-rational graph that the pair certifies needs no box: the
+    star (-1; -2, -3, -7), with a box of 42, is decided at a budget of 10.
+    A rational verdict is confirmed by the canonical count, whose box
+    still answers to the budget."""
+    assert not engine.is_rational(QFormContext(star_forest(-1, [-2, -3, -7]), budget=10))
+    # Sigma(2,3,95): centre -2, legs (-2), (-2, -2) and the chain of 95/79
+    weights = (-2, -2, -2, -2, -2, -2, -2, -2, -3) + (-2,) * 14
+    edges = ((0, 1), (0, 2), (2, 3), (0, 4)) + tuple((i, i + 1) for i in range(4, 22))
+    g = PlumbingForest(tuple(f"v{i}" for i in range(23)), weights, edges)
+    ctx = QFormContext(g)
+    assert ctx.h1 == 1 and ctx.box_size == 12_582_912 > ctx.budget
+    assert not engine.is_rational(ctx)
+    with pytest.raises(EnumerationBudgetError, match="box holds 256 vectors"):
+        engine.is_rational(QFormContext(e8_forest(), budget=10))

@@ -79,7 +79,7 @@ def test_budget_refuses_large_box():
     with pytest.raises(EnumerationBudgetError):
         list(ctx.iter_box())
     with pytest.raises(EnumerationBudgetError):
-        ctx.box_blocks()
+        ctx.box_sweep()
     with pytest.raises(EnumerationBudgetError):
         engine.is_rational(ctx)
 
