@@ -28,7 +28,6 @@ from .forest import (
     _shape_tables,
     _ShapeTables,
     canonical_code,
-    is_minimal,
 )
 from .lattice import (
     _INT64_GUARD,
@@ -38,7 +37,6 @@ from .lattice import (
     CharVector,
     QFormContext,
     _ArrayFields,
-    _first_rows,
     _key_rows,
 )
 
@@ -360,33 +358,6 @@ _RECORD_FILTERS = {
 FILTER_NAMES = tuple(sorted({**_COLUMN_FILTERS, **_RECORD_FILTERS}))
 
 
-def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusRecord:
-    """Full invariant record for one negative-definite forest, from its
-    QFormContext. census_scan decides whole batches of trees at once
-    (_classify_task) and must give the records this gives."""
-    ctx = QFormContext(forest, budget=budget)
-    basics = engine.basic_vectors(ctx)
-    verd = engine.verdicts(ctx, basics=basics)
-    dinv = engine.d_invariants(ctx, basics=basics)
-    # one common denominator: sorting the numerators sorts the d-invariants
-    d_numerators = np.sort(np.array(dinv.numerators, dtype=np.int64))
-    d_numerators.flags.writeable = False
-    return CensusRecord(
-        code=forest.code,
-        n=forest.n,
-        weights=forest.weights,
-        negdef=True,
-        det=ctx.det,
-        spinc=verd.spinc_count,
-        basic=verd.basic_total,
-        rational=verd.rational,
-        lspace=verd.lspace,
-        certified=verd.certified,
-        minimal=is_minimal(forest),
-        d_numerators=d_numerators,
-    )
-
-
 def schema_header() -> dict:
     return {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
 
@@ -433,49 +404,46 @@ def _census_tasks(edges, tables: _ShapeTables, rows: np.ndarray, budget: int) ->
 
 
 def _classify_task(task: _CensusTask) -> list[CensusRecord]:
-    """classify() of every graph of a task, in one sweep of their boxes
-    laid end to end (lattice.BoxBatch), a block of rows at a time. Each
-    block goes through engine._basic_rows with one weight row per box
-    row, and takes its class ids (BoxBatch.classes) and K^2 from each
-    row's own graph: ids are graph-major and each graph's canonical
-    class comes first, so one np.bincount counts every class's basic
-    vectors and one np.maximum.at takes its maximum K^2. The per-graph
-    checks hold: |H1| classes per graph, none without a basic vector,
-    and one basic vector in the canonical class exactly when Laufer's
-    test (engine.laufer_rational_rows) says rational, or
+    """The census record of every graph of a task, in one sweep of their
+    boxes laid end to end (lattice.BoxBatch.sweep), a block of rows at a
+    time. Each block goes through engine._basic_rows with one weight row
+    per box row, and takes its class ids and K^2 from each row's own
+    graph: ids are graph-major and each graph's canonical class comes
+    first, so one np.bincount counts every class's basic vectors and one
+    np.maximum.at takes its maximum K^2. The per-graph checks hold: |H1|
+    classes per graph (the sweep's), none without a basic vector, and
+    one basic vector in the canonical class exactly when Laufer's test
+    (engine.laufer_rational_rows) says rational, or
     engine.RationalityDisagreementError names the graph; the box budget
     and the int64 guard are checked for every graph here and for every
-    AR witness in engine.ar_status_rows."""
+    AR witness in engine.ar_status_rows. The records are those that
+    QFormContext, basic_vectors, verdicts and d_invariants give one
+    graph at a time."""
     tables = _shape_tables(task.edges, task.n)
     neighbors, weights = tables.neighbors, task.weights
     batch = BoxBatch(neighbors, weights, task.budget)
-    sign, rows = np.sign(batch.det), batch.offsets[-1]
-    first = np.full(batch.class_offsets[-1], rows, dtype=np.int64)
+    sign = np.sign(batch.det)
     basic_ids, basic_k2 = [], []
-    start = 0
-    for graph, block in batch.blocks():
-        ids = batch.classes(graph, block)
-        _first_rows(first, ids, start)
-        start += len(block)
+    sweep = batch.sweep()
+    while True:
+        try:
+            graph, block, ids = next(sweep)
+        except StopIteration as end:  # the sweep's first rows
+            rank, reps = end.value
+            break
         basic = engine._basic_rows(block, weights[graph], neighbors)
         basic_ids.append(ids[basic])
         graph, block = graph[basic], block[basic]
         pairings = batch.pairings(graph, block)
         basic_k2.append(sign[graph] * np.einsum("ij,ij->i", pairings, block))
-    owner = np.repeat(np.arange(len(weights)), batch.h1)
-    classes = np.bincount(owner[first < rows], minlength=len(weights))
-    wrong = np.flatnonzero(classes != batch.h1)
-    if len(wrong):
-        g = wrong[0]
-        raise AssertionError(f"found {classes[g]} spin^c classes, expected {batch.h1[g]}")
     members = np.concatenate(basic_ids)
-    counts = np.bincount(members, minlength=len(first))
+    counts = np.bincount(members, minlength=len(reps))
     if not counts.all():
-        _, (empty,) = batch.rows(first[np.argmin(counts), None])
-        rep = CharVector(tuple(empty.tolist()))
+        rep = CharVector(tuple(reps[rank[np.argmin(counts)]].tolist()))
         raise AssertionError(f"spin^c class of {rep} has no basic vector")
     # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
-    top = np.full(len(first), np.iinfo(np.int64).min)
+    owner = np.repeat(np.arange(len(weights)), batch.h1)
+    top = np.full(len(reps), np.iinfo(np.int64).min)
     np.maximum.at(top, members, np.concatenate(basic_k2))
     numerators = top + task.n * batch.h1[owner]
     canonical = batch.class_offsets[:-1]
@@ -494,7 +462,7 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     # the d-invariants
     numerators = numerators[np.lexsort((numerators, owner))]
     numerators.flags.writeable = False
-    per_graph = np.split(numerators, np.cumsum(classes)[:-1])
+    per_graph = np.split(numerators, canonical[1:])
     records = []
     for g, (w, h1, nums) in enumerate(zip(weights.tolist(), batch.h1.tolist(), per_graph)):
         records.append(
@@ -528,8 +496,9 @@ def census_scan(
     filters conjunctively; return records sorted by canonical code.
     Filters read off a weight column (zhs, minimal) drop graphs on the
     grid, before any is classified. Graphs whose characteristic-vector box
-    exceeds box_cap are omitted. The records are those of classify(),
-    but each shape's graphs are decided in tasks of many graphs
+    exceeds box_cap are omitted. The records are those that a
+    QFormContext, basic_vectors, verdicts and d_invariants give each
+    graph, but each shape's graphs are decided in tasks of many graphs
     (_classify_task).
     threads > 1 maps the tasks over a process pool (same records, same
     order) of at most min(threads, CPU count, tasks) workers. threads < 1,

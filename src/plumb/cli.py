@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -135,43 +136,49 @@ def _template(text: str) -> str:
 
 
 def _fill_pieces(proto, pad: str, templates: dict):
-    """The %-template of proto at the indent pad, as (piece, slot count)
-    pairs in text order: the keys and brackets of its dicts and lists,
-    and each list item whole. An item repeated in a row is rendered once
-    and yielded once per repeat."""
+    """The %-template of proto at the indent pad, as (piece, slot count,
+    repeat) triples in text order: the keys and brackets of its dicts and
+    lists, and each list item whole. A run of one item repeated in a row
+    is rendered once and yielded twice: its first item, then the rest
+    with their repeat count."""
     inner = pad + "  "
     if isinstance(proto, dict) and proto:
         for i, k in enumerate(sorted(proto)):
-            yield _template(f"{',' if i else '{'}{inner}{_encode_str(k)}: "), 0
+            yield _template(f"{',' if i else '{'}{inner}{_encode_str(k)}: "), 0, 1
             yield from _fill_pieces(proto[k], inner, templates)
-        yield pad + "}", 0
+        yield pad + "}", 0, 1
     elif isinstance(proto, (list, tuple)) and proto:
-        last = object()
-        for i, x in enumerate(proto):
-            if x is not last:
-                last, text = x, _json(x, inner, templates)
-                slots, text = text.count("\0"), _template(inner + text)
-                head, rest = "[" + text, "," + text
-            yield (rest if i else head), slots
-        yield pad + "]", 0
+        for i, (_, run) in enumerate(itertools.groupby(proto, key=id)):
+            x = next(run)
+            repeat = len(list(run))
+            text = _json(x, inner, templates)
+            slots, text = text.count("\0"), _template(inner + text)
+            yield ("," if i else "[") + text, slots, 1
+            if repeat:
+                yield "," + text, slots, repeat
+        yield pad + "]", 0, 1
     else:
         text = _json(proto, pad, templates)
-        yield _template(text), text.count("\0")
+        yield _template(text), text.count("\0"), 1
 
 
 def _write_long_fill(proto, pad: str, templates: dict, write, values, at: int) -> int:
     """Write one item shaped like proto, its values from flat position at
     on, a chunk at a time: the pieces of its template (_fill_pieces) are
-    joined until they hold _FILL_CHUNK slots, and filled from the next
-    values, so that no string holds the whole item. Returns the position
-    past its values."""
+    joined, a run of repeats as one piece * k, until they hold
+    _FILL_CHUNK slots, and filled from the next values, so that no string
+    holds the whole item. Returns the position past its values."""
     pieces, slots = [], 0
-    for piece, count in _fill_pieces(proto, pad, templates):
-        pieces.append(piece)
-        slots += count
-        if slots >= _FILL_CHUNK:
-            write("".join(pieces) % tuple(values(at, at + slots).tolist()))
-            pieces, at, slots = [], at + slots, 0
+    for piece, count, repeat in _fill_pieces(proto, pad, templates):
+        while repeat:
+            # the repeats that fill the chunk (at least one), or all of them
+            k = min(repeat, max(1, -(-(_FILL_CHUNK - slots) // count))) if count else repeat
+            pieces.append(piece * k)
+            slots += count * k
+            repeat -= k
+            if slots >= _FILL_CHUNK:
+                write("".join(pieces) % tuple(values(at, at + slots).tolist()))
+                pieces, at, slots = [], at + slots, 0
     write("".join(pieces) % tuple(values(at, at + slots).tolist()))
     return at + slots
 
@@ -185,12 +192,12 @@ def _item_template(proto, pad: str, templates: dict):
     key = (id(proto), pad)
     if key not in templates:
         pieces, slots = ["," + pad], 0
-        for piece, count in _fill_pieces(proto, pad, templates):
-            pieces.append(piece)
-            slots += count
+        for piece, count, repeat in _fill_pieces(proto, pad, templates):
+            slots += count * repeat
             if slots > _FILL_CHUNK:
                 templates[key] = None
                 break
+            pieces.append(piece * repeat)
         else:
             text = "".join(pieces)
             # every % of a template starts a %% or a %d

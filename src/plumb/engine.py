@@ -183,15 +183,15 @@ def _basic_rows(block: np.ndarray, weights, neighbors, rng=None) -> np.ndarray:
 def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> BasicSet:
     """Classify every box vector's run and group the basic ones by class.
 
-    One sweep of the box (QFormContext.box_sweep) gives each block's
-    vectors and spin^c residues: the paths run on the block, the basic
-    rows keep their residues, and the finished sweep settles the class
-    table, so that class_reps does not sweep again. The result does not
-    depend on the choice of eligible vertex; passing an rng (a uniformly
-    random eligible vertex per row and step) only exercises that
-    property."""
+    One sweep of the box (QFormContext.box_sweep, the sweep of the
+    context's BoxBatch) gives each block's vectors and spin^c residues:
+    the paths run on the block, the basic rows keep their residues, and
+    the finished sweep settles the class table, so that class_reps does
+    not sweep again. The result does not depend on the choice of
+    eligible vertex; passing an rng (a uniformly random eligible vertex
+    per row and step) only exercises that property."""
     rows, residues = [], []
-    for block, res in ctx.box_sweep():
+    for _, block, res in ctx.box_sweep():
         basic = _basic_rows(block, ctx.weights, ctx.neighbors, rng)
         rows.append(block[basic])
         residues.append(res[basic])
@@ -321,27 +321,22 @@ def canonical_pair_rows(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.
     return basic.reshape(-1, 2).all(axis=1), pairs
 
 
-def canonical_counts_rows(
-    neighbors, weights: np.ndarray, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """Basic vectors of the canonical class of each graph of a batch on
-    the one shape that neighbors describes (one int64 weight row per
-    graph). BoxBatch checks the budget and the int64 guard, and its
+def canonical_counts_rows(batch: BoxBatch) -> np.ndarray:
+    """Basic vectors of the canonical class of each graph of a BoxBatch
+    (whose set-up checked the budget and the int64 guard). Its
     canonical_blocks builds only the box members of each graph's
     canonical class, by a meet in the middle on the coset W + 2 + 2 Q.Z^n;
     they go through _basic_rows a block at a time."""
-    batch = BoxBatch(neighbors, weights, budget)
-    counts = np.zeros(len(weights), dtype=np.int64)
+    counts = np.zeros(len(batch.weights), dtype=np.int64)
     for graph, block in batch.canonical_blocks():
-        basic = _basic_rows(block, weights[graph], neighbors)
+        basic = _basic_rows(block, batch.weights[graph], batch.neighbors)
         counts += np.bincount(graph[basic], minlength=len(counts))
     return counts
 
 
 def _canonical_basic_count(ctx: QFormContext) -> int:
-    """canonical_counts_rows of one graph."""
-    weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
-    return int(canonical_counts_rows(ctx.neighbors, weights, ctx.budget)[0])
+    """canonical_counts_rows of the context's own one-graph batch."""
+    return int(canonical_counts_rows(ctx._batch)[0])
 
 
 def _check_count(count: int, laufer: bool) -> None:
@@ -368,8 +363,8 @@ def is_rational(ctx: QFormContext) -> bool:
     component), by the basic count of the whole canonical class
     (canonical_counts_rows, which builds only that class's box members).
     A count that contradicts Laufer raises RationalityDisagreementError.
-    Only that count builds box rows, so only it checks the box budget
-    (canonical_counts_rows, through BoxBatch)."""
+    Only that count builds box rows, so only it checks the box budget,
+    when it builds the context's BoxBatch."""
     weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
     laufer = bool(laufer_rational_rows(ctx.neighbors, weights)[0])
     if not laufer and canonical_pair_rows(ctx.neighbors, weights)[0][0]:
@@ -422,9 +417,9 @@ def ar_status_rows(
     (graph, v) at once, each round one laufer_rational_rows call. Every
     probe Laufer finds non-rational is certified by canonical_pair_rows,
     and is_rational checks the rest one by one. A canonical-class count
-    (canonical_counts_rows, which checks the box budget) confirms each
-    reported witness; a count that contradicts Laufer raises
-    RationalityDisagreementError, as in is_rational."""
+    (canonical_counts_rows, on a BoxBatch that checks the box budget)
+    confirms each reported witness; a count that contradicts Laufer
+    raises RationalityDisagreementError, as in is_rational."""
     graphs, n = weights.shape
     vertex = np.full(graphs, -1, dtype=np.int64)
     delta = np.zeros(graphs, dtype=np.int64)
@@ -464,7 +459,7 @@ def ar_status_rows(
     delta[graph[first]] = lo[first]
     witnesses = weights[graph[first]]
     witnesses[np.arange(len(first)), at[first]] -= lo[first]
-    for count in canonical_counts_rows(neighbors, witnesses, budget).tolist():
+    for count in canonical_counts_rows(BoxBatch(neighbors, witnesses, budget)).tolist():
         _check_count(count, True)
     return vertex, delta
 

@@ -31,11 +31,8 @@ DEFAULT_BUDGET = 10_000_000
 # numpy paths run in int64 only while their magnitudes stay below this
 _INT64_GUARD = 2**62
 
-# rows per block of the box layer (box_sweep)
-_BLOCK = 2**14
-
-# rows per block of a batch of boxes (BoxBatch.blocks): small, so that a
-# census holds little at once
+# rows per block of the box layer (BoxBatch.sweep, canonical_blocks):
+# small, so that a census holds little at once
 _BATCH_ROWS = 2**12
 
 
@@ -114,7 +111,11 @@ class QFormContext:
 
     @cached_property
     def adjugate(self):
-        return exact.adjugate(self.q)
+        """adj(Q), exact: _adjugates on a batch of this one form, which runs
+        in exact ints where int64 could overflow."""
+        sizes = np.array([self.box_size], dtype=object)
+        adj = _adjugates(_forms(self.neighbors, self._weights_np), sizes, np.ones(1, dtype=bool))
+        return tuple(map(tuple, adj[0].tolist()))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -167,56 +168,32 @@ class QFormContext:
     def _adj_np(self) -> np.ndarray:
         return np.array(self.adjugate, dtype=np.int64).reshape(self.n, self.n)
 
+    @cached_property
+    def _batch(self) -> BoxBatch:
+        """The box layer of this form: a BoxBatch of one graph, which checks
+        the budget and the int64 guard of the pairings when it is built."""
+        return BoxBatch(self.neighbors, self._weights_np, self.budget)
+
     def box_sweep(self):
-        """The box in lexicographic order (iter_box's), _BLOCK rows at a
-        time, as (block, residues): an int64 array of box vectors and the
-        spin^c residue (_residues) of each, both read off one _digits call.
-        A sweep run to its end also settles the class table behind
-        class_reps, so that class_reps never sweeps again.
+        """BoxBatch.sweep of the context's batch: the box in lexicographic
+        order (iter_box's), as (graph, block, residues) blocks, graph 0 and
+        the class ids the spin^c residues. Every guard is checked on the
+        call, before any block is built. A sweep run to its end also
+        settles the class table behind class_reps, so that class_reps never
+        sweeps again."""
+        self._batch._residue_map  # the residue guard, on the call
+        return self._settled(self._batch.sweep())
 
-        The budget and the int64 guard are checked here, before the first
-        block is built: every box vector k has |k_v| <= |m_v|, which bounds
-        adj(Q).k and k.adj(Q).k, and |H1| bounds the spin^c residues."""
-        self._check_box_layer()
-        return self._sweep()
-
-    def _check_box_layer(self) -> None:
-        self.check_box_budget()
-        rowsum = max((sum(abs(x) for x in row) for row in self.adjugate), default=0)
-        weights = np.array(self.weights, dtype=object).reshape(1, self.n)
-        _check_boxes([self.box_size], self.budget, weights, [rowsum], [self.h1])
-
-    def _sweep(self, early: bool = False):
-        """The blocks of box_sweep. Until the class table is settled, each
-        residue's first row and its position are noted as the blocks go,
-        and the table is settled at the end of the box, or with early once
-        every one of the |H1| residues has its row (no block is yielded
-        then)."""
-        settle = "_table" not in self.__dict__
-        first = np.full(self.h1 if settle else 0, self.box_size, dtype=np.int64)
-        reps = np.empty((len(first), self.n), dtype=np.int64)
-        found = 0
-        for start in range(0, self.box_size, _BLOCK):
-            block, residues = self._block(start)
-            if settle:
-                new = _first_rows(first, residues, start)
-                reps[residues[new]] = block.take(new, axis=0)
-                found += len(new)
-                if early and found == self.h1:
-                    break
-            yield block, residues
-        if settle:
-            self.__dict__.setdefault("_table", self._class_table(first, reps))
-
-    def _block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """The box vectors from position start on, at most _BLOCK of them,
-        and their spin^c residues: the vector at position i is m + 2 + 2j,
-        j the digits of i (_digits), and its residue is j's."""
-        j = _digits(self._weights_np, np.arange(start, min(start + _BLOCK, self.box_size)))
-        residues = _residues(j, *self._residue_map)
-        j *= 2
-        j += self._weights_np + 2
-        return j, residues
+    def _settled(self, sweep):
+        """The blocks of a sweep of the batch; at its end, unless a table is
+        settled, the class table from the sweep's first rows: each residue's
+        first row is its class's lexicographically least box vector, and
+        classes are numbered in the order of those rows (the sweep's
+        rank)."""
+        rank, reps = yield from sweep
+        if "_table" not in self.__dict__:
+            reps.flags.writeable = False
+            self._table = reps, rank
 
     @cached_property
     def _weights_np(self) -> np.ndarray:
@@ -227,39 +204,15 @@ class QFormContext:
         sgn = 1 if self.det > 0 else -1
         return np.einsum("ij,ij->i", block @ self._adj_np.T, block) * sgn
 
-    @cached_property
-    def _residue_map(self):
-        """The (u, d, stride) of _residue_maps for this one form."""
-        q = np.array(self.q, dtype=np.int64).reshape(1, self.n, self.n)
-        maps = _residue_maps(q, self._adj_np.reshape(1, self.n, self.n), np.array([self.h1]))
-        return tuple(a[0] for a in maps)
-
     @property
     def _classes(self):
         """The class table behind class_reps and class_indices(), from a
         sweep that stops once every residue has its first row, unless a
         sweep has settled it."""
         if "_table" not in self.__dict__:
-            self._check_box_layer()
-            for _ in self._sweep(early=True):
+            for _ in self._settled(self._batch.sweep(early=True)):
                 pass
-        return self.__dict__["_table"]
-
-    def _class_table(self, first: np.ndarray, reps: np.ndarray):
-        """(representative rows, class index of each spin^c residue), from
-        first[r], the box position of residue r's first row (box_size for
-        a residue with none), and reps[r], that row. It is its class's
-        lexicographically least box vector, and classes are numbered in
-        the order of those rows."""
-        found = int(np.count_nonzero(first < self.box_size))
-        if found != self.h1:
-            raise AssertionError(f"found {found} spin^c classes, expected {self.h1}")
-        order = np.argsort(first)
-        index = np.empty(self.h1, dtype=np.int64)
-        index[order] = np.arange(self.h1)
-        reps = reps[order]
-        reps.flags.writeable = False
-        return reps, index
+        return self._table
 
     @property
     def class_reps(self) -> np.ndarray:
@@ -288,7 +241,8 @@ class QFormContext:
         half = vectors - self._weights_np - 2
         if (half & 1).any():
             raise ValueError("vector is not characteristic, so its class has no box representative")
-        return self.classes_of(_residues(half >> 1, *self._residue_map))
+        u, d, stride = self._batch._residue_map
+        return self.classes_of(_residues(half >> 1, u[0], d[0], stride[0]))
 
     def class_index(self, k) -> int:
         """Index of k's spin^c class in the spinc_classes() ordering."""
@@ -304,16 +258,6 @@ def _digits(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
     for v in range(weights.shape[1] - 1, -1, -1):
         index, digits[:, v] = np.divmod(index, -weights[:, v])
     return digits
-
-
-def _box_vectors(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The box vector at position index[i] of the lexicographic order of
-    the box of weight row weights[i], for every i."""
-    rows = _digits(weights, index)
-    rows *= 2
-    rows += weights
-    rows += 2
-    return rows
 
 
 def _residue_maps(forms: np.ndarray, adjugates: np.ndarray, h1: np.ndarray):
@@ -444,11 +388,13 @@ def _forms(neighbors, weights: np.ndarray) -> np.ndarray:
 def _adjugates(q: np.ndarray, sizes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """adj(Q) of each wanted negative-definite form of a batch q (graphs,
     n, n), whose boxes hold sizes vectors; the other rows are left as the
-    identity's. exact.adjugate's fraction-free Gauss-Jordan, run on the
-    whole batch at once. Every entry it holds is, up to sign, a minor of
-    Q, at most the box size in magnitude: for a definite form a minor is
-    at most the geometric mean of two principal minors, and a principal
-    minor at most the product of its diagonal (Hadamard). So each
+    identity's. A fraction-free Gauss-Jordan (Montante) on [Q | I], run on
+    the whole batch at once: every update is integral, and the right block
+    ends as the adjugate. Its pivots are the leading principal minors,
+    nonzero on a definite form. Every entry it holds is, up to sign, a
+    minor of Q, at most the box size in magnitude: for a definite form a
+    minor is at most the geometric mean of two principal minors, and a
+    principal minor at most the product of its diagonal (Hadamard). So each
     product it forms is at most the box size squared, and int64 holds
     them while the largest wanted box is below 2^31; above that the batch
     runs on exact ints (an object array)."""
@@ -496,16 +442,16 @@ class BoxBatch:
     """The boxes of a batch of negative-definite graphs on the one shape
     that neighbors describes, one int64 weight row per graph, laid end to
     end: graph by graph, each box in lexicographic order (iter_box's). It
-    is read in blocks of rows (blocks), which may span graphs and cut a
-    large box, or by the members of each graph's canonical class alone
-    (canonical_blocks). classes numbers the spin^c classes of the whole
-    batch.
+    is the one box layer: it is swept in blocks of rows with the spin^c
+    class id of each (sweep), or read by the members of each graph's
+    canonical class alone (canonical_blocks). A QFormContext holds a
+    batch of its one graph.
 
     The set-up runs on the whole batch in array operations: det from the
     subtree recursion (forest._det_negdef) and the adjugates from one
     fraction-free elimination (_adjugates), each in int64 where a bound
     proves int64 exact and in exact ints past it; then the budget and
-    the int64 guard of box_sweep for every graph, the first graph at
+    the int64 guard of the pairings for every graph, the first graph at
     fault raising (_check_boxes). A graph whose form is not negative
     definite raises NotNegativeDefiniteError."""
 
@@ -537,17 +483,6 @@ class BoxBatch:
         self.h1 = np.abs(self.det)
         self.offsets = _offsets(sizes.astype(np.int64))
 
-    def blocks(self):
-        """rows() of the whole batch, _BATCH_ROWS rows at a time."""
-        total = int(self.offsets[-1])
-        for start in range(0, total, _BATCH_ROWS):
-            yield self.rows(np.arange(start, min(start + _BATCH_ROWS, total)))
-
-    def rows(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(graph index, box vector) of the rows at the given positions."""
-        graph, index = _spread(self.offsets, flat)
-        return graph, _box_vectors(self.weights[graph], index)
-
     def pairings(self, graph: np.ndarray, block: np.ndarray) -> np.ndarray:
         """adj(Q).k of every row k of a block, by its own graph's adjugate,
         one coordinate at a time."""
@@ -558,7 +493,7 @@ class BoxBatch:
 
     @cached_property
     def class_offsets(self) -> np.ndarray:
-        """Where each graph's ids start among the class ids (classes), and
+        """Where each graph's ids start among the class ids (sweep), and
         their total at the end."""
         return _offsets(self.h1)
 
@@ -569,14 +504,51 @@ class BoxBatch:
         _check_boxes(np.diff(self.offsets), self.budget, self.weights, h1=self.h1)
         return _residue_maps(_forms(self.neighbors, self.weights), self.adjugates, self.h1)
 
-    def classes(self, graph: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The class id of every row of a block: its graph's class offset
-        plus its spin^c residue (_residues). Graph g's classes are the ids
-        from class_offsets[g] to class_offsets[g + 1], its canonical class
-        first."""
+    def sweep(self, early: bool = False):
+        """The boxes in order, as (graph index, box vectors, class ids)
+        blocks of at most _BATCH_ROWS rows, which may span graphs and cut a
+        large box. The box vector at position i of a box is m + 2 + 2j, j
+        the digits of i (_digits), and its class id is its graph's class
+        offset plus j's spin^c residue (_residues), both from one _digits
+        call; a block inside one box takes its graph's weights and residue
+        map whole. Graph g's classes are the ids from class_offsets[g] to
+        class_offsets[g + 1], its canonical class first.
+
+        Each class's first row is noted as the blocks go, and the sweep
+        returns them, (rank, reps), once every class has its row: rank[c]
+        numbers class c in the order of the first rows and reps[rank[c]]
+        is its first row. That is at the end of the boxes, where each graph
+        must have its |H1| classes, or with early as soon as the last class
+        has its row (that block is not yielded). The residue guard holds
+        before the first block (_residue_map)."""
         u, d, stride = self._residue_map
-        j = (block - self.weights[graph] - 2) >> 1
-        return self.class_offsets[graph] + _residues(j, u[graph], d[graph], stride[graph])
+        total = int(self.offsets[-1])
+        first = np.full(self.class_offsets[-1], total, dtype=np.int64)
+        rank = np.full(len(first), -1, dtype=np.int64)
+        reps = np.empty((len(first), self.weights.shape[1]), dtype=np.int64)
+        found = 0
+        for start in range(0, total, _BATCH_ROWS):
+            graph, index = _spread(self.offsets, np.arange(start, min(start + _BATCH_ROWS, total)))
+            at = graph[0] if graph[0] == graph[-1] else graph
+            weights = np.atleast_2d(self.weights[at])
+            block = _digits(weights, index)
+            ids = self.class_offsets[at] + _residues(block, u[at], d[at], stride[at])
+            block *= 2
+            block += weights + 2
+            # the first rows come in order, so each is its class's rank
+            new = _first_rows(first, ids, start)
+            rank[ids[new]] = np.arange(found, found + len(new))
+            reps[found:found + len(new)] = block[new]
+            found += len(new)
+            if early and found == len(first):
+                return rank, reps
+            yield graph, block, ids
+        if found < len(first):
+            owner = np.repeat(np.arange(len(self.h1)), self.h1)
+            classes = np.bincount(owner[rank >= 0], minlength=len(self.h1))
+            g = np.flatnonzero(classes != self.h1)[0]
+            raise AssertionError(f"found {classes[g]} spin^c classes, expected {self.h1[g]}")
+        return rank, reps
 
     def _coset_keys(self, graph: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(graph, adj(Q).j mod |det|) of every row j, as one opaque

@@ -368,7 +368,7 @@ def _class_qmax(ctx) -> np.ndarray:
     class order. The class-wide maximum of K^2 is attained inside the
     box."""
     q_max = np.full(ctx.h1, np.iinfo(np.int64).min, dtype=np.int64)
-    for block, residues in ctx.box_sweep():
+    for _, block, residues in ctx.box_sweep():
         np.maximum.at(q_max, residues, ctx.k_square_numerators(block))
     by_class = np.empty_like(q_max)
     by_class[ctx.classes_of(np.arange(ctx.h1))] = q_max

@@ -19,9 +19,18 @@ positive vertex at once, and the certificate built on it
 (engine.canonical_pair_rows) must agree with them.
 
 canonical_counts_sweep is the canonical-class count by a full sweep of
-each box, keeping the rows whose spin^c key is the canonical vector's;
-engine.canonical_counts_rows, which builds only that class's members,
-must agree with it.
+each box (BoxBatch.sweep), keeping the rows whose spin^c key is the
+canonical vector's; engine.canonical_counts_rows, which builds only that
+class's members, must agree with it.
+
+adjugate is the exact adjugate by a scalar fraction-free elimination;
+QFormContext.adjugate and BoxBatch.adjugates, both from the batched
+lattice._adjugates, must agree with it.
+
+classify is the census oracle: one graph's census record from its
+QFormContext and the public basic_vectors, verdicts and d_invariants;
+census.census_scan, which decides whole batches of graphs at once
+(census._classify_task), must give the records it gives.
 
 ar_status_loop is engine.ar_status as a loop over candidates, one
 is_rational each; the batched decider (engine.ar_status_rows: a skip
@@ -47,16 +56,20 @@ from fractions import Fraction
 
 import numpy as np
 
+from plumb.census import CensusRecord
 from plumb.engine import (
     ArStatus,
     SafetyLimitError,
     TerminationResult,
     _basic_rows,
+    basic_vectors,
+    d_invariants,
     default_ar_bound,
     is_rational,
+    verdicts,
 )
-from plumb.forest import PlumbingForest, canonical_code
-from plumb.lattice import BoxBatch, CharVector, QFormContext
+from plumb.forest import PlumbingForest, canonical_code, is_minimal
+from plumb.lattice import DEFAULT_BUDGET, BoxBatch, CharVector, QFormContext
 from plumb.relations import ClassTable, DegreeRow
 
 
@@ -254,13 +267,67 @@ def canonical_counts_sweep(neighbors, weights):
     modulus = 2 * batch.h1
     canonical = batch.pairings(np.arange(len(weights)), weights + 2) % modulus[:, None]
     counts = np.zeros(len(weights), dtype=np.int64)
-    for graph, block in batch.blocks():
+    for graph, block, _ in batch.sweep():
         keys = batch.pairings(graph, block) % modulus[graph, None]
         members = (keys == canonical[graph]).all(axis=1)
         graph, block = graph[members], block[members]
         basic = _basic_rows(block, weights[graph], neighbors)
         counts += np.bincount(graph[basic], minlength=len(counts))
     return counts
+
+
+def adjugate(rows) -> tuple[tuple[int, ...], ...]:
+    """Integer adjugate adj(Q) with Q @ adj(Q) = det(Q) * I.
+
+    Fraction-free Gauss-Jordan (Montante) on [Q | I]: every update is
+    integral, the left block ends as det*I and the right block as the
+    adjugate. The pivots are the leading principal minors, all nonzero
+    for definite forms; a zero pivot raises ValueError.
+    """
+    n = len(rows)
+    m = [[int(rows[i][j]) for j in range(n)]
+         + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = m[k][k]
+        if piv == 0:
+            raise ValueError(f"leading principal minor {k + 1} is zero")
+        for i in range(n):
+            if i == k:
+                continue
+            mi, mk = m[i], m[k]
+            f = mi[k]
+            for j in range(2 * n):
+                mi[j] = (mi[j] * piv - f * mk[j]) // prev
+        prev = piv
+    return tuple(tuple(m[i][n:]) for i in range(n))
+
+
+def classify(forest: PlumbingForest, budget: int = DEFAULT_BUDGET) -> CensusRecord:
+    """The census record of one negative-definite forest, from its
+    QFormContext and the public basic_vectors, verdicts and
+    d_invariants."""
+    ctx = QFormContext(forest, budget=budget)
+    basics = basic_vectors(ctx)
+    verd = verdicts(ctx, basics=basics)
+    dinv = d_invariants(ctx, basics=basics)
+    # one common denominator: sorting the numerators sorts the d-invariants
+    d_numerators = np.sort(np.array(dinv.numerators, dtype=np.int64))
+    d_numerators.flags.writeable = False
+    return CensusRecord(
+        code=forest.code,
+        n=forest.n,
+        weights=forest.weights,
+        negdef=True,
+        det=ctx.det,
+        spinc=verd.spinc_count,
+        basic=verd.basic_total,
+        rational=verd.rational,
+        lspace=verd.lspace,
+        certified=verd.certified,
+        minimal=is_minimal(forest),
+        d_numerators=d_numerators,
+    )
 
 
 def ar_status_loop(ctx) -> ArStatus:

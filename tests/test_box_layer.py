@@ -1,7 +1,7 @@
-"""The block-wise box layer (QFormContext.box_sweep and the sweeps built
-on it) against the scalar oracles iter_box, run_path, spinc_key and
-k_square. Blocks are shrunk to 7 rows so that block boundaries cut
-through spin^c classes."""
+"""The block-wise box layer (BoxBatch.sweep, QFormContext.box_sweep on a
+batch of one graph, and the sweeps built on it) against the scalar
+oracles iter_box, run_path, spinc_key and k_square. Blocks are shrunk to
+7 rows so that block boundaries cut through spin^c classes."""
 
 from fractions import Fraction
 
@@ -18,12 +18,12 @@ from plumb.lattice import (
     QFormContext,
 )
 
-from oracles import adj_image, canonical_counts_sweep, k_square, spinc_key
+from oracles import adj_image, adjugate, canonical_counts_sweep, classify, k_square, spinc_key
 
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
 
 
 @pytest.fixture(scope="module")
@@ -54,30 +54,46 @@ def test_box_blocks_match_iter_box(small_blocks):
     for g in graphs + [parse_forest("")]:
         ctx = QFormContext(g)
         sweep = list(ctx.box_sweep())
-        blocks = [b for b, _ in sweep]
+        blocks = [b for _, b, _ in sweep]
         assert all(len(b) <= 7 and b.dtype == np.int64 for b in blocks)
         got = [tuple(k) for k in np.concatenate(blocks).tolist()]
         assert got == list(ctx.iter_box())
         classes = np.concatenate([ctx.class_indices(b) for b in blocks]).tolist()
-        assert np.concatenate([ctx.classes_of(r) for _, r in sweep]).tolist() == classes
+        assert np.concatenate([ctx.classes_of(r) for _, _, r in sweep]).tolist() == classes
         reps = [tuple(rep) for rep in ctx.class_reps.tolist()]
         assert [spinc_key(ctx, reps[c]) for c in classes] == [spinc_key(ctx, k) for k in got]
 
 
+def swept(batch):
+    """(blocks, rank, reps) of a BoxBatch.sweep: the blocks it yields and
+    the first rows it returns."""
+    sweep, blocks = batch.sweep(), []
+    while True:
+        try:
+            blocks.append(next(sweep))
+        except StopIteration as end:
+            return (blocks, *end.value)
+
+
 def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
-    """A BoxBatch of several graphs on one shape, read in blocks of 7 rows
-    (which span graphs and cut boxes), gives each graph's iter_box in
-    order, and each row's adj(Q).k, det and |H1| from its own graph."""
+    """A BoxBatch of several graphs on one shape, swept in blocks of 7 rows
+    (some inside one box, some spanning boxes), gives each graph's
+    iter_box in order, and each row's adj(Q).k, det and |H1| from its own
+    graph. The class ids are the spinc_key partition of each graph, in
+    its own range of ids, the canonical vector's first; the sweep returns
+    each id's first row, numbered in the order of those rows."""
     monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
     weights = np.array([[-3, -2, -4], [-2, -2, -2], [-5, -1, -3]], dtype=np.int64)
     forests = [chain_forest(w) for w in weights.tolist()]
     batch = lattice.BoxBatch(forests[0].neighbors(), weights)
-    blocks = list(batch.blocks())
-    assert all(len(block) <= 7 for _, block in blocks)
-    assert any(len(set(graph.tolist())) > 1 for graph, _ in blocks)
-    graph = np.concatenate([g for g, _ in blocks]).tolist()
-    rows = np.concatenate([b for _, b in blocks])
-    pairings = np.concatenate([batch.pairings(g, b) for g, b in blocks]).tolist()
+    blocks, rank, reps = swept(batch)
+    assert all(len(block) <= 7 for _, block, _ in blocks)
+    spans = [len(set(graph.tolist())) for graph, _, _ in blocks]
+    assert 1 in spans and max(spans) > 1
+    graph = np.concatenate([g for g, _, _ in blocks]).tolist()
+    rows = np.concatenate([b for _, b, _ in blocks])
+    ids = np.concatenate([i for _, _, i in blocks]).tolist()
+    pairings = np.concatenate([batch.pairings(g, b) for g, b, _ in blocks]).tolist()
     contexts = [QFormContext(f) for f in forests]
     assert [(g, tuple(k)) for g, k in zip(graph, rows.tolist())] == [
         (i, k) for i, ctx in enumerate(contexts) for k in ctx.iter_box()
@@ -85,6 +101,15 @@ def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
     assert pairings == [list(adj_image(contexts[g], k)) for g, k in zip(graph, rows.tolist())]
     assert batch.det.tolist() == [ctx.det for ctx in contexts]
     assert batch.h1.tolist() == [ctx.h1 for ctx in contexts]
+    offsets = batch.class_offsets.tolist()
+    keys = [(g, spinc_key(contexts[g], k)) for g, k in zip(graph, rows.tolist())]
+    # one id per key and one key per id
+    assert len(set(zip(ids, keys))) == len(set(ids)) == len(set(keys)) == offsets[-1]
+    assert all(offsets[g] <= i < offsets[g + 1] for g, i in zip(graph, ids))
+    assert [ids[start] for start in batch.offsets[:-1].tolist()] == offsets[:-1]
+    first = sorted(ids.index(i) for i in range(len(rank)))
+    assert [first[r] for r in rank.tolist()] == [ids.index(i) for i in range(len(rank))]
+    assert reps.tolist() == rows[first].tolist()
 
 
 def test_box_batch_checks_every_graph_before_any_block():
@@ -103,18 +128,18 @@ def test_residue_guard_raises_before_any_class(monkeypatch):
     """The chain (-2^11, -2^10, -2^11) passes the guard on its pairings,
     but |H1| = 4,294,963,200 puts n |H1|^2 past int64, so its spin^c
     residues are refused, in QFormContext before any block is built and
-    in a BoxBatch (whose set-up passes) before any class id."""
+    in a BoxBatch (whose set-up passes) before its sweep's first block."""
     ctx = QFormContext(chain_forest([-2**11, -2**10, -2**11]), budget=2**32)
     built = []
     monkeypatch.setattr(lattice, "_digits", lambda *args: built.append(1))
     for call in (ctx.box_sweep, ctx.spinc_classes):
         with pytest.raises(EnumerationBudgetError, match="spin\\^c residues"):
             call()
-    assert not built
     weights = np.array([ctx.weights], dtype=np.int64)
     batch = lattice.BoxBatch(ctx.neighbors, weights, budget=2**32)
     with pytest.raises(EnumerationBudgetError, match="spin\\^c residues"):
-        batch.classes(np.array([0]), weights + 2)
+        next(batch.sweep())
+    assert not built
 
 
 def _by_shape(forests):
@@ -152,7 +177,8 @@ def test_canonical_counts_match_the_sweep(monkeypatch, trees, two_component_fore
     monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
     monkeypatch.setattr(engine, "_BATCH_ROWS", 7)
     for (nb, weights, _), counts in zip(batches, want):
-        assert engine.canonical_counts_rows(nb, weights).tolist() == counts, weights
+        batch = lattice.BoxBatch(nb, weights)
+        assert engine.canonical_counts_rows(batch).tolist() == counts, weights
     assert QFormContext(e8_forest()).h1 == 1
 
 
@@ -170,7 +196,7 @@ def test_canonical_counts_build_no_row_outside_the_class(monkeypatch, trees):
     monkeypatch.setattr(engine, "_basic_rows", recording)
     for nb, weights, forests in _by_shape(trees + [e8_forest(), chain_forest([-5] * 5)]):
         sent.clear()
-        engine.canonical_counts_rows(nb, weights)
+        engine.canonical_counts_rows(lattice.BoxBatch(nb, weights))
         got = sorted((tuple(w), tuple(k)) for w, k in sent)
         want = []
         for f in forests:
@@ -182,8 +208,9 @@ def test_canonical_counts_build_no_row_outside_the_class(monkeypatch, trees):
 
 def test_box_batch_setup_matches_exact(two_component_forests):
     """BoxBatch builds det, |H1| and the adjugates of a whole batch in
-    array operations; they equal the subtree recursion and exact.adjugate
-    on every graph of the (4, -6) census grid and on the forests."""
+    array operations; they equal the subtree recursion and the scalar
+    oracle adjugate on every graph of the (4, -6) census grid and on the
+    forests."""
     batches = []
     for n in range(1, 5):
         for edges in census.enumerate_trees(n):
@@ -196,7 +223,7 @@ def test_box_batch_setup_matches_exact(two_component_forests):
         batch = lattice.BoxBatch(nb, rows)
         contexts = [QFormContext(f) for f in forests]
         assert batch.adjugates.tolist() == [
-            [list(row) for row in exact.adjugate(ctx.q)] for ctx in contexts
+            [list(row) for row in adjugate(ctx.q)] for ctx in contexts
         ]
         assert batch.det.tolist() == [_forest_det_negdef(f)[0] for f in forests]
         assert batch.h1.tolist() == [ctx.h1 for ctx in contexts]
@@ -302,13 +329,14 @@ def test_basic_vectors_rng_matches_lowest_eligible(small_blocks, trees):
 
 
 def test_classify_matches_public_objects(small_blocks, trees):
-    """classify sorts the integer d-numerators and reads the class counts;
-    its record must equal what the public BasicSet and DInvariants give."""
+    """The census oracle (oracles.classify) sorts the integer d-numerators
+    and reads the class counts; its record must equal what the public
+    BasicSet and DInvariants give."""
     for g in trees:
         ctx = QFormContext(g)
         basics = engine.basic_vectors(ctx)
         canonical = basics.per_class[ctx.class_index(ctx.canonical_char())]
-        record = census.classify(g)
+        record = classify(g)
         assert record.d == tuple(sorted(engine.d_invariants(ctx).d)), g.weights
         assert record.basic == basics.total, g.weights
         assert record.rational == (len(canonical) == 1), g.weights
@@ -362,7 +390,7 @@ def test_basic_vectors_sweeps_the_box_once(monkeypatch, two_component_forests):
     BasicSet match the oracle partition and the scalar path runner.
     Blocks of 7 rows cut through the classes; covered: (-7)^4, the D4
     star and a two-component forest."""
-    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
     calls = []
     real = lattice._digits
 
@@ -389,11 +417,34 @@ def test_basic_vectors_sweeps_the_box_once(monkeypatch, two_component_forests):
         assert basics.reps is reps
 
 
+def test_a_context_builds_one_box_batch(monkeypatch):
+    """A fresh context builds one BoxBatch, its own, for basic_vectors,
+    class_reps, d_invariants and the canonical count of is_rational:
+    on (-7)^4 and the D4 star, both rational, so that the count runs."""
+    built = []
+    real = lattice.BoxBatch
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "BoxBatch", counting)
+    monkeypatch.setattr(engine, "BoxBatch", counting)
+    for g in (chain_forest([-7] * 4), star_forest(-2, [-2, -2, -2])):
+        ctx = QFormContext(g)
+        built.clear()
+        basics = engine.basic_vectors(ctx)
+        assert ctx.class_reps is basics.reps
+        engine.d_invariants(ctx, basics=basics)
+        assert engine.is_rational(ctx)
+        assert len(built) == 1, g.weights
+
+
 def test_class_reps_alone_stops_early_and_a_later_sweep_keeps_it(monkeypatch):
     """class_reps read alone stops its sweep once every residue has a row
     (the D4 star's four classes lie in its first box rows); a later
     box_sweep does not replace the table it settled."""
-    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
     ctx = QFormContext(star_forest(-2, [-2, -2, -2]))
     calls = []
     real = lattice._digits

@@ -22,7 +22,7 @@ from plumb.forest import (
 )
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import labeled_tree_codes, record_to_obj
+from oracles import classify, labeled_tree_codes, record_to_obj
 
 
 # ----------------------------------------------------------------- shapes
@@ -241,7 +241,7 @@ def test_is_rational_agrees_with_basic_set():
 # ----------------------------------------------------------------- records
 
 def test_classify_star_record():
-    r = census.classify(star_forest(-1, [-2, -3, -7]))
+    r = classify(star_forest(-1, [-2, -3, -7]))
     assert r.n == 4
     assert r.det == 1 and r.spinc == 1
     assert r.basic == 2
@@ -252,7 +252,7 @@ def test_classify_star_record():
 
 
 def test_record_to_obj_schema():
-    r = census.classify(chain_forest([-2]))
+    r = classify(chain_forest([-2]))
     obj = record_to_obj(r)
     assert obj["lspace"] == "yes"
     assert obj["rational"] is True
@@ -394,12 +394,12 @@ _FOREST_FILTERS = {"zhs": lambda f: h1_order(f) == 1, "minimal": is_minimal}
 
 @pytest.mark.parametrize("nmax, wmin", [(4, -6), (5, -4)])
 def test_census_scan_matches_per_graph_classify(nmax, wmin):
-    """The batch gives the records of classify(), the per-graph oracle,
+    """The batch gives the records of oracles.classify, the census oracle,
     on every forest of enumerate_weighted: unfiltered, under each filter
     (zhs and minimal read off the forest, the others off the oracle's
     record), under a box cap, and through a pool of two workers."""
     forests = [f for n in range(1, nmax + 1) for f in census.enumerate_weighted(n, wmin)]
-    pairs = sorted(((census.classify(f), f) for f in forests), key=lambda pair: pair[0].code)
+    pairs = sorted(((classify(f), f) for f in forests), key=lambda pair: pair[0].code)
     want = [r for r, _ in pairs]
     assert census.census_scan(nmax, wmin) == want
     for name in census.FILTER_NAMES:

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from plumb import census, cli, relations
 from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import canonical_code, forest_to_text
-from plumb.lattice import DEFAULT_BUDGET
+from plumb.lattice import DEFAULT_BUDGET, QFormContext
 
 from oracles import record_to_obj, two_node_tree
 
@@ -855,6 +855,24 @@ def test_json_writer_writes_a_table_in_chunks(monkeypatch):
     assert "".join(pieces) == json.dumps(want, sort_keys=True, indent=2)
     assert len(pieces) <= -(-3 * rows // 7) + len(runs) + 1
     assert max(len(re.findall(r"-?[0-9]+", p)) for p in pieces) <= 7
+
+
+def test_long_fill_yields_a_repeated_row_once(monkeypatch):
+    """A class wider than a chunk is written from the pieces of its
+    template (_fill_pieces). Its rows are one item repeated, which comes
+    as one piece with its repeat count, so one wide class yields fewer
+    pieces than the chunks it is written in, and the bytes are those of
+    a chunk wide enough for the whole class."""
+    summary = relations.hf_summary(QFormContext(chain_forest([-2])), max_u=10**4)
+    obj = cli._hf_obj(summary)
+    want = cli._json(obj, "\n", {})
+    monkeypatch.setattr(cli, "_FILL_CHUNK", 2**8)
+    proto = obj["classes"].runs[0][0]
+    pieces = list(cli._fill_pieces(proto, "\n      ", {}))
+    slots = sum(count * repeat for _, count, repeat in pieces)
+    assert slots > 3 * 10**4
+    assert len(pieces) <= -(-slots // cli._FILL_CHUNK)
+    assert cli._json(obj, "\n", {}) == want
 
 
 # ------------------------------------------------- pinned output bytes

@@ -1,5 +1,6 @@
-"""The forest determinant/definiteness recursion and the exact adjugate
-against a slow Laplace-expansion oracle, and the Smith normal form."""
+"""The forest determinant/definiteness recursion and the adjugate oracle
+against a slow Laplace-expansion oracle, the batched adjugate of
+QFormContext against the oracle, and the Smith normal form."""
 
 import math
 import random
@@ -19,6 +20,9 @@ from plumb.forest import (
     intersection_matrix,
     is_negative_definite,
 )
+from plumb.lattice import QFormContext
+
+from oracles import adjugate
 
 
 def laplace_det(rows):
@@ -162,20 +166,32 @@ def test_adjugate_identity():
             minors = [laplace_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
             if 0 in minors:
                 with pytest.raises(ValueError):
-                    exact.adjugate(m)
+                    adjugate(m)
                 continue
             d = minors[-1]
-            adj = exact.adjugate(m)
+            adj = adjugate(m)
             for i in range(n):
                 for j in range(n):
                     s = sum(m[i][k] * adj[k][j] for k in range(n))
                     assert s == (d if i == j else 0)
     with pytest.raises(ValueError):
-        exact.adjugate([[0, 1], [1, 0]])
+        adjugate([[0, 1], [1, 0]])
 
 
 def test_adjugate_empty():
-    assert exact.adjugate([]) == ()
+    assert adjugate([]) == ()
+
+
+def test_context_adjugate_matches_the_oracle():
+    """QFormContext.adjugate, the batched elimination on a batch of one
+    graph, equals the oracle: on chains of up to 100 vertices, whose boxes
+    pass 2^31 vectors so that it runs on exact ints, and on (-7)^6, E8,
+    a star and the empty forest, where it runs in int64."""
+    chains = [[-2] * 100, [-3, -7, -2, -5] * 25, [-2] * 30 + [-97], [-7] * 6]
+    forests = [chain_forest(w) for w in chains] + [e8_forest(), star_forest(-1, [-2, -3, -7])]
+    for forest in forests + [PlumbingForest((), (), ())]:
+        ctx = QFormContext(forest)
+        assert ctx.adjugate == adjugate(ctx.q), forest.weights
 
 
 def fraction_det(rows):
