@@ -2,13 +2,15 @@
 """Run the uniqueness and classification verifiers over a grid of sizes
 and weight floors, printing a timing/result row for each setting; the
 classification rows show how many graphs the batched tests left to the
-per-graph rationality check and end with the graphs checked per second.
+per-graph rationality check and end with the process's peak resident
+memory so far (ru_maxrss, in MB) and the graphs checked per second.
 A grid over the budget stops the sweep with exit code 3, and a weight
 floor above -1 with exit code 2."""
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -61,7 +63,7 @@ def main(argv=None) -> int:
     print("\nbasic-vector classification scan")
     print(
         f"{'nmax':>6} {'wmin':>6} {'unimod':>8} {'case2':>8} {'case3':>8} "
-        f"{'per-graph':>9} {'ok':>4} {'time':>9} {'graphs/s':>10}"
+        f"{'per-graph':>9} {'ok':>4} {'time':>9} {'peak_MB':>8} {'graphs/s':>10}"
     )
     for nmax in range(4, cfg.class_max + 1):
         t0 = time.perf_counter()
@@ -74,10 +76,12 @@ def main(argv=None) -> int:
             print(f"input error: {e}", file=sys.stderr)
             return 2
         dt = time.perf_counter() - t0
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{rep.nmax:>6} {rep.wmin:>6} {rep.unimodular_checked:>8} "
             f"{rep.case2_checked:>8} {rep.case3_checked:>8} {rep.per_graph:>9} "
-            f"{'yes' if rep.ok else 'NO':>4} {dt:>8.2f}s "
+            f"{'yes' if rep.ok else 'NO':>4} {dt:>8.2f}s {peak_mb:>8.1f} "
             f"{(rep.unimodular_checked + rep.case3_checked) / dt:>10.0f}"
         )
         if rep.counterexamples:

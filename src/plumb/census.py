@@ -30,6 +30,7 @@ from .forest import (
     canonical_code,
 )
 from .lattice import (
+    _BATCH_ROWS,
     _INT64_GUARD,
     DEFAULT_BUDGET,
     EnumerationBudgetError,
@@ -58,13 +59,19 @@ def enumerate_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Edge lists (on vertices 0..n-1) of one representative per
     isomorphism class of free trees on n vertices, in the order of
     _free_tree_levels."""
+    return [_level_edges(levels) for levels in _tree_levels(n)]
+
+
+def _tree_levels(n: int) -> list[list[int]]:
+    """The level sequences of enumerate_trees(n): _free_tree_levels, or
+    the one vertex at n = 1, checked against _FREE_TREE_COUNTS."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_TREE_VERTICES:
         raise EnumerationBudgetError(
             f"tree enumeration is budgeted to {MAX_TREE_VERTICES} vertices, got {n}"
         )
-    shapes = [_level_edges(levels) for levels in _free_tree_levels(n)] if n > 1 else [()]
+    shapes = list(_free_tree_levels(n)) if n > 1 else [[0]]
     if len(shapes) != _FREE_TREE_COUNTS[n - 1]:
         raise AssertionError(
             f"free-tree generator returned {len(shapes)} shapes on {n} "
@@ -135,6 +142,17 @@ def _level_edges(levels: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(edges))
 
 
+def _level_parents(levels: np.ndarray) -> np.ndarray:
+    """The parent of each vertex (-1 at the root) of each tree whose level
+    sequence is a row of levels (G, n), as _level_edges hangs it: the
+    last earlier vertex one level up. Parents come before children."""
+    parent = np.full(levels.shape, -1, dtype=np.int64)
+    for i in range(1, levels.shape[1]):
+        up = levels[:, i - 1::-1] == levels[:, i, None] - 1
+        parent[:, i] = i - 1 - up.argmax(axis=1)
+    return parent
+
+
 def _shape_forest(
     edges: Sequence[tuple[int, int]], n: int, weights: Sequence[int]
 ) -> PlumbingForest:
@@ -160,9 +178,9 @@ def _grid_scan(tables: _ShapeTables, wmin: int, minimal: bool = False) -> _GridS
             "determinants may overflow int64"
         )
     top = [-2 if minimal and d <= 2 else -1 for d in tables.degrees]
-    digits = np.indices([t - wmin + 1 for t in top], dtype=np.int64)
-    weights = digits.reshape(n, -1) + wmin
-    det, negdef = _det_negdef(tables, weights)
+    weights = np.indices([t - wmin + 1 for t in top], dtype=np.int64).reshape(n, -1)
+    weights += wmin
+    det, negdef = _det_negdef(tables.parent, weights, tables.postorder)
     return _GridScan(weights=weights, negdef=negdef, det=det)
 
 
@@ -255,6 +273,25 @@ def _distinct_rows(tables: _ShapeTables, wmin: int) -> np.ndarray:
     return np.ascontiguousarray(scan.weights[:, pick].T)
 
 
+def _chunks(parts: Iterator[tuple[np.ndarray, ...]], size: int):
+    """The rows of a stream of tuples of equally long arrays, laid end to
+    end and cut into tuples of size rows (the last may be shorter); at
+    most a part and a chunk are held at once."""
+    held, count = [], 0
+    for part in parts:
+        held.append(part)
+        count += len(part[0])
+        if count >= size:
+            joined = [np.concatenate(x) for x in zip(*held)]
+            cut = count - count % size
+            for start in range(0, cut, size):
+                yield tuple(x[start:start + size] for x in joined)
+            held = [tuple(x[cut:] for x in joined)]
+            count -= cut
+    if count:
+        yield tuple(np.concatenate(x) for x in zip(*held))
+
+
 def _minimal_rows(tables: _ShapeTables, rows: np.ndarray) -> np.ndarray:
     """is_minimal of each weight row (C, n) of one shape."""
     return ~((rows == -1) & (np.array(tables.degrees) <= 2)).any(axis=1)
@@ -344,7 +381,9 @@ class CensusRecord(_ArrayFields):
 # filters known from a weight column alone run on the grid, before any
 # graph is classified: (shape tables, weight rows) -> mask
 _COLUMN_FILTERS = {
-    "zhs": lambda tables, rows: np.abs(_det_negdef(tables, rows.T)[0]) == 1,
+    "zhs": lambda tables, rows: (
+        np.abs(_det_negdef(tables.parent, rows.T, tables.postorder)[0]) == 1
+    ),
     "minimal": _minimal_rows,
 }
 
@@ -403,10 +442,40 @@ def _census_tasks(edges, tables: _ShapeTables, rows: np.ndarray, budget: int) ->
     ]
 
 
+def _class_counts(batch: BoxBatch, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The basic count and the maximum |det| K^2 of every class of a
+    batch (its ids as BoxBatch.sweep numbers them), from one sweep of its
+    boxes; each block goes through engine._basic_rows with one weight row
+    per box row. Returning drops the sweep's lists before the caller goes
+    on."""
+    sign = np.sign(batch.det)
+    basic_ids, basic_k2 = [], []
+    sweep = batch.sweep()
+    while True:
+        try:
+            graph, block, ids = next(sweep)
+        except StopIteration as end:  # the sweep's first rows
+            rank, reps = end.value
+            break
+        basic = engine._basic_rows(block, batch.weights[graph], adj)
+        basic_ids.append(ids[basic])
+        graph, block = graph[basic], block[basic]
+        pairings = batch.pairings(graph, block)
+        basic_k2.append(sign[graph] * np.einsum("ij,ij->i", pairings, block))
+    members = np.concatenate(basic_ids)
+    counts = np.bincount(members, minlength=len(reps))
+    if not counts.all():
+        rep = CharVector(tuple(reps[rank[np.argmin(counts)]].tolist()))
+        raise AssertionError(f"spin^c class of {rep} has no basic vector")
+    top = np.full(len(reps), np.iinfo(np.int64).min)
+    np.maximum.at(top, members, np.concatenate(basic_k2))
+    return counts, top
+
+
 def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     """The census record of every graph of a task, in one sweep of their
-    boxes laid end to end (lattice.BoxBatch.sweep), a block of rows at a
-    time. Each block goes through engine._basic_rows with one weight row
+    boxes laid end to end (lattice.BoxBatch.sweep, in _class_counts), a
+    block of rows at a time. Each block goes through engine._basic_rows with one weight row
     per box row, and takes its class ids and K^2 from each row's own
     graph: ids are graph-major and each graph's canonical class comes
     first, so one np.bincount counts every class's basic vectors and one
@@ -421,34 +490,15 @@ def _classify_task(task: _CensusTask) -> list[CensusRecord]:
     graph at a time."""
     tables = _shape_tables(task.edges, task.n)
     neighbors, weights = tables.neighbors, task.weights
+    adj = engine._adjacency(neighbors)
     batch = BoxBatch(neighbors, weights, task.budget)
-    sign = np.sign(batch.det)
-    basic_ids, basic_k2 = [], []
-    sweep = batch.sweep()
-    while True:
-        try:
-            graph, block, ids = next(sweep)
-        except StopIteration as end:  # the sweep's first rows
-            rank, reps = end.value
-            break
-        basic = engine._basic_rows(block, weights[graph], neighbors)
-        basic_ids.append(ids[basic])
-        graph, block = graph[basic], block[basic]
-        pairings = batch.pairings(graph, block)
-        basic_k2.append(sign[graph] * np.einsum("ij,ij->i", pairings, block))
-    members = np.concatenate(basic_ids)
-    counts = np.bincount(members, minlength=len(reps))
-    if not counts.all():
-        rep = CharVector(tuple(reps[rank[np.argmin(counts)]].tolist()))
-        raise AssertionError(f"spin^c class of {rep} has no basic vector")
-    # max K^2 per class, as |det| * K^2; d = (K^2 + |V|) / 4
+    counts, numerators = _class_counts(batch, adj)
+    # d = (K^2 + |V|) / 4, over the common denominator 4|H1|
     owner = np.repeat(np.arange(len(weights)), batch.h1)
-    top = np.full(len(reps), np.iinfo(np.int64).min)
-    np.maximum.at(top, members, np.concatenate(basic_k2))
-    numerators = top + task.n * batch.h1[owner]
+    numerators += task.n * batch.h1[owner]
     canonical = batch.class_offsets[:-1]
     rational = counts[canonical] == 1
-    laufer = engine.laufer_rational_rows(neighbors, weights)
+    laufer = engine.laufer_rational_rows(adj, weights)
     for g in np.flatnonzero(rational != laufer)[:1].tolist():
         try:
             engine._check_count(int(counts[canonical[g]]), bool(laufer[g]))
@@ -562,15 +612,15 @@ def verify_e8_unique(nmax: int) -> E8Report:
     negdef_count = 0
     hits = []
     for n in range(1, nmax + 1):
-        for edges in enumerate_trees(n):
-            scanned += 1
-            tables = _shape_tables(edges, n)
-            det, negdef = _det_negdef(tables, (-2,) * n)
-            if not negdef:
-                continue
-            negdef_count += 1
-            if abs(det) == 1:
-                hits.append(_shape_code(tables, (-2,) * n))
+        # every tree of this size at once, one parent row each
+        levels = np.array(_tree_levels(n), dtype=np.int64)
+        weights = np.full((n, len(levels)), -2, dtype=np.int64)
+        det, negdef = _det_negdef(_level_parents(levels), weights)
+        scanned += len(levels)
+        negdef_count += int(negdef.sum())
+        for i in np.flatnonzero(negdef & (np.abs(det) == 1)).tolist():
+            tables = _shape_tables(_level_edges(levels[i].tolist()), n)
+            hits.append(_shape_code(tables, (-2,) * n))
     hits.sort()
     ok = hits == [expected]
     return E8Report(
@@ -581,6 +631,37 @@ def verify_e8_unique(nmax: int) -> E8Report:
         unimodular_codes=tuple(hits),
         expected_code=expected,
     )
+
+
+def _checked_rows(nmax: int, wmin: int):
+    """The graphs verify_classification checks, shape by shape: the first
+    of each isomorphism class among a shape's minimal negative-definite
+    columns in case (a) or (c), as (weight rows, int8 adjacency
+    matrices, starting cycles) padded to nmax vertices with isolated -2
+    vertices outside the cycle, and whether each is in case (a) and in
+    case (c)."""
+    for n in range(1, nmax + 1):
+        for edges in enumerate_trees(n):
+            tables = _shape_tables(edges, n)
+            scan = _grid_scan(tables, wmin, minimal=True)
+            det1 = np.abs(scan.det) == 1
+            has_m1 = (scan.weights == -1).any(axis=0)
+            checked = scan.negdef & (det1 | has_m1)
+            # case (a) and (c) are isomorphism-invariant, so the first
+            # column of a class is that of either case
+            pick = np.flatnonzero(checked)
+            pick = pick[_first_columns(tables, scan.weights[:, pick])]
+            rows = np.full((len(pick), nmax), -2, dtype=np.int64)
+            rows[:, :n] = scan.weights[:, pick].T
+            adj = np.zeros((nmax, nmax), dtype=np.int8)
+            adj[:n, :n] = engine._adjacency(tables.neighbors)
+            yield (
+                rows,
+                np.broadcast_to(adj, (len(pick), nmax, nmax)),
+                np.broadcast_to(np.arange(nmax) < n, rows.shape),
+                det1[pick],
+                has_m1[pick],
+            )
 
 
 @dataclass(frozen=True)
@@ -609,13 +690,20 @@ def verify_classification(
     (c) every minimal graph containing a -1 vertex is non-rational.
 
     Each shape's grid columns of cases (a) and (c) are deduplicated by
-    isomorphism (_first_columns) and decided together: Laufer's test
-    (engine.laufer_rational_rows) and, for its non-rational verdicts,
-    two basic canonical-class members (engine.canonical_pair_rows). Only
-    a graph the two leave open, Laufer-rational or uncertified, gets a
-    forest and engine.is_rational, which counts the canonical class. A
-    graph on which Laufer's test and that count disagree
-    (engine.RationalityDisagreementError) is a counterexample.
+    isomorphism (_first_columns), padded to nmax vertices with isolated
+    -2 vertices, and decided with the other shapes' rows in chunks of
+    _BATCH_ROWS rows, each row with its own int8 adjacency matrix:
+    Laufer's test (engine.laufer_rational_rows) and, for its
+    non-rational verdicts, two basic canonical-class members
+    (engine.canonical_pair_rows). The pads stay out of each row's
+    starting cycle, so that they pair to 0 with it and never step, and
+    in both members of the pair they sit at their box floor, 0 against
+    a ceiling of 2: a padded row is rational, and certified, iff its
+    graph is (see both functions). Only a graph the two leave open,
+    Laufer-rational or uncertified, gets a forest and engine.is_rational,
+    which counts the canonical class. A graph on which Laufer's test and
+    that count disagree (engine.RationalityDisagreementError) is a
+    counterexample.
     """
     _check_grid_budget(nmax, wmin, budget, minimal=True)
     expected = e8_code()
@@ -623,54 +711,49 @@ def verify_classification(
     rational_codes = []
     # (code, line) counterexamples of cases (a)/(b) and of case (c)
     found_a, found_c = [], []
-    for n in range(1, nmax + 1):
-        for edges in enumerate_trees(n):
-            tables = _shape_tables(edges, n)
-            scan = _grid_scan(tables, wmin, minimal=True)
-            det1 = np.abs(scan.det) == 1
-            has_m1 = (scan.weights == -1).any(axis=0)
-            checked = scan.negdef & (det1 | has_m1)
-            # case (a) and (c) are isomorphism-invariant, so the first
-            # column of a class is that of either case
-            pick = np.flatnonzero(checked)
-            pick = pick[_first_columns(tables, scan.weights[:, pick])]
-            rows = np.ascontiguousarray(scan.weights[:, pick].T)
-            in_a, in_c = det1[pick], has_m1[pick]
-            unimodular += int(in_a.sum())
-            case3 += int(in_c.sum())
-            case2 += int((in_a & ~in_c & (rows.min(axis=1) <= -3)).sum())
-            laufer = engine.laufer_rational_rows(tables.neighbors, rows)
-            nonrational = np.flatnonzero(~laufer)
-            certified, _ = engine.canonical_pair_rows(tables.neighbors, rows[nonrational])
-            # the Laufer-rational and the uncertified graphs go to is_rational
-            undecided = laufer.copy()
-            undecided[nonrational[~certified]] = True
-            for i in np.flatnonzero(undecided).tolist():
-                per_graph += 1
-                w = tuple(rows[i].tolist())
-                forest = _shape_forest(edges, n, w)
-                try:
-                    if not engine.is_rational(QFormContext(forest, budget=budget)):
-                        continue
-                    error = None
-                except engine.RationalityDisagreementError as e:
-                    error = str(e)
-                code = _shape_code(tables, w)
-                if error:
-                    why_a = why_c = [error]
-                else:
-                    why_a = ["rational |det|=1 graph is not E8"] * (code != expected)
-                    if not in_c[i] and min(w) <= -3:
-                        why_a.append(
-                            "rational graph without -1 and with a weight <= -3 has |det| = 1"
-                        )
-                    why_c = ["minimal graph with a -1 vertex is rational"]
-                    if in_a[i]:
-                        rational_codes.append(code)
+
+    checked = _checked_rows(nmax, wmin)
+    for rows, adj, cycle, in_a, in_c in _chunks(checked, _BATCH_ROWS):
+        unimodular += int(in_a.sum())
+        case3 += int(in_c.sum())
+        # a pad's -2 leaves the least weight of a row at or below -3 as it was
+        case2 += int((in_a & ~in_c & (rows.min(axis=1) <= -3)).sum())
+        laufer = engine.laufer_rational_rows(adj, rows, cycle)
+        nonrational = np.flatnonzero(~laufer)
+        certified, _ = engine.canonical_pair_rows(
+            adj[nonrational], rows[nonrational], cycle[nonrational]
+        )
+        # the Laufer-rational and the uncertified graphs go to is_rational
+        undecided = laufer.copy()
+        undecided[nonrational[~certified]] = True
+        for i in np.flatnonzero(undecided).tolist():
+            per_graph += 1
+            n = int(cycle[i].sum())
+            w = tuple(rows[i, :n].tolist())
+            edges = tuple(zip(*(x.tolist() for x in np.nonzero(np.triu(adj[i])))))
+            forest = _shape_forest(edges, n, w)
+            try:
+                if not engine.is_rational(QFormContext(forest, budget=budget)):
+                    continue
+                error = None
+            except engine.RationalityDisagreementError as e:
+                error = str(e)
+            code = canonical_code(forest)
+            if error:
+                why_a = why_c = [error]
+            else:
+                why_a = ["rational |det|=1 graph is not E8"] * (code != expected)
+                if not in_c[i] and min(w) <= -3:
+                    why_a.append(
+                        "rational graph without -1 and with a weight <= -3 has |det| = 1"
+                    )
+                why_c = ["minimal graph with a -1 vertex is rational"]
                 if in_a[i]:
-                    found_a += [(code, f"{why}: {code} weights={w}") for why in why_a]
-                if in_c[i]:
-                    found_c += [(code, f"{why}: {code} weights={w}") for why in why_c]
+                    rational_codes.append(code)
+            if in_a[i]:
+                found_a += [(code, f"{why}: {code} weights={w}") for why in why_a]
+            if in_c[i]:
+                found_c += [(code, f"{why}: {code} weights={w}") for why in why_c]
     # in code order, as each case's lines of one graph stay together
     found_a.sort(key=lambda f: f[0])
     found_c.sort(key=lambda f: f[0])

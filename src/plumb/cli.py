@@ -7,7 +7,9 @@ input, 3 budget or search bound exceeded.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -135,6 +137,27 @@ def _template(text: str) -> str:
     return text.replace("%", "%%").replace("\0", "%d")
 
 
+def _count(items) -> int:
+    """The number of items left in an iterator, counted without holding
+    them."""
+    counter = itertools.count()
+    collections.deque(zip(items, counter), maxlen=0)
+    return next(counter)
+
+
+def _slot_count(proto) -> int:
+    """The slots of proto, read from the prototype alone: a run of one
+    list item repeated is counted once, times its length."""
+    if isinstance(proto, _Slot):
+        return 1
+    if isinstance(proto, dict):
+        return sum(map(_slot_count, proto.values()))
+    if isinstance(proto, (list, tuple)):
+        runs = itertools.groupby(proto, key=id)
+        return sum(_slot_count(next(run)) * (1 + _count(run)) for _, run in runs)
+    return 0
+
+
 def _fill_pieces(proto, pad: str, templates: dict):
     """The %-template of proto at the indent pad, as (piece, slot count,
     repeat) triples in text order: the keys and brackets of its dicts and
@@ -150,7 +173,7 @@ def _fill_pieces(proto, pad: str, templates: dict):
     elif isinstance(proto, (list, tuple)) and proto:
         for i, (_, run) in enumerate(itertools.groupby(proto, key=id)):
             x = next(run)
-            repeat = len(list(run))
+            repeat = _count(run)
             text = _json(x, inner, templates)
             slots, text = text.count("\0"), _template(inner + text)
             yield ("," if i else "[") + text, slots, 1
@@ -187,19 +210,14 @@ def _item_template(proto, pad: str, templates: dict):
     """(template, ends) of one list item shaped like proto at the indent
     pad: its %-template, the separator "," first, and ends[i] the position
     just past slot i's %d in it; None for an item of more than _FILL_CHUNK
-    values, which is rendered only that far. Kept in templates by
+    values (_slot_count), which is not rendered. Kept in templates by
     (prototype, indent)."""
     key = (id(proto), pad)
     if key not in templates:
-        pieces, slots = ["," + pad], 0
-        for piece, count, repeat in _fill_pieces(proto, pad, templates):
-            slots += count * repeat
-            if slots > _FILL_CHUNK:
-                templates[key] = None
-                break
-            pieces.append(piece * repeat)
+        if _slot_count(proto) > _FILL_CHUNK:
+            templates[key] = None
         else:
-            text = "".join(pieces)
+            text = _template("," + pad + _json(proto, pad, templates))
             # every % of a template starts a %% or a %d
             templates[key] = text, [m.end() for m in re.finditer("%.", text) if m[0] == "%d"]
     return templates[key]
@@ -824,7 +842,10 @@ def _add_knobs(p: argparse.ArgumentParser, hf: bool = False) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The plumb argument parser, built once per process: parse_args
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="plumb",
         description="Invariants of negative-definite plumbed 3-manifolds",

@@ -124,26 +124,33 @@ def _adjacency(neighbors) -> np.ndarray:
     return adj
 
 
-def _basic_rows(block: np.ndarray, weights, neighbors, rng=None) -> np.ndarray:
+def _times_adj(rows: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """rows @ adj, with adj one matrix or one matrix per row."""
+    if adj.ndim == 2:
+        return rows @ adj
+    return np.matmul(rows[:, None, :], adj)[:, 0]
+
+
+def _basic_rows(block: np.ndarray, weights, adj: np.ndarray, rng=None) -> np.ndarray:
     """run_path on every row of a block at once: which rows end basic.
 
-    weights is one graph's weight sequence, or an int64 array with one
-    weight row per block row: a batch of graphs on the one shape that
-    neighbors describes. Each numpy step advances every live row by one
-    move under run_path's rules: a row with a pairing above -m(v)
-    overflows (tested before eligibility), a row with no eligible vertex
-    is basic, and any other row moves at its lowest eligible vertex, or
-    at a uniformly random one when rng is given. The same 10 * box_size
-    step limit applies; a batch takes max|m_v|^n, which bounds every
-    row's box."""
+    adj is the 0/1 adjacency matrix of one graph shape (_adjacency), or
+    an int8 stack of one per block row; weights is one weight sequence
+    (with one adjacency matrix only), or an int64 array with one weight
+    row per block row. Each numpy
+    step advances every live row by one move under run_path's rules: a
+    row with a pairing above -m(v) overflows (tested before
+    eligibility), a row with no eligible vertex is basic, and any other
+    row moves at its lowest eligible vertex, or at a uniformly random
+    one when rng is given. The same 10 * box_size step limit applies; a
+    batch takes max|m_v|^n, which bounds every row's box."""
     w = np.asarray(weights, dtype=np.int64)
     per_row = w.ndim == 2
-    adj2 = 2 * _adjacency(neighbors)
     if per_row:
         box = int(np.abs(w).max(initial=1)) ** w.shape[1]
     else:
         box = math.prod(abs(x) for x in w.tolist())
-        moves = adj2 + np.diag(2 * w)
+        moves = 2 * (adj + np.diag(w))
     ceiling = -w
     limit = 10 * max(1, box)
     basic = np.zeros(len(block), dtype=bool)
@@ -154,11 +161,15 @@ def _basic_rows(block: np.ndarray, weights, neighbors, rng=None) -> np.ndarray:
         eligible = k == ceiling
         moving = eligible.any(axis=1)
         overflow = (k > ceiling).any(axis=1)
-        basic[live[~overflow & ~moving]] = True
         go = moving & ~overflow
-        live, k, eligible = live[go], k[go], eligible[go]
-        if not len(live):
-            break
+        if not go.all():
+            basic[live[~overflow & ~moving]] = True
+            live, k, eligible = live[go], k[go], eligible[go]
+            if per_row:
+                ceiling = ceiling[go]
+                adj = adj[go] if adj.ndim == 3 else adj
+            if not len(live):
+                break
         if rng is None:
             v = eligible.argmax(axis=1)
         else:
@@ -166,9 +177,8 @@ def _basic_rows(block: np.ndarray, weights, neighbors, rng=None) -> np.ndarray:
             v = (eligible.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
         if per_row:
             # twice row v of each row's own Q
-            ceiling = ceiling[go]
             rows = np.arange(len(k))
-            k = k + adj2[v]
+            k = k + 2 * (adj[v] if adj.ndim == 2 else adj[rows, v])
             k[rows, v] -= 2 * ceiling[rows, v]
         else:
             k = k + moves[v]
@@ -191,8 +201,9 @@ def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> 
     eligible vertex; passing an rng (a uniformly random eligible vertex
     per row and step) only exercises that property."""
     rows, residues = [], []
+    adj = _adjacency(ctx.neighbors)
     for _, block, res in ctx.box_sweep():
-        basic = _basic_rows(block, ctx.weights, ctx.neighbors, rng)
+        basic = _basic_rows(block, ctx.weights, adj, rng)
         rows.append(block[basic])
         residues.append(res[basic])
     reps = ctx.class_reps
@@ -215,7 +226,8 @@ class RationalityDisagreementError(RuntimeError):
 
 def _laufer_close(adj, weights, pairing, skip=None, fall=False) -> np.ndarray:
     """Laufer's closure of a batch of cycles on the shape of the 0/1
-    adjacency matrix adj, in place; returns the rise of chi of each row.
+    adjacency matrix adj (one for all rows, or an int8 stack of one per
+    row), in place; returns the rise of chi of each row.
 
     Row r of pairing holds the pairings Q x of a cycle x, Q = adj plus
     the diagonal of weights (one row per cycle, or one for all). Each
@@ -228,59 +240,78 @@ def _laufer_close(adj, weights, pairing, skip=None, fall=False) -> np.ndarray:
     a 0/1 set e raises it by the sum over e of (1 - x.E_v), less the
     edges inside e; each step pairs to at least 1, so chi never rises.
     With fall, a row stops in the round its chi falls, short of its
-    closure. A round touches only the rows still moving."""
-    weights = np.broadcast_to(weights, pairing.shape)
-    if skip is not None:
-        skip = np.broadcast_to(skip, len(pairing))
+    closure. A round works on the rows still moving, held apart, and a
+    row's pairings and rise are written back when it stops."""
     rise = np.zeros(len(pairing), dtype=np.int64)
     live = np.arange(len(pairing))
+    p, w, risen, a = pairing, np.broadcast_to(weights, pairing.shape), rise, adj
+    if skip is not None:
+        skip = np.broadcast_to(skip, len(pairing))
     while len(live):
-        p = pairing[live]
         e = p > 0
         if skip is not None:
-            e[np.arange(len(live)), skip[live]] = False
+            e[np.arange(len(live)), skip] = False
         go = e.any(axis=1)
-        if not go.all():
-            live, p, e = live[go], p[go], e[go]
-        e = e.astype(np.int64)
-        ea = e @ adj
-        rise[live] += (e * (1 - p)).sum(axis=1) - (ea * e).sum(axis=1) // 2
-        # E_v pairs to m_v with itself and to 1 with each neighbour
-        pairing[live] = p + ea + e * weights[live]
         if fall:
-            live = live[rise[live] == 0]
+            go &= risen == 0
+        if not go.all():
+            pairing[live[~go]] = p[~go]
+            rise[live[~go]] = risen[~go]
+            live, p, e, risen, w = live[go], p[go], e[go], risen[go], w[go]
+            a = a[go] if a.ndim == 3 else a
+            skip = None if skip is None else skip[go]
+            if not len(live):
+                break
+        # 0/1 as int8: an int8 adjacency stack multiplies in int8
+        e = e.view(np.int8)
+        ea = _times_adj(e, a)
+        risen = risen + (e * (1 - p)).sum(axis=1) - (ea * e).sum(axis=1) // 2
+        # E_v pairs to m_v with itself and to 1 with each neighbour
+        p = p + ea + e * w
     return rise
 
 
-def laufer_rational_rows(neighbors, weights: np.ndarray) -> np.ndarray:
-    """Laufer's test on a batch of negative-definite graphs on the one
-    shape that neighbors describes, one int64 weight row per graph: from
-    Z = sum of E_v, add E_v while (Z.E_v) = 1. A step with (Z.E_v) >= 2
-    proves the graph non-rational; unit steps end at the fundamental
-    cycle of a rational graph. Every step pairs to at least 1 and chi of
-    the closure does not depend on their order, so the graph is rational
-    iff the closure (_laufer_close) leaves chi as it was.
+def _cycle_pairings(adj, weights: np.ndarray, cycle) -> np.ndarray:
+    """Q Z of each row's starting cycle Z: the sum of E_v over the
+    vertices of cycle (a boolean mask per row), or over every vertex."""
+    z = np.ones_like(weights) if cycle is None else cycle.astype(np.int64)
+    return weights * z + _times_adj(z, adj)
+
+
+def laufer_rational_rows(adj, weights: np.ndarray, cycle=None) -> np.ndarray:
+    """Laufer's test on a batch of negative-definite graphs, one int64
+    weight row per graph, on the shape of the adjacency matrix adj (one
+    for all rows, or an int8 stack of one per row): from Z = sum of E_v,
+    add E_v while (Z.E_v) = 1. A step with (Z.E_v) >= 2 proves the graph
+    non-rational; unit steps end at the fundamental cycle of a rational
+    graph. Every step pairs to at least 1 and chi of the closure does
+    not depend on their order, so the graph is rational iff the closure
+    (_laufer_close) leaves chi as it was.
 
     The argument is per component: steps in one component leave the
     pairings of the others unchanged, and the restriction of Z to v's
     component C starts as the sum of C's vertices, with chi = 1. A step
     with (Z.E_v) >= 2 makes chi(Z|C + E_v) <= 0, so C is non-rational,
     and the canonical class's basic count, a product over components,
-    is then at least 2."""
-    adj = _adjacency(neighbors)
-    return _laufer_close(adj, weights, weights + adj.sum(axis=1), fall=True) == 0
+    is then at least 2.
+
+    cycle (a boolean mask per row) may leave isolated vertices out of Z,
+    such as the -2 vertices that pad rows of different sizes to one
+    width in census.verify_classification: each pairs to 0 with Z and
+    never steps, so the verdict is that of the rest of the row."""
+    pairing = _cycle_pairings(adj, weights, cycle)
+    return _laufer_close(adj, weights, pairing, fall=True) == 0
 
 
-def _skip_closures(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _skip_closures(adj, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Laufer's test with one vertex's weight at -infinity, so that it
     never steps, for every vertex of each graph of a batch on the one
-    shape that neighbors describes (one int64 weight row per graph): n
+    shape of the adjacency matrix adj (one int64 weight row per graph): n
     rows per graph in one _laufer_close call. Returns (passes, top), each
     of shape (graphs, n): passes[i, v] when the run skipping v takes only
     unit steps, and top[i, v], on a passing row, v's pairing p_v with
     that run's closure."""
     graphs, n = weights.shape
-    adj = _adjacency(neighbors)
     rows = np.repeat(weights, n, axis=0)
     pairing = rows + adj.sum(axis=1)
     skip = np.tile(np.arange(n), graphs)
@@ -295,29 +326,35 @@ def ar_vertex(ctx: QFormContext) -> int | None:
     not almost-rational): _skip_closures of this one graph, the decider
     ar_status_rows builds on."""
     weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
-    hit = np.flatnonzero(_skip_closures(ctx.neighbors, weights)[0][0])
+    hit = np.flatnonzero(_skip_closures(_adjacency(ctx.neighbors), weights)[0][0])
     return int(hit[0]) if len(hit) else None
 
 
-def canonical_pair_rows(neighbors, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def canonical_pair_rows(adj, weights: np.ndarray, cycle=None) -> tuple[np.ndarray, np.ndarray]:
     """Two distinct basic box members of the canonical class for each of
-    a batch of negative-definite graphs on the one shape that neighbors
-    describes (one int64 weight row per graph): the canonical vector
-    W + 2 and W + 2 - 2 Q Z, Z the fundamental cycle, which Z != 0 makes
-    distinct. Returns (found, pairs): found[i] when both members of row i
-    end basic, and pairs[i] the two. Such a pair shows the graph is not
+    a batch of negative-definite graphs, one int64 weight row per graph,
+    on the shape of the adjacency matrix adj (one for all rows, or an
+    int8 stack of one per row): the canonical vector W + 2 and
+    W + 2 - 2 Q Z, Z the fundamental cycle, which Z != 0 makes distinct.
+    Returns (found, pairs): found[i] when both members of row i end
+    basic, and pairs[i] the two. Such a pair shows the graph is not
     rational. On a forest the runs go per component, and a rational
     component holds one basic member of its canonical class, so a forest
-    with a rational component is never certified."""
-    adj = _adjacency(neighbors)
-    # Q Z: the closure of the sum of E_v is Z
-    pairing = weights + adj.sum(axis=1)
+    with a rational component is never certified.
+
+    Z is the closure of the cycle of laufer_rational_rows, so a vertex
+    left out of it, a padding isolated -2 vertex, pairs to 0 with Z: it
+    sits at its box floor m + 2 = 0 in both members, below its ceiling
+    2, and never steps, so a padded row is certified iff its graph is."""
+    # Q Z: the closure of the starting cycle is Z
+    pairing = _cycle_pairings(adj, weights, cycle)
     _laufer_close(adj, weights, pairing)
     pairs = np.stack([weights + 2, weights + 2 - 2 * pairing], axis=1)
     # Q Z <= 0 keeps the second member above the box's floor; a pairing
     # above its ceiling overflows at once, so only box members end basic
     block = pairs.reshape(-1, weights.shape[1])
-    basic = _basic_rows(block, weights.repeat(2, axis=0), neighbors)
+    both = adj if adj.ndim == 2 else adj.repeat(2, axis=0)
+    basic = _basic_rows(block, weights.repeat(2, axis=0), both)
     return basic.reshape(-1, 2).all(axis=1), pairs
 
 
@@ -328,8 +365,9 @@ def canonical_counts_rows(batch: BoxBatch) -> np.ndarray:
     canonical class, by a meet in the middle on the coset W + 2 + 2 Q.Z^n;
     they go through _basic_rows a block at a time."""
     counts = np.zeros(len(batch.weights), dtype=np.int64)
+    adj = _adjacency(batch.neighbors)
     for graph, block in batch.canonical_blocks():
-        basic = _basic_rows(block, batch.weights[graph], batch.neighbors)
+        basic = _basic_rows(block, batch.weights[graph], adj)
         counts += np.bincount(graph[basic], minlength=len(counts))
     return counts
 
@@ -366,8 +404,9 @@ def is_rational(ctx: QFormContext) -> bool:
     Only that count builds box rows, so only it checks the box budget,
     when it builds the context's BoxBatch."""
     weights = np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n)
-    laufer = bool(laufer_rational_rows(ctx.neighbors, weights)[0])
-    if not laufer and canonical_pair_rows(ctx.neighbors, weights)[0][0]:
+    adj = _adjacency(ctx.neighbors)
+    laufer = bool(laufer_rational_rows(adj, weights)[0])
+    if not laufer and canonical_pair_rows(adj, weights)[0][0]:
         return False
     _check_count(_canonical_basic_count(ctx), laufer)
     return laufer
@@ -423,7 +462,8 @@ def ar_status_rows(
     graphs, n = weights.shape
     vertex = np.full(graphs, -1, dtype=np.int64)
     delta = np.zeros(graphs, dtype=np.int64)
-    passes, top = _skip_closures(neighbors, weights)
+    adj = _adjacency(neighbors)
+    passes, top = _skip_closures(adj, weights)
     graph, at = np.nonzero(passes)
     lo = np.ones(len(graph), dtype=np.int64)
     hi = np.maximum(top[graph, at], 1)
@@ -435,7 +475,7 @@ def ar_status_rows(
         mid = (lo[open_] + hi[open_]) // 2
         rows = weights[graph[open_]]
         rows[np.arange(len(open_)), at[open_]] -= mid
-        rational = laufer_rational_rows(neighbors, rows)
+        rational = laufer_rational_rows(adj, rows)
         hi[open_[rational]] = mid[rational]
         lo[open_[~rational]] = mid[~rational] + 1
         probes.append(rows[~rational])
@@ -444,7 +484,7 @@ def ar_status_rows(
     step = _BATCH_ROWS // 2  # canonical_pair_rows runs two rows per graph
     for start in range(0, len(nonrational), step):
         certified[start:start + step] = canonical_pair_rows(
-            neighbors, nonrational[start:start + step]
+            adj, nonrational[start:start + step]
         )[0]
     if not certified.all():
         ids = tuple(f"v{i + 1}" for i in range(n))

@@ -8,10 +8,11 @@ matrices and enumerations use that order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -249,15 +250,14 @@ def intersection_matrix(forest: PlumbingForest) -> tuple[tuple[int, ...], ...]:
 class _ShapeTables:
     """A forest shape rooted at the least vertex of each component: the
     one traversal behind a forest's neighbours, components, determinant
-    and canonical code."""
+    and canonical code. parent is -1 at a root, and postorder visits
+    every vertex after its children."""
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
     components: tuple[tuple[int, ...], ...]
-    roots: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
+    parent: tuple[int, ...]
     postorder: tuple[int, ...]
-    sizes: tuple[int, ...]
     degrees: tuple[int, ...]
 
     @cached_property
@@ -274,12 +274,11 @@ def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
     nb = tuple(tuple(sorted(x)) for x in adj)
     parent = [-1] * n
     seen = [False] * n
-    roots, order, components = [], [], []
+    order, components = [], []
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
-        roots.append(root)
         queue = [root]
         for v in queue:
             for u in nb[v]:
@@ -289,71 +288,68 @@ def _shape_tables(edges: Sequence[tuple[int, int]], n: int) -> _ShapeTables:
                     queue.append(u)
         order += queue
         components.append(tuple(sorted(queue)))
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-    sizes = [1] * n
-    for v in reversed(order):
-        for c in children[v]:
-            sizes[v] += sizes[c]
     return _ShapeTables(
         n=n,
         neighbors=nb,
         components=tuple(components),
-        roots=tuple(roots),
-        children=tuple(tuple(c) for c in children),
+        parent=tuple(parent),
         postorder=tuple(reversed(order)),
-        sizes=tuple(sizes),
         degrees=tuple(len(x) for x in nb),
     )
 
 
-def _subtree_determinants(tables: _ShapeTables, weights):
-    """Determinant of every rooted subtree via the leaf-to-root
-    recursion; weights may be per-vertex scalars or equal-length arrays
-    (the recursion is elementwise)."""
-    d = [None] * tables.n
-    p = [None] * tables.n
-    for v in tables.postorder:
-        cs = tables.children[v]
-        if not cs:
-            d[v] = weights[v] * 1
-            p[v] = weights[v] * 0 + 1
-            continue
-        pre = [weights[v] * 0 + 1]
-        for c in cs:
-            pre.append(pre[-1] * d[c])
-        suf = [None] * (len(cs) + 1)
-        suf[len(cs)] = weights[v] * 0 + 1
-        for i in range(len(cs) - 1, -1, -1):
-            suf[i] = suf[i + 1] * d[cs[i]]
-        a = pre[len(cs)]
-        b = weights[v] * 0
-        for i, c in enumerate(cs):
-            b = b + p[c] * pre[i] * suf[i + 1]
-        d[v] = weights[v] * a - b
-        p[v] = a
-    return d
+def _det_negdef(parent, weights: np.ndarray, order=None):
+    """det Q and whether Q is negative definite, for each column of the
+    weights (n, C) of C forests on n vertices: int64 columns, or exact
+    ints (an object array). parent (-1 at a root) is one sequence for
+    all columns, or one row per column (C, n); order visits every vertex
+    after its children, by default n - 1 down to 0, which does when each
+    vertex's parent comes before it.
 
-
-def _det_negdef(tables: _ShapeTables, weights):
-    """det Q and whether Q is negative definite, elementwise like
-    _subtree_determinants. det Q is the product of the roots' subtree
-    determinants. In the children-first order every prefix of the
-    vertices is a disjoint union of whole rooted subtrees, so Sylvester's
-    criterion reads: every subtree determinant has the sign (-1)^size.
-    The empty forest is definite, with det 1."""
-    d = _subtree_determinants(tables, weights)
-    negdef = True
-    for v in range(tables.n):
-        negdef = negdef & ((d[v] < 0) if tables.sizes[v] % 2 else (d[v] > 0))
-    return math.prod(d[r] for r in tables.roots), negdef
+    One recursion, children first, runs on -Q. It gives each rooted
+    subtree's determinant d_v = -m_v A_v - B_v (Laplace along v's row),
+    where A_v is the product of the children's d_c and B_v the sum over
+    children c of A_c times the other children's d; B is kept negated,
+    as beta = -B. Folding v into its parent p sets A_p <- A_p d_v and
+    B_p <- B_p d_v + A_v A_p; the roots fold into a sink, row n, whose A
+    ends as det(-Q) = (-1)^n det Q, the product of the roots' d. In the
+    children-first order every prefix of the vertices is a disjoint
+    union of whole rooted subtrees, and adding v to it multiplies its
+    leading minor by d_v over the product of v's children's d, so
+    Sylvester's criterion reads: Q is negative definite iff every d_v
+    is positive. The empty forest is definite, with det 1."""
+    n, cols = weights.shape
+    a = np.ones((n + 1, cols), dtype=weights.dtype)
+    beta = np.zeros((n + 1, cols), dtype=weights.dtype)
+    negdef = np.ones(cols, dtype=bool)
+    per_column = np.ndim(parent) == 2
+    every = np.arange(cols)
+    for v in range(n - 1, -1, -1) if order is None else order:
+        d = weights[v] * a[v]
+        np.subtract(beta[v], d, out=d)
+        negdef &= d > 0
+        if per_column:
+            up = parent[:, v], every
+            top = a[up]
+            beta[up] = beta[up] * d - a[v] * top
+            a[up] = top * d
+        else:
+            # rows of one parent: update them in place
+            p = parent[v]
+            beta[p] *= d
+            beta[p] -= a[v] * a[p]
+            a[p] *= d
+    # a new array, which does not hold the others alive
+    return (-1) ** n * a[n], negdef
 
 
 def _forest_det_negdef(forest: PlumbingForest) -> tuple[int, bool]:
-    """(det Q, Q negative definite) of a forest, from one recursion."""
-    return _det_negdef(forest._tables, forest.weights)
+    """(det Q, Q negative definite) of a forest, from one recursion in
+    exact ints."""
+    tables = forest._tables
+    weights = np.array(forest.weights, dtype=object).reshape(-1, 1)
+    det, negdef = _det_negdef(tables.parent, weights, tables.postorder)
+    return int(det[0]), bool(negdef[0])
 
 
 def is_negative_definite(forest: PlumbingForest) -> bool:

@@ -469,8 +469,7 @@ class BoxBatch:
         bound = np.log2(np.abs(weights) + degrees + 1).sum(axis=1) + math.log2(n + 1)
         exact_ints = weights if bound.max(initial=0) < 61 else weights.astype(object)
         sizes = np.abs(exact_ints).prod(axis=1)
-        det, negdef = _det_negdef(tables, exact_ints.T)
-        det = np.broadcast_to(det, sizes.shape)
+        det, negdef = _det_negdef(tables.parent, exact_ints.T, tables.postorder)
         if not np.all(negdef):
             raise NotNegativeDefiniteError("intersection form is not negative definite")
         wanted = (sizes <= budget) & (sizes < _INT64_GUARD)

@@ -9,7 +9,10 @@ char_box, in_terminal_box, k_square and spinc_key are the scalar
 counterparts of the box layer's blocks, K^2 numerators and spin^c
 classes: spinc_key(ctx, k), adj(Q) k mod 2|det|, is the partition the
 class indices must reproduce, and same_spinc compares two keys;
-labeled_tree_codes cross-checks census.enumerate_trees.
+labeled_tree_codes cross-checks census.enumerate_trees, and e8_scan is
+the uniqueness scan one tree at a time (a forest and its scalar
+determinant recursion each), which census.verify_e8_unique, running
+every tree of a size at once, must agree with.
 
 laufer_steps is Laufer's closure one vertex at a time, in stack order,
 and laufer_rational_scalar the rationality test on it; canonical_walk
@@ -56,11 +59,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from plumb.census import CensusRecord
+from plumb.census import CensusRecord, enumerate_trees
 from plumb.engine import (
     ArStatus,
     SafetyLimitError,
     TerminationResult,
+    _adjacency,
     _basic_rows,
     basic_vectors,
     d_invariants,
@@ -68,7 +72,7 @@ from plumb.engine import (
     is_rational,
     verdicts,
 )
-from plumb.forest import PlumbingForest, canonical_code, is_minimal
+from plumb.forest import PlumbingForest, _forest_det_negdef, canonical_code, is_minimal
 from plumb.lattice import DEFAULT_BUDGET, BoxBatch, CharVector, QFormContext
 from plumb.relations import ClassTable, DegreeRow
 
@@ -119,6 +123,23 @@ def labeled_tree_codes(n, weights=None) -> set[str]:
     w = tuple(weights) if weights is not None else (-2,) * n
     ids = tuple(f"v{i + 1}" for i in range(n))
     return {canonical_code(PlumbingForest(ids, w, edges)) for edges in trees}
+
+
+def e8_scan(nmax: int) -> tuple[int, int, tuple[str, ...]]:
+    """(trees scanned, negative definite, sorted codes of the unimodular
+    ones) over the all-(-2) trees with at most nmax vertices, one forest
+    per tree."""
+    scanned = negdef_count = 0
+    hits = []
+    for n in range(1, nmax + 1):
+        for edges in enumerate_trees(n):
+            forest = PlumbingForest(tuple(f"v{i + 1}" for i in range(n)), (-2,) * n, edges)
+            det, negdef = _forest_det_negdef(forest)
+            scanned += 1
+            negdef_count += negdef
+            if negdef and abs(det) == 1:
+                hits.append(canonical_code(forest))
+    return scanned, negdef_count, tuple(sorted(hits))
 
 
 def _decode_tree_sequence(seq, n) -> tuple[tuple[int, int], ...]:
@@ -264,6 +285,7 @@ def canonical_counts_sweep(neighbors, weights):
     whose spin^c key is that of their graph's canonical vector W + 2 go
     through _basic_rows."""
     batch = BoxBatch(neighbors, weights)
+    adj = _adjacency(neighbors)
     modulus = 2 * batch.h1
     canonical = batch.pairings(np.arange(len(weights)), weights + 2) % modulus[:, None]
     counts = np.zeros(len(weights), dtype=np.int64)
@@ -271,7 +293,7 @@ def canonical_counts_sweep(neighbors, weights):
         keys = batch.pairings(graph, block) % modulus[graph, None]
         members = (keys == canonical[graph]).all(axis=1)
         graph, block = graph[members], block[members]
-        basic = _basic_rows(block, weights[graph], neighbors)
+        basic = _basic_rows(block, weights[graph], adj)
         counts += np.bincount(graph[basic], minlength=len(counts))
     return counts
 

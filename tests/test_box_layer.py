@@ -189,9 +189,9 @@ def test_canonical_counts_build_no_row_outside_the_class(monkeypatch, trees):
     sent = []
     real = engine._basic_rows
 
-    def recording(block, weights, neighbors, rng=None):
+    def recording(block, weights, adj, rng=None):
         sent.extend(zip(np.asarray(weights).tolist(), block.tolist()))
-        return real(block, weights, neighbors, rng)
+        return real(block, weights, adj, rng)
 
     monkeypatch.setattr(engine, "_basic_rows", recording)
     for nb, weights, forests in _by_shape(trees + [e8_forest(), chain_forest([-5] * 5)]):

@@ -22,7 +22,7 @@ from plumb.forest import (
 )
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import classify, labeled_tree_codes, record_to_obj
+from oracles import classify, e8_scan, labeled_tree_codes, record_to_obj
 
 
 # ----------------------------------------------------------------- shapes
@@ -436,10 +436,10 @@ def test_census_scan_builds_no_context_per_graph(monkeypatch):
     sizes, graphs = [], []
     real = engine._basic_rows
 
-    def recording(block, weights, neighbors, rng=None):
+    def recording(block, weights, adj, rng=None):
         sizes.append(len(block))
         graphs.append(len(np.unique(np.asarray(weights).reshape(-1, block.shape[1]), axis=0)))
-        return real(block, weights, neighbors, rng)
+        return real(block, weights, adj, rng)
 
     monkeypatch.setattr(engine, "_basic_rows", recording)
     recs = census.census_scan(4, -6)
@@ -458,8 +458,8 @@ def test_census_scan_sends_uncertified_candidates_to_is_rational(monkeypatch):
     want = census.census_scan(6, -3)
     real = engine.canonical_pair_rows
 
-    def nothing(neighbors, weights):
-        found, pairs = real(neighbors, weights)
+    def nothing(adj, weights, cycle=None):
+        found, pairs = real(adj, weights, cycle)
         return np.zeros_like(found), pairs
 
     checked = []
@@ -515,6 +515,14 @@ def test_verify_e8_at_8_and_9():
         )
 
 
+def test_verify_e8_matches_the_per_tree_scan():
+    """The scan of every tree of a size at once (one parent row each)
+    counts and codes what the per-tree scan does, nmax 8 to 12."""
+    for nmax in range(8, 13):
+        rep = census.verify_e8_unique(nmax)
+        assert (rep.trees_scanned, rep.negdef_count, rep.unimodular_codes) == e8_scan(nmax)
+
+
 def test_verify_e8_requires_enough_vertices():
     with pytest.raises(ValueError):
         census.verify_e8_unique(7)
@@ -557,6 +565,94 @@ def test_verify_classification_builds_one_forest_per_graph(monkeypatch):
     assert built == [(-2,) * 8]
 
 
+def _recording(monkeypatch, seen):
+    """Record the calls of laufer_rational_rows and canonical_pair_rows
+    that take one adjacency matrix per row (the verify chunks)."""
+    laufer, pair = engine.laufer_rational_rows, engine.canonical_pair_rows
+
+    def laufer_rows(adj, weights, cycle=None):
+        got = laufer(adj, weights, cycle)
+        if adj.ndim == 3:
+            seen["laufer"].append((adj, weights, cycle, got))
+        return got
+
+    def pair_rows(adj, weights, cycle=None):
+        found, pairs = pair(adj, weights, cycle)
+        if adj.ndim == 3:
+            seen["pair"].append((adj, weights, cycle, found, pairs))
+        return found, pairs
+
+    monkeypatch.setattr(engine, "laufer_rational_rows", laufer_rows)
+    monkeypatch.setattr(engine, "canonical_pair_rows", pair_rows)
+    return laufer, pair
+
+
+def _by_own_shape(calls):
+    """The rows of recorded chunk calls, unpadded and grouped by their
+    graph's shape: {(n, adjacency bytes): (adjacency, [(weights,
+    results...)])}; every pad is an isolated -2 vertex outside the
+    cycle, after the graph's own vertices."""
+    groups = {}
+    for adj, weights, cycle, *results in calls:
+        assert adj.dtype == np.int8
+        for i, (a, w, c) in enumerate(zip(adj, weights, cycle)):
+            n = int(c.sum())
+            assert c[:n].all() and (w[n:] == -2).all()
+            assert not a[n:].any() and not a[:, n:].any()
+            own = a[:n, :n].astype(np.int64)
+            group = groups.setdefault((n, own.tobytes()), (own, []))
+            group[1].append((w[:n], *(r[i] for r in results)))
+    return groups
+
+
+@pytest.mark.parametrize("nmax, wmin, checked", [(6, -4, 114), (7, -5, 8001)])
+def test_verify_chunks_across_shapes_match_per_shape_calls(monkeypatch, nmax, wmin, checked):
+    """With chunks of 100 rows, which cut through shapes and hold rows of
+    several, every checked graph gets the Laufer verdict and the
+    certificate pair (its pads at 0) that laufer_rational_rows and
+    canonical_pair_rows give on its own shape's rows alone, and the
+    report is unchanged."""
+    want = census.verify_classification(nmax, wmin)
+    seen = {"laufer": [], "pair": []}
+    laufer, pair = _recording(monkeypatch, seen)
+    monkeypatch.setattr(census, "_BATCH_ROWS", 100)
+    assert census.verify_classification(nmax, wmin) == want
+    assert max(len(call[1]) for call in seen["laufer"]) == 100
+    assert max(len({a.tobytes() for a in call[0]}) for call in seen["laufer"]) > 1
+    rows = 0
+    for own, entries in _by_own_shape(seen["laufer"]).values():
+        weights = np.array([w for w, _ in entries])
+        assert [v for _, v in entries] == laufer(own, weights).tolist()
+        rows += len(entries)
+    assert rows == checked
+    pairs = 0
+    for own, entries in _by_own_shape(seen["pair"]).values():
+        weights = np.array([w for w, _, _ in entries])
+        found, per_shape = pair(own, weights)
+        assert [f for _, f, _ in entries] == found.tolist()
+        n = weights.shape[1]
+        for (_, _, padded), p in zip(entries, per_shape):
+            assert (padded[:, :n] == p).all() and not padded[:, n:].any()
+        pairs += len(entries)
+    assert pairs == sum(len(call[1]) for call in seen["pair"]) > 0
+
+
+def test_verify_certificate_runs_once_per_chunk(monkeypatch):
+    """At (7, -5) the 8,001 checked graphs of 25 shapes (32 unimodular,
+    8,001 with a -1 vertex) go through Laufer's test and the certificate
+    in ceil(8,001 / _BATCH_ROWS) chunks: two calls of each at the
+    default 4,096 rows, nine at 1,000."""
+    seen = {"laufer": [], "pair": []}
+    _recording(monkeypatch, seen)
+    for rows, chunks in ((census._BATCH_ROWS, 2), (1000, 9)):
+        monkeypatch.setattr(census, "_BATCH_ROWS", rows)
+        seen["laufer"].clear()
+        seen["pair"].clear()
+        census.verify_classification(7, -5)
+        assert sum(len(call[1]) for call in seen["laufer"]) == 8001
+        assert len(seen["laufer"]) == len(seen["pair"]) == chunks
+
+
 def test_verify_classification_sends_uncertified_graphs_to_is_rational(monkeypatch):
     """A Laufer-non-rational graph the batched certificate leaves open
     goes on to is_rational: with a certificate that certifies nothing,
@@ -564,8 +660,8 @@ def test_verify_classification_sends_uncertified_graphs_to_is_rational(monkeypat
     have a -1 vertex) is checked one by one, with the same report."""
     want = census.verify_classification(6, -4)
 
-    def nothing(neighbors, weights):
-        found, pairs = real(neighbors, weights)
+    def nothing(adj, weights, cycle=None):
+        found, pairs = real(adj, weights, cycle)
         return np.zeros_like(found), pairs
 
     real = engine.canonical_pair_rows

@@ -395,6 +395,25 @@ def test_census_comma_separated_filters(capsys):
     assert len(joined.strip().splitlines()) > 1
 
 
+def test_main_calls_share_no_state(capsys):
+    """The parser is built once per process, and one call's arguments do
+    not reach the next: census with a filter, then without one, writes
+    every record, as a fresh subprocess does."""
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("census", "--max-vertices", "3", "--min-weight", "-3")
+    code, filtered, _ = run(capsys, *argv, "--filter", "nonlspace")
+    assert code == 0
+    code, everything, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(everything.splitlines()) == 1 + len(census.census_scan(3, -3))
+    assert len(filtered.splitlines()) < len(everything.splitlines())
+    fresh = subprocess.run(
+        [sys.executable, "-m", "plumb.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}, check=True,
+    )
+    assert fresh.stdout == everything
+
+
 def test_census_out_file(capsys, tmp_path):
     dst = tmp_path / "census.jsonl"
     code, out, _ = run(
@@ -466,8 +485,8 @@ def test_census_laufer_disagreement_exits_1(capsys, monkeypatch):
     real = engine.laufer_rational_rows
     flipped = []
 
-    def flip_first(neighbors, weights):
-        rational = real(neighbors, weights)
+    def flip_first(adj, weights, cycle=None):
+        rational = real(adj, weights, cycle)
         if not flipped:
             flipped.append(weights[0].tolist())
             rational[0] = ~rational[0]
@@ -611,7 +630,7 @@ def test_verify_classification_reports_laufer_disagreement(capsys, monkeypatch):
 
     batch = engine.laufer_rational_rows
     monkeypatch.setattr(
-        engine, "laufer_rational_rows", lambda nb, rows: ~batch(nb, rows)
+        engine, "laufer_rational_rows", lambda adj, rows, cycle=None: ~batch(adj, rows, cycle)
     )
     digests = {
         "-7": "233851f06c469ac814d82069a4dbfbfbe2c7c6155a3f2fe965eee21083fc1199",

@@ -190,7 +190,7 @@ def test_laufer_agrees_with_basic_count_and_certificates_hold(monkeypatch):
     for g in _laufer_cases():
         ctx = QFormContext(g)
         weights = np.array(g.weights, dtype=np.int64).reshape(1, g.n)
-        laufer = bool(engine.laufer_rational_rows(ctx.neighbors, weights)[0])
+        laufer = bool(engine.laufer_rational_rows(engine._adjacency(ctx.neighbors), weights)[0])
         assert laufer == (_canonical_basic_total(ctx) == 1), g
         counted.clear()
         assert engine.is_rational(ctx) == laufer, g
@@ -198,7 +198,7 @@ def test_laufer_agrees_with_basic_count_and_certificates_hold(monkeypatch):
             rational += 1
             continue
         nonrational += 1
-        found, pairs = engine.canonical_pair_rows(ctx.neighbors, weights)
+        found, pairs = engine.canonical_pair_rows(engine._adjacency(ctx.neighbors), weights)
         if not found[0]:
             assert counted == [g]
             uncertified.append(g)
@@ -340,7 +340,7 @@ def test_least_drop_lies_in_the_bisection_range():
     passing = 0
     for n in range(1, 6):
         for g in census.enumerate_weighted(n, -5):
-            passes, top = engine._skip_closures(g.neighbors(), np.array([g.weights]))
+            passes, top = engine._skip_closures(engine._adjacency(g.neighbors()), np.array([g.weights]))
             for v in np.flatnonzero(passes[0]).tolist():
                 hi = max(1, int(top[0, v]))
                 rational = [
@@ -421,7 +421,7 @@ def test_ar_vertex_none_on_two_node_tree():
 
 def test_wrong_laufer_verdict_raises(monkeypatch):
     right = engine.laufer_rational_rows
-    monkeypatch.setattr(engine, "laufer_rational_rows", lambda nb, rows: ~right(nb, rows))
+    monkeypatch.setattr(engine, "laufer_rational_rows", lambda adj, rows, cycle=None: ~right(adj, rows, cycle))
     # rational E8 sent down the non-rational branch: its canonical class
     # holds one basic vector, so the pair fails and the count confirms one
     with pytest.raises(engine.RationalityDisagreementError, match="non-rational"):
@@ -444,8 +444,8 @@ def test_walk_limit_zero_falls_back_to_the_count(monkeypatch):
         sweeps.append(ctx.forest)
         return count(ctx)
 
-    def nothing(neighbors, weights):
-        found, pairs = real(neighbors, weights)
+    def nothing(adj, weights, cycle=None):
+        found, pairs = real(adj, weights, cycle)
         return np.zeros_like(found), pairs
 
     monkeypatch.setattr(engine, "canonical_pair_rows", nothing)
@@ -633,7 +633,7 @@ def test_laufer_rational_rows_match_scalar():
     the n <= 6, wmin -4 grids."""
     checked = rational = 0
     for edges, tables, rows in _grid_graphs(6, -4):
-        got = engine.laufer_rational_rows(tables.neighbors, rows)
+        got = engine.laufer_rational_rows(engine._adjacency(tables.neighbors), rows)
         for w, verdict in zip(rows.tolist(), got.tolist()):
             assert verdict == laufer_rational_scalar(_context(edges, w)), w
             checked += 1
@@ -648,8 +648,8 @@ def test_canonical_pair_rows_are_basic_canonical_members():
     all 1,886 of them."""
     certified = 0
     for edges, tables, rows in _grid_graphs(6, -4):
-        found, pairs = engine.canonical_pair_rows(tables.neighbors, rows)
-        assert not (found & engine.laufer_rational_rows(tables.neighbors, rows)).any()
+        found, pairs = engine.canonical_pair_rows(engine._adjacency(tables.neighbors), rows)
+        assert not (found & engine.laufer_rational_rows(engine._adjacency(tables.neighbors), rows)).any()
         for i in np.flatnonzero(found).tolist():
             ctx = _context(edges, rows[i].tolist())
             a, b = (tuple(k) for k in pairs[i].tolist())
@@ -671,7 +671,7 @@ def test_basic_rows_with_per_row_weights_match_run_path():
     for edges, tables, rows in _grid_graphs(5, -4):
         # a random box vector per row: m_v + 2 + 2 * (0..|m_v| - 1)
         block = rows + 2 + 2 * (rng.random(rows.shape) * -rows).astype(np.int64)
-        got = engine._basic_rows(block, rows, tables.neighbors)
+        got = engine._basic_rows(block, rows, engine._adjacency(tables.neighbors))
         for w, k, basic in zip(rows.tolist(), block.tolist(), got.tolist()):
             assert basic == engine.run_path(_context(edges, w), k).basic, (w, k)
 
@@ -684,7 +684,7 @@ def test_canonical_pair_rows_are_the_walks_first_members():
     n <= 6, wmin -3 grids)."""
     second = alone = 0
     for edges, tables, rows in _grid_graphs(6, -3):
-        _, pairs = engine.canonical_pair_rows(tables.neighbors, rows)
+        _, pairs = engine.canonical_pair_rows(engine._adjacency(tables.neighbors), rows)
         for w, pair in zip(rows.tolist(), pairs.tolist()):
             ctx = _context(edges, w)
             walk = list(itertools.islice(canonical_walk(ctx), 2))

@@ -149,10 +149,45 @@ def test_forest_recursion_runs_on_weight_columns():
         shape = random_forest(rng, 6, components)
         tables = _shape_tables(shape.edges, shape.n)
         columns = np.array([[rng.randint(-6, 3) for _ in range(200)] for _ in range(6)])
-        det, negdef = _det_negdef(tables, columns)
+        det, negdef = _det_negdef(tables.parent, columns, tables.postorder)
         for j, weights in enumerate(columns.T.tolist()):
             f = PlumbingForest(shape.ids, tuple(weights), shape.edges)
             assert (int(det[j]), bool(negdef[j])) == _forest_det_negdef(f)
+
+
+def _parents_first(f):
+    """f's parent array and weights relabelled so that each vertex's
+    parent comes before it (breadth-first from each component's root)."""
+    tables = _shape_tables(f.edges, f.n)
+    order = tables.postorder[::-1]
+    label = {v: i for i, v in enumerate(order)}
+    parent = [label.get(tables.parent[v], -1) for v in order]
+    return parent, [f.weights[v] for v in order]
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_forest_recursion_with_one_parent_row_per_column(big):
+    """One run over forests of different shapes on n vertices, one parent
+    row per column, gives each forest's Laplace determinant and
+    Sylvester's verdict, and each column of a shared-parent run the
+    same, in int64 and in exact ints (weights scaled past int64 by
+    2^40, as an object array)."""
+    rng = random.Random(29)
+    scale = 2**40 if big else 1
+    for n in range(1, 8):
+        forests = [random_forest(rng, n, rng.randint(1, min(n, 3))) for _ in range(40)]
+        parents, weights = zip(*(_parents_first(f) for f in forests))
+        columns = np.array(weights, dtype=object if big else np.int64).T * scale
+        det, negdef = _det_negdef(np.array(parents), columns)
+        for j, f in enumerate(forests):
+            rows = [[x * scale if i == k else x for k, x in enumerate(row)]
+                    for i, row in enumerate(intersection_matrix(f))]
+            want = laplace_det(rows), sylvester_negdef(rows)
+            assert (det[j], bool(negdef[j])) == want, (f.weights, f.edges)
+            tables = _shape_tables(f.edges, f.n)
+            one = np.array(f.weights, dtype=columns.dtype).reshape(-1, 1) * scale
+            shared = _det_negdef(tables.parent, one, tables.postorder)
+            assert (shared[0][0], bool(shared[1][0])) == want
 
 
 def test_adjugate_identity():

@@ -45,15 +45,17 @@ def test_script_main_runs(capsys, monkeypatch, name, argv, expect):
 
 
 def test_classification_sweep_reports_throughput(capsys, monkeypatch):
-    """Each classification row ends with the graphs checked per second."""
+    """Each classification row ends with the process's peak RSS in MB and
+    the graphs checked per second."""
     sweep = load(monkeypatch, "classification_sweep")
     assert sweep.main(["--e8-max", "8", "--class-max", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     header = next(i for i, line in enumerate(lines) if "graphs/s" in line)
-    assert lines[header].split()[-1] == "graphs/s"
+    assert lines[header].split()[-2:] == ["peak_MB", "graphs/s"]
     rows = [line.split() for line in lines[header + 1:]]
     assert [row[0] for row in rows] == ["4", "5"]
     assert all(int(row[-1]) > 0 for row in rows)
+    assert all(float(row[-2]) > 0 for row in rows)
 
 
 @pytest.mark.parametrize(
