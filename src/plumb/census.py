@@ -4,10 +4,12 @@ Trees are enumerated one isomorphism class of shapes at a time; weight
 assignments are swept as a (wmin..-1)^n grid per shape, with the
 subtree-determinant recursion of forest.py run on whole columns, so
 definiteness, determinant and minimality filters run before any graph
-object is materialized. Columns are deduplicated by integer isomorphism
-keys, and census_scan and verify_classification decide a shape's
-columns together; string codes are built only for the graphs that are
-output.
+object is materialized. Each shape is held as its canonical level
+sequence, and a grid keeps only the columns that are the least of their
+orbits under the shape's automorphisms (_least_columns), a test on each
+column alone; census_scan and verify_classification decide a shape's
+columns together, and string codes are built only for the graphs that
+are output.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ from .lattice import (
     CharVector,
     QFormContext,
     _ArrayFields,
-    _key_rows,
 )
 
 MAX_TREE_VERTICES = 12
@@ -162,15 +163,20 @@ def _shape_forest(
 
 @dataclass(frozen=True)
 class _GridScan:
-    weights: np.ndarray  # (n, C) int64, one column per weight assignment
+    weights: np.ndarray  # (n, C) int64, one column per kept weight assignment
     negdef: np.ndarray  # boolean mask over combos
     det: np.ndarray  # determinant per combo
 
 
-def _grid_scan(tables: _ShapeTables, wmin: int, minimal: bool = False) -> _GridScan:
-    """Every weight column in {wmin..-1}^n, in lexicographic order, with
-    its determinant and definiteness. With minimal, only the minimal
-    columns: no -1 weight at a vertex of degree <= 2."""
+def _grid_scan(
+    tables: _ShapeTables, levels: list[int], wmin: int, minimal: bool = False
+) -> _GridScan:
+    """The weight columns in {wmin..-1}^n of a shape with this level
+    sequence that are the least of their orbits (_least_columns), in
+    lexicographic order, with their determinants and definiteness. With
+    minimal, only the minimal columns: no -1 weight at a vertex of degree
+    <= 2. Definiteness, the determinant and minimality are the same on a
+    whole orbit, so the recursion runs on the kept columns only."""
     n = tables.n
     if (abs(wmin) + n) ** n >= _INT64_GUARD:
         raise EnumerationBudgetError(
@@ -180,58 +186,47 @@ def _grid_scan(tables: _ShapeTables, wmin: int, minimal: bool = False) -> _GridS
     top = [-2 if minimal and d <= 2 else -1 for d in tables.degrees]
     weights = np.indices([t - wmin + 1 for t in top], dtype=np.int64).reshape(n, -1)
     weights += wmin
+    weights = weights[:, _least_columns(levels, weights)]
     det, negdef = _det_negdef(tables.parent, weights, tables.postorder)
     return _GridScan(weights=weights, negdef=negdef, det=det)
 
 
-def _shape_keys(tables: _ShapeTables, weights: np.ndarray) -> np.ndarray:
-    """One integer per weight column (n, C) of a tree shape, equal for two
-    columns iff their weighted trees are isomorphic; keys compare only
-    within one call. This is AHU's numbering: the tree hangs from its
-    center, or from a virtual root on its central edge, and each height's
-    subtrees are numbered by one np.unique over rows of (weight, sorted
-    numbers of the children), each row taken as one opaque scalar
-    (lattice._key_rows), numbers rising from height to height."""
-    n, cols = tables.n, weights.shape[1]
-    (centers,) = tables.centers
-    # vertex n is the virtual root of a bicentral tree
-    root = centers[0] if len(centers) == 1 else n
-    children = [[] for _ in range(n)] + [list(centers)]
-    order, seen = [root], set(centers)
-    for v in order:
-        if v < n:
-            children[v] = [u for u in tables.neighbors[v] if u not in seen]
-            seen.update(children[v])
-        order.extend(children[v])
-    height = [0] * (n + 1)
-    for v in reversed(order):
-        height[v] = max((height[c] + 1 for c in children[v]), default=0)
-    label = [None] * (n + 1)
-    issued = 0
-    for h in range(height[root] + 1):
-        level = [v for v in order if height[v] == h]
-        width = max(len(children[v]) for v in level)
-        rows = np.full((len(level), cols, 1 + width), -1, dtype=np.int64)
-        for i, v in enumerate(level):
-            rows[i, :, 0] = weights[v] if v < n else 0
-            if children[v]:
-                below = np.stack([label[c] for c in children[v]], axis=1)
-                rows[i, :, 1:1 + len(children[v])] = np.sort(below, axis=1)
-        uniq, inverse = np.unique(
-            _key_rows(rows.reshape(-1, 1 + width)), return_inverse=True
-        )
-        inverse = inverse.reshape(len(level), cols) + issued
-        issued += len(uniq)
-        for i, v in enumerate(level):
-            label[v] = inverse[i]
-    return label[root]
+def _least_columns(levels: list[int], weights: np.ndarray) -> np.ndarray:
+    """Which weight columns (n, C) of the tree with this canonical level
+    sequence are the lexicographic least of their orbits under its
+    automorphisms, vertex 0 the most significant. Identical sibling
+    subtrees sit side by side in the sequence, so a column is the least
+    iff the weights of each such left subtree read no greater than those
+    of its right neighbour, and, when the root's first subtree is a copy
+    of the rest (two halves of one shape on the central edge), no greater
+    than the column with the halves swapped."""
+    n = len(levels)
+    # the subtree of v is the slice levels[v:end[v]]
+    end = [
+        next((u for u in range(v + 1, n) if levels[u] <= levels[v]), n)
+        for v in range(n)
+    ]
+    keep = np.ones(weights.shape[1], dtype=bool)
+    for v, u in enumerate(end):
+        if u < n and levels[v:u] == levels[u:end[u]]:
+            keep &= _lex_le(weights, range(v, u), range(u, end[u]))
+    left, rest = _split_levels(levels)
+    if left == rest:
+        swap = [1, 0, *range(end[1], n), *range(2, end[1])]
+        keep &= _lex_le(weights, range(n), swap)
+    return keep
 
 
-def _first_columns(tables: _ShapeTables, weights: np.ndarray) -> np.ndarray:
-    """Positions, ascending, of the first column of each isomorphism class
-    among the weight columns (n, C) of one tree shape."""
-    _, first = np.unique(_shape_keys(tables, weights), return_index=True)
-    return np.sort(first)
+def _lex_le(weights: np.ndarray, left, right) -> np.ndarray:
+    """Whether each column of weights (n, C) reads no greater on the rows
+    left than on the rows right, taken in order and compared at the first
+    difference."""
+    le = np.ones(weights.shape[1], dtype=bool)
+    tied = le.copy()
+    for a, b in zip(left, right):
+        le &= ~tied | (weights[a] <= weights[b])
+        tied &= weights[a] == weights[b]
+    return le
 
 
 def _grid_size(nmax: int, wmin: int, minimal: bool = False) -> int:
@@ -263,14 +258,12 @@ def _check_grid_budget(nmax: int, wmin: int, budget: int, minimal: bool = False)
         raise EnumerationBudgetError(f"{grid} has {total} assignments, budget {budget}")
 
 
-def _distinct_rows(tables: _ShapeTables, wmin: int) -> np.ndarray:
+def _distinct_rows(tables: _ShapeTables, levels: list[int], wmin: int) -> np.ndarray:
     """The first column of each isomorphism class among the negative-
     definite columns of a shape's grid, as weight rows (C, n), in grid
     order."""
-    scan = _grid_scan(tables, wmin)
-    pick = np.flatnonzero(scan.negdef)
-    pick = pick[_first_columns(tables, scan.weights[:, pick])]
-    return np.ascontiguousarray(scan.weights[:, pick].T)
+    scan = _grid_scan(tables, levels, wmin)
+    return np.ascontiguousarray(scan.weights[:, scan.negdef].T)
 
 
 def _chunks(parts: Iterator[tuple[np.ndarray, ...]], size: int):
@@ -309,43 +302,12 @@ def enumerate_weighted(
         raise EnumerationBudgetError(
             f"{abs(wmin) ** n} weight assignments per shape exceeds budget {budget}"
         )
-    for edges in enumerate_trees(n):
+    for levels in _tree_levels(n):
+        edges = _level_edges(levels)
         tables = _shape_tables(edges, n)
-        distinct = _distinct_rows(tables, wmin).tolist()
+        distinct = _distinct_rows(tables, levels, wmin).tolist()
         for _, weights in sorted((_shape_code(tables, w), w) for w in distinct):
             yield _shape_forest(edges, n, weights)
-
-
-def enumerate_forests(
-    nmax: int, wmin: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[PlumbingForest]:
-    """All negative-definite weighted forests with at most nmax vertices
-    (weights in {wmin..-1}), one per isomorphism class, including the
-    empty forest. Components are drawn from enumerate_weighted."""
-    trees: list[PlumbingForest] = []
-    for n in range(1, nmax + 1):
-        trees.extend(enumerate_weighted(n, wmin, budget=budget))
-
-    def build(parts: list[PlumbingForest]) -> PlumbingForest:
-        ids, weights, edges = [], [], []
-        for pi, part in enumerate(parts):
-            off = len(ids)
-            ids.extend(f"t{pi + 1}.{v}" for v in part.ids)
-            weights.extend(part.weights)
-            edges.extend((a + off, b + off) for a, b in part.edges)
-        return PlumbingForest(
-            ids=tuple(ids), weights=tuple(weights), edges=tuple(edges)
-        )
-
-    def rec(start: int, room: int, parts: list[PlumbingForest]) -> Iterator[PlumbingForest]:
-        yield build(parts)
-        for i in range(start, len(trees)):
-            if trees[i].n <= room:
-                parts.append(trees[i])
-                yield from rec(i, room - trees[i].n, parts)
-                parts.pop()
-
-    yield from rec(0, nmax, [])
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,9 +528,10 @@ def census_scan(
     record_preds = [_RECORD_FILTERS[name] for name in filters if name in _RECORD_FILTERS]
     tasks = []
     for n in range(1, nmax + 1):
-        for edges in enumerate_trees(n):
+        for levels in _tree_levels(n):
+            edges = _level_edges(levels)
             tables = _shape_tables(edges, n)
-            rows = _distinct_rows(tables, wmin)
+            rows = _distinct_rows(tables, levels, wmin)
             keep = np.prod(np.abs(rows), axis=1) <= box_cap
             for pred in column_preds:
                 keep &= pred(tables, rows)
@@ -634,23 +597,19 @@ def verify_e8_unique(nmax: int) -> E8Report:
 
 
 def _checked_rows(nmax: int, wmin: int):
-    """The graphs verify_classification checks, shape by shape: the first
-    of each isomorphism class among a shape's minimal negative-definite
-    columns in case (a) or (c), as (weight rows, int8 adjacency
+    """The graphs verify_classification checks, shape by shape: the least
+    column of each isomorphism class among a shape's minimal negative-
+    definite columns in case (a) or (c), as (weight rows, int8 adjacency
     matrices, starting cycles) padded to nmax vertices with isolated -2
     vertices outside the cycle, and whether each is in case (a) and in
     case (c)."""
     for n in range(1, nmax + 1):
-        for edges in enumerate_trees(n):
-            tables = _shape_tables(edges, n)
-            scan = _grid_scan(tables, wmin, minimal=True)
+        for levels in _tree_levels(n):
+            tables = _shape_tables(_level_edges(levels), n)
+            scan = _grid_scan(tables, levels, wmin, minimal=True)
             det1 = np.abs(scan.det) == 1
             has_m1 = (scan.weights == -1).any(axis=0)
-            checked = scan.negdef & (det1 | has_m1)
-            # case (a) and (c) are isomorphism-invariant, so the first
-            # column of a class is that of either case
-            pick = np.flatnonzero(checked)
-            pick = pick[_first_columns(tables, scan.weights[:, pick])]
+            pick = np.flatnonzero(scan.negdef & (det1 | has_m1))
             rows = np.full((len(pick), nmax), -2, dtype=np.int64)
             rows[:, :n] = scan.weights[:, pick].T
             adj = np.zeros((nmax, nmax), dtype=np.int8)
@@ -675,6 +634,7 @@ class ClassificationReport:
     case3_checked: int
     counterexamples: tuple[str, ...]
     per_graph: int  # graphs the batched tests left to engine.is_rational
+    checked: int  # distinct graphs decided, in case (a), (c) or both
 
 
 def verify_classification(
@@ -689,8 +649,8 @@ def verify_classification(
         rational);
     (c) every minimal graph containing a -1 vertex is non-rational.
 
-    Each shape's grid columns of cases (a) and (c) are deduplicated by
-    isomorphism (_first_columns), padded to nmax vertices with isolated
+    Each shape's grid columns of cases (a) and (c), one per isomorphism
+    class (_least_columns), are padded to nmax vertices with isolated
     -2 vertices, and decided with the other shapes' rows in chunks of
     _BATCH_ROWS rows, each row with its own int8 adjacency matrix:
     Laufer's test (engine.laufer_rational_rows) and, for its
@@ -707,13 +667,13 @@ def verify_classification(
     """
     _check_grid_budget(nmax, wmin, budget, minimal=True)
     expected = e8_code()
-    unimodular = case2 = case3 = per_graph = 0
+    unimodular = case2 = case3 = per_graph = checked = 0
     rational_codes = []
     # (code, line) counterexamples of cases (a)/(b) and of case (c)
     found_a, found_c = [], []
 
-    checked = _checked_rows(nmax, wmin)
-    for rows, adj, cycle, in_a, in_c in _chunks(checked, _BATCH_ROWS):
+    for rows, adj, cycle, in_a, in_c in _chunks(_checked_rows(nmax, wmin), _BATCH_ROWS):
+        checked += len(rows)
         unimodular += int(in_a.sum())
         case3 += int(in_c.sum())
         # a pad's -2 leaves the least weight of a row at or below -3 as it was
@@ -768,4 +728,5 @@ def verify_classification(
         case3_checked=case3,
         counterexamples=counterexamples,
         per_graph=per_graph,
+        checked=checked,
     )

@@ -91,12 +91,6 @@ def _budget(args) -> int:
     return value
 
 
-def _rng(args):
-    if getattr(args, "seed", None) is None:
-        return None
-    return np.random.default_rng(args.seed)
-
-
 # ------------------------------------------------------------------ JSON
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -521,7 +515,7 @@ def _hf_obj(summary) -> dict:
 def cmd_invariants(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    basics = engine.basic_vectors(ctx, rng=_rng(args))
+    basics = engine.basic_vectors(ctx)
     verd = engine.verdicts(ctx, basics=basics)
     dinv = engine.d_invariants(ctx, basics=basics)
     summary = relations.hf_summary(
@@ -577,7 +571,7 @@ def cmd_invariants(args) -> int:
 def cmd_basic(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    basics = engine.basic_vectors(ctx, rng=_rng(args))
+    basics = engine.basic_vectors(ctx)
     if args.json:
         _print_json(_basic_obj(basics))
         return EXIT_OK
@@ -603,7 +597,7 @@ def cmd_basic(args) -> int:
 def cmd_dinv(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx, rng=_rng(args)))
+    dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx))
     if args.json:
         _print_json({"classes": _d_obj(dinv)})
         return EXIT_OK
@@ -622,7 +616,7 @@ def cmd_dinv(args) -> int:
 def cmd_hf(args) -> int:
     forest = _read_forest(args)
     ctx = QFormContext(forest, budget=_budget(args))
-    dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx, rng=_rng(args)))
+    dinv = engine.d_invariants(ctx, basics=engine.basic_vectors(ctx))
     summary = relations.hf_summary(
         ctx, max_u=args.max_u, expansion=args.expansion, d_inv=dinv
     )
@@ -831,9 +825,6 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 
 def _add_knobs(p: argparse.ArgumentParser, hf: bool = False) -> None:
     p.add_argument("--budget", type=int, help="enumeration budget")
-    p.add_argument(
-        "--seed", type=int, help="step each path at a random eligible vertex"
-    )
     if hf:
         p.add_argument("--max-u", type=int, default=8, help="U-power window size")
         p.add_argument(

@@ -131,7 +131,7 @@ def _times_adj(rows: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], adj)[:, 0]
 
 
-def _basic_rows(block: np.ndarray, weights, adj: np.ndarray, rng=None) -> np.ndarray:
+def _basic_rows(block: np.ndarray, weights, adj: np.ndarray) -> np.ndarray:
     """run_path on every row of a block at once: which rows end basic.
 
     adj is the 0/1 adjacency matrix of one graph shape (_adjacency), or
@@ -141,9 +141,9 @@ def _basic_rows(block: np.ndarray, weights, adj: np.ndarray, rng=None) -> np.nda
     step advances every live row by one move under run_path's rules: a
     row with a pairing above -m(v) overflows (tested before
     eligibility), a row with no eligible vertex is basic, and any other
-    row moves at its lowest eligible vertex, or at a uniformly random
-    one when rng is given. The same 10 * box_size step limit applies; a
-    batch takes max|m_v|^n, which bounds every row's box."""
+    row moves at its lowest eligible vertex. The same 10 * box_size step
+    limit applies; a batch takes max|m_v|^n, which bounds every row's
+    box."""
     w = np.asarray(weights, dtype=np.int64)
     per_row = w.ndim == 2
     if per_row:
@@ -170,11 +170,7 @@ def _basic_rows(block: np.ndarray, weights, adj: np.ndarray, rng=None) -> np.nda
                 adj = adj[go] if adj.ndim == 3 else adj
             if not len(live):
                 break
-        if rng is None:
-            v = eligible.argmax(axis=1)
-        else:
-            pick = rng.integers(eligible.sum(axis=1))
-            v = (eligible.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
+        v = eligible.argmax(axis=1)
         if per_row:
             # twice row v of each row's own Q
             rows = np.arange(len(k))
@@ -190,20 +186,19 @@ def _basic_rows(block: np.ndarray, weights, adj: np.ndarray, rng=None) -> np.nda
     return basic
 
 
-def basic_vectors(ctx: QFormContext, rng: np.random.Generator | None = None) -> BasicSet:
+def basic_vectors(ctx: QFormContext) -> BasicSet:
     """Classify every box vector's run and group the basic ones by class.
 
     One sweep of the box (QFormContext.box_sweep, the sweep of the
     context's BoxBatch) gives each block's vectors and spin^c residues:
     the paths run on the block, the basic rows keep their residues, and
     the finished sweep settles the class table, so that class_reps does
-    not sweep again. The result does not depend on the choice of
-    eligible vertex; passing an rng (a uniformly random eligible vertex
-    per row and step) only exercises that property."""
+    not sweep again. Each path steps at its lowest eligible vertex; the
+    result does not depend on that choice."""
     rows, residues = [], []
     adj = _adjacency(ctx.neighbors)
     for _, block, res in ctx.box_sweep():
-        basic = _basic_rows(block, ctx.weights, adj, rng)
+        basic = _basic_rows(block, ctx.weights, adj)
         rows.append(block[basic])
         residues.append(res[basic])
     reps = ctx.class_reps

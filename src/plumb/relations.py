@@ -58,16 +58,6 @@ class BoundExceededError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class UState:
-    a: int
-    k: CharVector
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("U-exponent must be nonnegative")
-
-
 def default_expansion(ctx: QFormContext) -> int:
     return 2 * ctx.n
 

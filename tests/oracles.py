@@ -12,7 +12,11 @@ class indices must reproduce, and same_spinc compares two keys;
 labeled_tree_codes cross-checks census.enumerate_trees, and e8_scan is
 the uniqueness scan one tree at a time (a forest and its scalar
 determinant recursion each), which census.verify_e8_unique, running
-every tree of a size at once, must agree with.
+every tree of a size at once, must agree with. weight_grid is a
+shape's full census grid, before census._least_columns keeps one column
+per isomorphism class. enumerate_forests lays
+census.enumerate_weighted's trees side by side into every forest of a
+size, for the tests that need graphs of several components.
 
 laufer_steps is Laufer's closure one vertex at a time, in stack order,
 and laufer_rational_scalar the rationality test on it; canonical_walk
@@ -59,7 +63,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from plumb.census import CensusRecord, enumerate_trees
+from plumb.census import CensusRecord, enumerate_trees, enumerate_weighted
 from plumb.engine import (
     ArStatus,
     SafetyLimitError,
@@ -140,6 +144,43 @@ def e8_scan(nmax: int) -> tuple[int, int, tuple[str, ...]]:
             if negdef and abs(det) == 1:
                 hits.append(canonical_code(forest))
     return scanned, negdef_count, tuple(sorted(hits))
+
+
+def weight_grid(n: int, wmin: int) -> np.ndarray:
+    """Every weight column (n, C) of {wmin..-1}^n, in lexicographic
+    order, vertex 0 the most significant."""
+    grid = np.array(list(itertools.product(range(wmin, 0), repeat=n)), dtype=np.int64)
+    return np.ascontiguousarray(grid.reshape(-1, n).T)
+
+
+def enumerate_forests(nmax: int, wmin: int, budget: int = DEFAULT_BUDGET):
+    """All negative-definite weighted forests with at most nmax vertices
+    (weights in {wmin..-1}), one per isomorphism class, including the
+    empty forest. Components are drawn from enumerate_weighted."""
+    trees: list[PlumbingForest] = []
+    for n in range(1, nmax + 1):
+        trees.extend(enumerate_weighted(n, wmin, budget=budget))
+
+    def build(parts: list[PlumbingForest]) -> PlumbingForest:
+        ids, weights, edges = [], [], []
+        for pi, part in enumerate(parts):
+            off = len(ids)
+            ids.extend(f"t{pi + 1}.{v}" for v in part.ids)
+            weights.extend(part.weights)
+            edges.extend((a + off, b + off) for a, b in part.edges)
+        return PlumbingForest(
+            ids=tuple(ids), weights=tuple(weights), edges=tuple(edges)
+        )
+
+    def rec(start: int, room: int, parts: list[PlumbingForest]):
+        yield build(parts)
+        for i in range(start, len(trees)):
+            if trees[i].n <= room:
+                parts.append(trees[i])
+                yield from rec(i, room - trees[i].n, parts)
+                parts.pop()
+
+    yield from rec(0, nmax, [])
 
 
 def _decode_tree_sequence(seq, n) -> tuple[tuple[int, int], ...]:

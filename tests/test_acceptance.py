@@ -22,7 +22,7 @@ from plumb.forest import (
 )
 from plumb.lattice import QFormContext
 
-from oracles import k_square, random_strategy, strategy_run_path
+from oracles import enumerate_forests, k_square, random_strategy, strategy_run_path
 
 
 def report(criterion, ok, detail, capfd):
@@ -220,7 +220,7 @@ def test_criterion_6_union_find_oracle(capfd):
     t0 = time.perf_counter()
     forests = [
         f
-        for f in census.enumerate_forests(4, -4)
+        for f in enumerate_forests(4, -4)
         if f.n >= 1 and math.prod(abs(w) for w in f.weights) <= 500
     ]
     pairs = 0

@@ -18,7 +18,15 @@ from plumb.lattice import (
     QFormContext,
 )
 
-from oracles import adj_image, adjugate, canonical_counts_sweep, classify, k_square, spinc_key
+from oracles import (
+    adj_image,
+    adjugate,
+    canonical_counts_sweep,
+    classify,
+    enumerate_forests,
+    k_square,
+    spinc_key,
+)
 
 
 @pytest.fixture()
@@ -158,7 +166,7 @@ def _by_shape(forests):
 def two_component_forests():
     """The forests of enumerate_forests(5, -3) with two components."""
     return [
-        f for f in census.enumerate_forests(5, -3)
+        f for f in enumerate_forests(5, -3)
         if len({v.split(".")[0] for v in f.ids}) == 2
     ]
 
@@ -189,9 +197,9 @@ def test_canonical_counts_build_no_row_outside_the_class(monkeypatch, trees):
     sent = []
     real = engine._basic_rows
 
-    def recording(block, weights, adj, rng=None):
+    def recording(block, weights, adj):
         sent.extend(zip(np.asarray(weights).tolist(), block.tolist()))
-        return real(block, weights, adj, rng)
+        return real(block, weights, adj)
 
     monkeypatch.setattr(engine, "_basic_rows", recording)
     for nb, weights, forests in _by_shape(trees + [e8_forest(), chain_forest([-5] * 5)]):
@@ -213,9 +221,10 @@ def test_box_batch_setup_matches_exact(two_component_forests):
     forests."""
     batches = []
     for n in range(1, 5):
-        for edges in census.enumerate_trees(n):
+        for levels in census._tree_levels(n):
+            edges = census._level_edges(levels)
             tables = _shape_tables(edges, n)
-            rows = census._distinct_rows(tables, -6)
+            rows = census._distinct_rows(tables, levels, -6)
             forests = [census._shape_forest(edges, n, w) for w in rows.tolist()]
             batches.append((tables.neighbors, rows, forests))
     assert sum(len(rows) for _, rows, _ in batches) == 1042
@@ -318,14 +327,6 @@ def test_class_indices_reject_a_vector_that_is_not_characteristic():
             ctx.class_index(k)
         with pytest.raises(ValueError, match="not characteristic"):
             ctx.class_indices(np.array([k, (0, 0, 0, 0)], dtype=np.int64))
-
-
-def test_basic_vectors_rng_matches_lowest_eligible(small_blocks, trees):
-    for g in trees:
-        ctx = QFormContext(g)
-        want = engine.basic_vectors(ctx)
-        for seed in (0, 1, 2):
-            assert engine.basic_vectors(ctx, rng=np.random.default_rng(seed)) == want, g.weights
 
 
 def test_classify_matches_public_objects(small_blocks, trees):

@@ -13,6 +13,7 @@ import pytest
 from plumb import census, engine, lattice
 from plumb.catalog import chain_forest, e8_forest, star_forest
 from plumb.forest import (
+    _det_negdef,
     _shape_code,
     _shape_tables,
     canonical_code,
@@ -22,7 +23,14 @@ from plumb.forest import (
 )
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
-from oracles import classify, e8_scan, labeled_tree_codes, record_to_obj
+from oracles import (
+    classify,
+    e8_scan,
+    enumerate_forests,
+    labeled_tree_codes,
+    record_to_obj,
+    weight_grid,
+)
 
 
 # ----------------------------------------------------------------- shapes
@@ -71,7 +79,7 @@ def test_grid_column_codes_match_canonical_code():
         for edges in census.enumerate_trees(n):
             tables = _shape_tables(edges, n)
             bicentral += len(tables.centers[0]) == 2
-            for w in census._grid_scan(tables, -3).weights.T.tolist():
+            for w in weight_grid(n, -3).T.tolist():
                 code = _shape_code(tables, w)
                 assert code == canonical_code(census._shape_forest(edges, n, w))
                 p = list(range(n))
@@ -84,37 +92,30 @@ def test_grid_column_codes_match_canonical_code():
     assert bicentral > 0
 
 
-def _partition(keys) -> set[frozenset[int]]:
-    """The column positions grouped by equal key."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, set()).add(i)
-    return {frozenset(g) for g in groups.values()}
-
-
-def test_shape_keys_partition_columns_like_shape_code():
-    """The integer isomorphism keys group the columns of every n <= 6,
-    wmin -3 grid exactly as _shape_code does, also on a copy of the shape
-    with its labels shuffled, and keep the first column of each class."""
-    rng = random.Random(11)
-    bicentral = 0
-    for n in range(1, 7):
-        for edges in census.enumerate_trees(n):
-            tables = _shape_tables(edges, n)
-            bicentral += len(tables.centers[0]) == 2
-            weights = census._grid_scan(tables, -3).weights
-            codes = [_shape_code(tables, w) for w in weights.T.tolist()]
-            partition = _partition(codes)
-            assert _partition(census._shape_keys(tables, weights).tolist()) == partition
-            first = sorted({code: i for i, code in reversed(list(enumerate(codes)))}.values())
-            assert census._first_columns(tables, weights).tolist() == first
-            p = list(range(n))
-            rng.shuffle(p)
-            moved = np.empty_like(weights)
-            moved[p] = weights
-            shuffled = _shape_tables([(p[a], p[b]) for a, b in edges], n)
-            assert _partition(census._shape_keys(shuffled, moved).tolist()) == partition
-    assert bicentral > 0
+def test_least_columns_keep_the_first_column_of_each_class():
+    """The orbit mask keeps exactly the first column of each _shape_code
+    class, on the full grid and on its negative-definite columns, for
+    every shape with n <= 7 at wmin -3 and n <= 9 at wmin -2. Paths on 4
+    and 6 vertices, among others, have two equal halves on the central
+    edge and no two equal sibling subtrees, so only the swap of the
+    halves keeps one column of their classes."""
+    halves = 0
+    for nmax, wmin in ((7, -3), (9, -2)):
+        for n in range(1, nmax + 1):
+            for levels in census._tree_levels(n):
+                tables = _shape_tables(census._level_edges(levels), n)
+                left, rest = census._split_levels(levels)
+                halves += n > 2 and left == rest
+                grid = weight_grid(n, wmin)
+                _, negdef = _det_negdef(tables.parent, grid, tables.postorder)
+                codes = [_shape_code(tables, w) for w in grid.T.tolist()]
+                for pick in (np.arange(len(codes)), np.flatnonzero(negdef)):
+                    first = {}
+                    for i, j in enumerate(pick.tolist()):
+                        first.setdefault(codes[j], i)
+                    kept = census._least_columns(levels, grid[:, pick])
+                    assert np.flatnonzero(kept).tolist() == sorted(first.values()), levels
+    assert halves > 0
 
 
 def test_enumerate_trees_rejects_out_of_range():
@@ -169,7 +170,7 @@ def test_enumerate_weighted_brute_force_cross_check():
 
 
 def test_enumerate_forests_includes_empty_and_disconnected():
-    got = list(census.enumerate_forests(2, -2))
+    got = list(enumerate_forests(2, -2))
     sizes = sorted(f.n for f in got)
     # empty, two 1-vertex graphs, their three unordered pairs, two trees
     assert sizes[0] == 0
@@ -436,10 +437,10 @@ def test_census_scan_builds_no_context_per_graph(monkeypatch):
     sizes, graphs = [], []
     real = engine._basic_rows
 
-    def recording(block, weights, adj, rng=None):
+    def recording(block, weights, adj):
         sizes.append(len(block))
         graphs.append(len(np.unique(np.asarray(weights).reshape(-1, block.shape[1]), axis=0)))
-        return real(block, weights, adj, rng)
+        return real(block, weights, adj)
 
     monkeypatch.setattr(engine, "_basic_rows", recording)
     recs = census.census_scan(4, -6)
@@ -611,8 +612,9 @@ def test_verify_chunks_across_shapes_match_per_shape_calls(monkeypatch, nmax, wm
     several, every checked graph gets the Laufer verdict and the
     certificate pair (its pads at 0) that laufer_rational_rows and
     canonical_pair_rows give on its own shape's rows alone, and the
-    report is unchanged."""
+    report is unchanged; its checked count is the rows of all chunks."""
     want = census.verify_classification(nmax, wmin)
+    assert want.checked == checked
     seen = {"laufer": [], "pair": []}
     laufer, pair = _recording(monkeypatch, seen)
     monkeypatch.setattr(census, "_BATCH_ROWS", 100)

@@ -252,33 +252,6 @@ def test_budget_default(monkeypatch):
     assert cli._budget(args) == DEFAULT_BUDGET
 
 
-def test_invariants_seed_same_answer(capsys, star_file):
-    a = run_json(capsys, "invariants", star_file, "--json")
-    b = run_json(capsys, "invariants", star_file, "--json", "--seed", "3")
-    assert a == b
-
-
-@pytest.mark.parametrize("command", ["dinv", "hf"])
-def test_seed_reaches_basic_vectors(capsys, monkeypatch, command):
-    """--seed steps the paths of dinv and hf at random eligible vertices;
-    the output is the unseeded one, byte for byte."""
-    from plumb import engine
-
-    plain = run(capsys, command, "--chain=-3,-2,-4", "--json")
-    rngs = []
-    real = engine.basic_vectors
-
-    def spy(ctx, rng=None):
-        rngs.append(rng)
-        return real(ctx, rng=rng)
-
-    monkeypatch.setattr(engine, "basic_vectors", spy)
-    seeded = run(capsys, command, "--chain=-3,-2,-4", "--json", "--seed", "3")
-    assert plain[0] == 0
-    assert seeded == plain
-    assert any(isinstance(r, np.random.Generator) for r in rngs)
-
-
 # ------------------------------------------------- basic / dinv / hf / dot
 
 def test_basic_json(capsys):

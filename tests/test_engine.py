@@ -11,7 +11,7 @@ import pytest
 
 from plumb import census, engine
 from plumb.catalog import chain_forest, e8_forest, lens_chain, star_forest
-from plumb.forest import PlumbingForest, _shape_tables, parse_forest
+from plumb.forest import PlumbingForest, _det_negdef, _shape_tables, parse_forest
 from plumb.lattice import EnumerationBudgetError, QFormContext
 
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     spinc_key,
     strategy_run_path,
     two_node_tree,
+    weight_grid,
 )
 
 
@@ -363,9 +364,10 @@ def test_ar_status_rows_match_the_candidate_loop():
     ar_status is its one-row call."""
     found = missing = 0
     for n in range(1, 6):
-        for edges in census.enumerate_trees(n):
+        for levels in census._tree_levels(n):
+            edges = census._level_edges(levels)
             tables = _shape_tables(edges, n)
-            rows = census._distinct_rows(tables, -4)
+            rows = census._distinct_rows(tables, levels, -4)
             vertex, delta = engine.ar_status_rows(tables.neighbors, rows)
             for w, v, d in zip(rows.tolist(), vertex.tolist(), delta.tolist()):
                 ctx = QFormContext(census._shape_forest(edges, n, w))
@@ -615,12 +617,14 @@ def test_lens_chain_catalog_matches_oracle():
 
 def _grid_graphs(nmax, wmin):
     """(edges, tables, weight rows) of the negative-definite columns of
-    every tree shape with n <= nmax and weights >= wmin."""
+    every tree shape with n <= nmax and weights >= wmin, isomorphic
+    columns included."""
     for n in range(1, nmax + 1):
         for edges in census.enumerate_trees(n):
             tables = _shape_tables(edges, n)
-            scan = census._grid_scan(tables, wmin)
-            yield edges, tables, np.ascontiguousarray(scan.weights[:, scan.negdef].T)
+            weights = weight_grid(n, wmin)
+            _, negdef = _det_negdef(tables.parent, weights, tables.postorder)
+            yield edges, tables, np.ascontiguousarray(weights[:, negdef].T)
 
 
 def _context(edges, weights):

@@ -116,11 +116,6 @@ def test_minimal_relation_bound_exceeded():
         relations.minimal_relation(ctx, (2,), (-2,), expansion=0)
 
 
-def test_ustate_validation():
-    with pytest.raises(ValueError):
-        relations.UState(-1, (0,))
-
-
 # ----------------------------------------------- literal union-find oracle
 
 class UnionFind:

@@ -3,8 +3,10 @@ scripts read BasicSet, DInvariants and census records, so a change to
 those objects must keep them running."""
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,15 +48,30 @@ def test_script_main_runs(capsys, monkeypatch, name, argv, expect):
 
 def test_classification_sweep_reports_throughput(capsys, monkeypatch):
     """Each classification row ends with the process's peak RSS in MB and
-    the graphs checked per second."""
+    the distinct graphs checked per second: the report's checked count
+    over the row's time, which a clock that ticks once a second per
+    reading makes the count itself. At n <= 5, wmin -5, both unimodular
+    graphs have a -1 vertex, so the count is not the sum of the cases."""
     sweep = load(monkeypatch, "classification_sweep")
+    reports = []
+    real = sweep.census.verify_classification
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    ticks = itertools.count()
+    monkeypatch.setattr(sweep.census, "verify_classification", recording)
+    clock = SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    monkeypatch.setattr(sweep, "time", clock)
     assert sweep.main(["--e8-max", "8", "--class-max", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     header = next(i for i, line in enumerate(lines) if "graphs/s" in line)
     assert lines[header].split()[-2:] == ["peak_MB", "graphs/s"]
     rows = [line.split() for line in lines[header + 1:]]
     assert [row[0] for row in rows] == ["4", "5"]
-    assert all(int(row[-1]) > 0 for row in rows)
+    assert [int(row[-1]) for row in rows] == [r.checked for r in reports] == [11, 99]
+    assert reports[-1].unimodular_checked + reports[-1].case3_checked == 101
     assert all(float(row[-2]) > 0 for row in rows)
 
 
