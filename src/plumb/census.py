@@ -407,9 +407,10 @@ def _census_tasks(edges, tables: _ShapeTables, rows: np.ndarray, budget: int) ->
 def _class_counts(batch: BoxBatch, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The basic count and the maximum |det| K^2 of every class of a
     batch (its ids as BoxBatch.sweep numbers them), from one sweep of its
-    boxes; each block goes through engine._basic_rows with one weight row
-    per box row. Returning drops the sweep's lists before the caller goes
-    on."""
+    boxes (those that fit a block end to end, a larger one from its low
+    table); each block goes through engine._basic_rows with one weight
+    row per box row. Returning drops the sweep's lists before the caller
+    goes on."""
     sign = np.sign(batch.det)
     basic_ids, basic_k2 = [], []
     sweep = batch.sweep()

@@ -137,47 +137,48 @@ def _basic_rows(block: np.ndarray, weights, adj: np.ndarray) -> np.ndarray:
     adj is the 0/1 adjacency matrix of one graph shape (_adjacency), or
     an int8 stack of one per block row; weights is one weight sequence
     (with one adjacency matrix only), or an int64 array with one weight
-    row per block row. Each numpy
-    step advances every live row by one move under run_path's rules: a
-    row with a pairing above -m(v) overflows (tested before
-    eligibility), a row with no eligible vertex is basic, and any other
-    row moves at its lowest eligible vertex. The same 10 * box_size step
-    limit applies; a batch takes max|m_v|^n, which bounds every row's
-    box."""
+    row per block row. The runner holds each row's slack k + m, k less
+    its ceiling -m, and each numpy step advances every live row by one
+    move under run_path's rules, read off one argmax per row: a top slack
+    above 0 overflows (tested before eligibility), one below 0 is basic,
+    and a top of 0 moves at the argmax, the lowest eligible vertex. The
+    same 10 * box_size step limit applies; a batch takes max|m_v|^n,
+    which bounds every row's box. With no vertex (n = 0) every row is
+    basic."""
     w = np.asarray(weights, dtype=np.int64)
+    if not block.shape[1]:
+        return np.ones(len(block), dtype=bool)
     per_row = w.ndim == 2
     if per_row:
         box = int(np.abs(w).max(initial=1)) ** w.shape[1]
     else:
         box = math.prod(abs(x) for x in w.tolist())
         moves = 2 * (adj + np.diag(w))
-    ceiling = -w
     limit = 10 * max(1, box)
     basic = np.zeros(len(block), dtype=bool)
     live = np.arange(len(block))
-    k = block
+    slack = block + w
     steps = 0
     while len(live):
-        eligible = k == ceiling
-        moving = eligible.any(axis=1)
-        overflow = (k > ceiling).any(axis=1)
-        go = moving & ~overflow
+        v = slack.argmax(axis=1)
+        rows = np.arange(len(slack))
+        top = slack[rows, v]
+        go = top == 0
         if not go.all():
-            basic[live[~overflow & ~moving]] = True
-            live, k, eligible = live[go], k[go], eligible[go]
-            if per_row:
-                ceiling = ceiling[go]
-                adj = adj[go] if adj.ndim == 3 else adj
+            basic[live[top < 0]] = True
+            live, slack, v = live[go], slack[go], v[go]
             if not len(live):
                 break
-        v = eligible.argmax(axis=1)
+            rows = rows[:len(live)]
+            if per_row:
+                w = w[go]
+                adj = adj[go] if adj.ndim == 3 else adj
         if per_row:
             # twice row v of each row's own Q
-            rows = np.arange(len(k))
-            k = k + 2 * (adj[v] if adj.ndim == 2 else adj[rows, v])
-            k[rows, v] -= 2 * ceiling[rows, v]
+            slack += 2 * (adj[v] if adj.ndim == 2 else adj[rows, v])
+            slack[rows, v] += 2 * w[rows, v]
         else:
-            k = k + moves[v]
+            slack += moves[v]
         steps += 1
         if steps > limit:
             raise SafetyLimitError(
@@ -190,11 +191,12 @@ def basic_vectors(ctx: QFormContext) -> BasicSet:
     """Classify every box vector's run and group the basic ones by class.
 
     One sweep of the box (QFormContext.box_sweep, the sweep of the
-    context's BoxBatch) gives each block's vectors and spin^c residues:
-    the paths run on the block, the basic rows keep their residues, and
-    the finished sweep settles the class table, so that class_reps does
-    not sweep again. Each path steps at its lowest eligible vertex; the
-    result does not depend on that choice."""
+    context's BoxBatch, from the table of its low coordinates when the
+    box is larger than a block) gives each block's vectors and spin^c
+    residues: the paths run on the block (_basic_rows), the basic rows
+    keep their residues, and the finished sweep settles the class table,
+    so that class_reps does not sweep again. Each path steps at its
+    lowest eligible vertex; the result does not depend on that choice."""
     rows, residues = [], []
     adj = _adjacency(ctx.neighbors)
     for _, block, res in ctx.box_sweep():

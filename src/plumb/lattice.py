@@ -305,14 +305,15 @@ def _residues(j: np.ndarray, u: np.ndarray, d: np.ndarray, stride: np.ndarray) -
     [0, |H1|), of every row j of an int64 array, for one map (u of shape
     (r, n), d and stride (r,)) or one map per row (u (rows, r, n), d and
     stride (rows, r)): see _residue_maps. Residue 0 is the canonical
-    class, j = 0. Each term u_iv * (j_v mod d_i) is below d_i^2, so the
-    sums stay below n |H1|^2, which _check_boxes bounds."""
-    out = np.zeros(len(j), dtype=np.int64)
-    for i in range(d.shape[-1]):
-        di = d[..., i]
-        dot = np.einsum("...v,...v->...", j % di[..., None], u[..., i, :])
-        out += dot % di * stride[..., i]
-    return out
+    class, j = 0."""
+    return np.einsum("...i,...i->...", _factor_residues(j, u, d), stride)
+
+
+def _factor_residues(j: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The terms u_i.j mod d_i of _residues, of shape (rows, r). Each
+    product u_iv * (j_v mod d_i) is below d_i^2, so the sums stay below
+    n |H1|^2, which _check_boxes bounds."""
+    return np.einsum("...iv,...iv->...i", j[:, None, :] % d[..., None], u) % d
 
 
 def _first_rows(first: np.ndarray, ids: np.ndarray, start: int) -> np.ndarray:
@@ -505,12 +506,10 @@ class BoxBatch:
 
     def sweep(self, early: bool = False):
         """The boxes in order, as (graph index, box vectors, class ids)
-        blocks of at most _BATCH_ROWS rows, which may span graphs and cut a
-        large box. The box vector at position i of a box is m + 2 + 2j, j
-        the digits of i (_digits), and its class id is its graph's class
-        offset plus j's spin^c residue (_residues), both from one _digits
-        call; a block inside one box takes its graph's weights and residue
-        map whole. Graph g's classes are the ids from class_offsets[g] to
+        blocks of at most _BATCH_ROWS rows (_blocks). The box vector at
+        position i of a box is m + 2 + 2j, j the digits of i (_digits), and
+        its class id is its graph's class offset plus j's spin^c residue
+        (_residues). Graph g's classes are the ids from class_offsets[g] to
         class_offsets[g + 1], its canonical class first.
 
         Each class's first row is noted as the blocks go, and the sweep
@@ -521,19 +520,11 @@ class BoxBatch:
         has its row (that block is not yielded). The residue guard holds
         before the first block (_residue_map)."""
         u, d, stride = self._residue_map
-        total = int(self.offsets[-1])
-        first = np.full(self.class_offsets[-1], total, dtype=np.int64)
+        first = np.full(self.class_offsets[-1], self.offsets[-1], dtype=np.int64)
         rank = np.full(len(first), -1, dtype=np.int64)
         reps = np.empty((len(first), self.weights.shape[1]), dtype=np.int64)
         found = 0
-        for start in range(0, total, _BATCH_ROWS):
-            graph, index = _spread(self.offsets, np.arange(start, min(start + _BATCH_ROWS, total)))
-            at = graph[0] if graph[0] == graph[-1] else graph
-            weights = np.atleast_2d(self.weights[at])
-            block = _digits(weights, index)
-            ids = self.class_offsets[at] + _residues(block, u[at], d[at], stride[at])
-            block *= 2
-            block += weights + 2
+        for start, graph, block, ids in self._blocks(u, d, stride):
             # the first rows come in order, so each is its class's rank
             new = _first_rows(first, ids, start)
             rank[ids[new]] = np.arange(found, found + len(new))
@@ -548,6 +539,51 @@ class BoxBatch:
             g = np.flatnonzero(classes != self.h1)[0]
             raise AssertionError(f"found {classes[g]} spin^c classes, expected {self.h1[g]}")
         return rank, reps
+
+    def _blocks(self, u, d, stride):
+        """sweep's blocks, each with the position of its first row. Runs of
+        boxes that fit a block are laid end to end and cut every _BATCH_ROWS
+        rows, so a block may span graphs: each row takes its own graph's
+        weights and residue map, and one _digits call gives vectors and ids.
+        A larger box comes in blocks of its own, from its table
+        (_table_blocks)."""
+        sizes = np.diff(self.offsets)
+        run = 0  # the first graph of a run of boxes that fit a block
+        for g in [*np.flatnonzero(sizes > _BATCH_ROWS).tolist(), len(sizes)]:
+            stop = int(self.offsets[g])
+            for start in range(int(self.offsets[run]), stop, _BATCH_ROWS):
+                graph, index = _spread(self.offsets, np.arange(start, min(start + _BATCH_ROWS, stop)))
+                weights = self.weights[graph]
+                block = _digits(weights, index)
+                ids = self.class_offsets[graph] + _residues(block, u[graph], d[graph], stride[graph])
+                block *= 2
+                block += weights + 2
+                yield start, graph, block, ids
+            if g < len(sizes):
+                yield from self._table_blocks(g, u[g], d[g], stride[g])
+            run = g + 1
+
+    def _table_blocks(self, g: int, u, d, stride):
+        """_blocks of graph g's box, larger than a block, from a table of
+        its low box: the longest suffix of its coordinates whose box, of L
+        rows, fits a block. Its digits, their residue terms
+        (_factor_residues) and its box vectors are built once. A block
+        takes _BATCH_ROWS // L consecutive indices of the other, high,
+        coordinates and runs _digits on those alone: it is the table plus
+        2 j_high, and its ids are the class offset plus sum ((high_i +
+        low_i) mod d_i) stride_i. The box is cut at multiples of L only."""
+        w, n = self.weights[g], self.weights.shape[1]
+        split = n - int(np.searchsorted(np.cumprod(-w[::-1]), _BATCH_ROWS, side="right"))
+        lift = 2 * np.eye(n, dtype=np.int64)
+        low = _digits(w[None, split:], np.arange(np.prod(-w[split:])))
+        low_res, table = _factor_residues(low, u[:, split:], d), w + 2 + low @ lift[split:]
+        high, step = int(np.prod(-w[:split])), _BATCH_ROWS // len(low)
+        for at in range(0, high, step):
+            j = _digits(w[None, :split], np.arange(at, min(at + step, high)))
+            res = (_factor_residues(j, u[:, :split], d)[:, None] + low_res) % d
+            block = (table + (j @ lift[:split])[:, None]).reshape(-1, n)
+            ids = self.class_offsets[g] + (res @ stride).ravel()
+            yield self.offsets[g] + at * len(low), np.full(len(block), g), block, ids
 
     def _coset_keys(self, graph: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(graph, adj(Q).j mod |det|) of every row j, as one opaque

@@ -84,14 +84,18 @@ def swept(batch):
 
 
 def test_box_batch_lays_the_boxes_end_to_end(monkeypatch):
-    """A BoxBatch of several graphs on one shape, swept in blocks of 7 rows
-    (some inside one box, some spanning boxes), gives each graph's
-    iter_box in order, and each row's adj(Q).k, det and |H1| from its own
-    graph. The class ids are the spinc_key partition of each graph, in
-    its own range of ids, the canonical vector's first; the sweep returns
-    each id's first row, numbered in the order of those rows."""
+    """A BoxBatch of several graphs on one shape, swept in blocks of 7 rows,
+    gives each graph's iter_box in order, and each row's adj(Q).k, det and
+    |H1| from its own graph. The boxes of 24, 8 and 15 rows go in blocks
+    inside their own box; the two of 6 rows are laid end to end, so one
+    block spans them. The class ids are the spinc_key partition of each
+    graph, in its own range of ids, the canonical vector's first; the
+    sweep returns each id's first row, numbered in the order of those
+    rows."""
     monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
-    weights = np.array([[-3, -2, -4], [-2, -2, -2], [-5, -1, -3]], dtype=np.int64)
+    weights = np.array(
+        [[-3, -2, -4], [-2, -3, -1], [-1, -3, -2], [-2, -2, -2], [-5, -1, -3]], dtype=np.int64
+    )
     forests = [chain_forest(w) for w in weights.tolist()]
     batch = lattice.BoxBatch(forests[0].neighbors(), weights)
     blocks, rank, reps = swept(batch)
@@ -384,38 +388,96 @@ def test_box_layer_int64_guard_raises_before_any_block(monkeypatch):
     assert not built
 
 
+def recorded_sweeps(monkeypatch):
+    """Patch BoxBatch._blocks to note each sweep that runs, as the list of
+    the box vectors of its blocks; returns the list of sweeps."""
+    sweeps = []
+    real = lattice.BoxBatch._blocks
+
+    def recording(self, *maps):
+        sweeps.append([])
+        for start, graph, block, ids in real(self, *maps):
+            sweeps[-1].append(block)
+            yield start, graph, block, ids
+
+    monkeypatch.setattr(lattice.BoxBatch, "_blocks", recording)
+    return sweeps
+
+
 def test_basic_vectors_sweeps_the_box_once(monkeypatch, two_component_forests):
-    """On a fresh context, basic_vectors reads each block's vectors and
-    residues off one _digits call, and settles the class table as it
-    goes: class_reps then calls _digits no more. The classes and the
-    BasicSet match the oracle partition and the scalar path runner.
-    Blocks of 7 rows cut through the classes; covered: (-7)^4, the D4
-    star and a two-component forest."""
+    """On a fresh context, basic_vectors runs one sweep, which yields every
+    box row once, in order, in blocks of at most 7 rows, and settles the
+    class table as it goes: class_reps then sweeps no more. The classes
+    and the BasicSet match the oracle partition and the scalar path
+    runner. Blocks of 7 rows cut through the classes; covered: (-7)^4, the
+    D4 star and a two-component forest."""
     monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
-    calls = []
-    real = lattice._digits
-
-    def counting(weights, index):
-        calls.append(len(index))
-        return real(weights, index)
-
-    monkeypatch.setattr(lattice, "_digits", counting)
+    sweeps = recorded_sweeps(monkeypatch)
     forest = next(f for f in two_component_forests if QFormContext(f).box_size > 7)
     for g in [chain_forest([-7] * 4), star_forest(-2, [-2, -2, -2]), forest]:
         ctx = QFormContext(g)
-        calls.clear()
+        sweeps.clear()
         basics = engine.basic_vectors(ctx)
-        assert calls == [min(7, ctx.box_size - i) for i in range(0, ctx.box_size, 7)], g.weights
-        calls.clear()
-        reps = ctx.class_reps
-        assert calls == [], g.weights
+        assert len(sweeps) == 1, g.weights
+        assert all(len(block) <= 7 for block in sweeps[0]), g.weights
         rows, want_reps, index = oracle_partition(ctx)
+        assert np.concatenate(sweeps[0]).tolist() == rows.tolist(), g.weights
+        sweeps.clear()
+        reps = ctx.class_reps
+        assert sweeps == [], g.weights
         assert reps.tolist() == want_reps.tolist(), g.weights
         basic = np.array([engine.run_path(ctx, k).basic for k in rows.tolist()])
         order = np.argsort(index[basic], kind="stable")
         assert basics.rows.tolist() == rows[basic][order].tolist(), g.weights
         assert basics.counts.tolist() == np.bincount(index[basic], minlength=ctx.h1).tolist()
         assert basics.reps is reps
+
+
+def low_box(weights, rows):
+    """The rows L of the low box of a box larger than a block of rows:
+    the longest suffix of its coordinates whose box fits in a block."""
+    size = 1
+    for w in reversed(weights):
+        if size * -w > rows:
+            return size
+        size *= -w
+    return size
+
+
+@pytest.mark.parametrize("rows", [7, 10])
+def test_table_sweep_cuts_large_boxes_at_their_low_box(monkeypatch, rows):
+    """With blocks of 7 and of 10 rows (10 divides no box here), a box
+    larger than a block is swept in blocks of its own, each of
+    rows // L low boxes of L rows but the last, and runs of smaller boxes
+    are laid end to end. Covered: the D4 star, whose H1 is Z/2 + Z/2 (two
+    residue factors), a chain whose last weight alone exceeds a block (a
+    low box of one row), and a batch that mixes boxes above and below a
+    block. The blocks give each graph's iter_box, the ids are its
+    class_indices in its own range, and rank and reps are those of a
+    sweep in one block."""
+    d4 = star_forest(-2, [-2, -2, -2])
+    mixed = [[-2, -3, -1], [-3, -2, -4], [-1, -3, -2], [-2, -2, -1], [-5, -1, -3]]
+    batches = [[d4], [chain_forest([-2, -3, -11])], [chain_forest(w) for w in mixed]]
+    want = [swept(lattice.BoxBatch(*_by_shape(forests)[0][:2]))[1:] for forests in batches]
+    monkeypatch.setattr(lattice, "_BATCH_ROWS", rows)
+    for forests, (want_rank, want_reps) in zip(batches, want):
+        blocks, rank, reps = swept(lattice.BoxBatch(*_by_shape(forests)[0][:2]))
+        assert rank.tolist() == want_rank.tolist() and reps.tolist() == want_reps.tolist()
+        offsets = np.cumsum([0] + [QFormContext(f).h1 for f in forests])
+        for g, f in enumerate(forests):
+            ctx = QFormContext(f)
+            mine = [(b[graph == g], i[graph == g]) for graph, b, i in blocks if (graph == g).any()]
+            got = np.concatenate([b for b, _ in mine])
+            assert got.tolist() == [list(k) for k in ctx.iter_box()], f.weights
+            ids = np.concatenate([i for _, i in mine])
+            assert (rank[ids] - offsets[g]).tolist() == ctx.class_indices(got).tolist()
+            if ctx.box_size > rows:
+                cut = rows // low_box(f.weights, rows) * low_box(f.weights, rows)
+                want = [min(cut, ctx.box_size - at) for at in range(0, ctx.box_size, cut)]
+                assert [len(b) for b, _ in mine] == want, f.weights
+        assert all(len(b) <= rows for _, b, _ in blocks)
+    spans = [len(set(graph.tolist())) for graph, _, _ in blocks]
+    assert max(spans) > 1
 
 
 def test_a_context_builds_one_box_batch(monkeypatch):
@@ -443,14 +505,15 @@ def test_a_context_builds_one_box_batch(monkeypatch):
 
 def test_class_reps_alone_stops_early_and_a_later_sweep_keeps_it(monkeypatch):
     """class_reps read alone stops its sweep once every residue has a row
-    (the D4 star's four classes lie in its first box rows); a later
-    box_sweep does not replace the table it settled."""
+    (the D4 star's four classes lie in its first box rows), so it builds
+    fewer rows than the box; a later box_sweep does not replace the table
+    it settled."""
     monkeypatch.setattr(lattice, "_BATCH_ROWS", 7)
     ctx = QFormContext(star_forest(-2, [-2, -2, -2]))
-    calls = []
-    real = lattice._digits
-    monkeypatch.setattr(lattice, "_digits", lambda w, i: calls.append(1) or real(w, i))
+    built = []
+    real = lattice._first_rows
+    monkeypatch.setattr(lattice, "_first_rows", lambda f, ids, s: built.append(len(ids)) or real(f, ids, s))
     reps = ctx.class_reps
-    assert 0 < len(calls) < ctx.box_size // 7
+    assert 0 < sum(built) < ctx.box_size
     basics = engine.basic_vectors(ctx)
     assert ctx.class_reps is reps and basics.reps is reps

@@ -680,6 +680,75 @@ def test_basic_rows_with_per_row_weights_match_run_path():
             assert basic == engine.run_path(_context(edges, w), k).basic, (w, k)
 
 
+class _CountedSteps(np.ndarray):
+    """An int64 block whose runs count the runner's argmax calls: one per
+    numpy step, and one more that finds every row ended."""
+
+    calls = 0
+
+    def argmax(self, *args, **kwargs):
+        _CountedSteps.calls += 1
+        return super().argmax(*args, **kwargs)
+
+
+def _runner_forms(ctx, block):
+    """(weights, adj) of the three forms _basic_rows takes for a block of
+    ctx's rows: one weight row with one adjacency matrix, one weight row
+    per block row with one adjacency matrix, and one weight row and one
+    int8 adjacency matrix per block row."""
+    adj = engine._adjacency(ctx.neighbors)
+    rows = np.tile(np.array(ctx.weights, dtype=np.int64).reshape(1, ctx.n), (len(block), 1))
+    stack = np.repeat(adj[None].astype(np.int8), len(block), axis=0)
+    return [(ctx.weights, adj), (rows, adj), (rows, stack)]
+
+
+def _runs(block, weights, adj):
+    """(basic mask, argmax calls) of _basic_rows on a block."""
+    _CountedSteps.calls = 0
+    basic = engine._basic_rows(block.view(_CountedSteps), weights, adj)
+    return np.asarray(basic).tolist(), _CountedSteps.calls
+
+
+def test_basic_rows_edge_cases_match_run_path():
+    """The path runner, in each of its three forms, ends the same rows
+    basic as run_path and the strategy runner of oracles.py, in the same
+    number of steps, one argmax per step: on every box row, one at a time
+    and as one block, and on rows above their ceiling at step 0 (as a
+    canonical pair's second member can be), which overflow at once. With
+    no vertex every row is basic, and a run past its step limit raises."""
+    graphs = [chain_forest([-3, -2, -4]), star_forest(-2, [-2, -2, -2]), star237().forest]
+    graphs.append(PlumbingForest(("a", "b", "c"), (-2, -3, -2), ((0, 1),)))
+    for g in graphs:
+        ctx = QFormContext(g)
+        box = [list(k) for k in ctx.iter_box()]
+        # k_v = -m_v + 2 is characteristic and above the ceiling -m_v
+        above = [[*k[:v], -ctx.weights[v] + 2, *k[v + 1:]] for k in box[:3] for v in range(ctx.n)]
+        rows = box + above
+        runs = [engine.run_path(ctx, k) for k in rows]
+        assert [r.basic for r in runs] == [strategy_run_path(ctx, k).basic for k in rows]
+        assert [r.steps for r in runs] == [strategy_run_path(ctx, k).steps for k in rows]
+        assert all(r.steps == 0 and not r.basic for r in runs[len(box):])
+        block = np.array(rows, dtype=np.int64)
+        for weights, adj in _runner_forms(ctx, block):
+            steps = max(r.steps for r in runs)
+            assert _runs(block, weights, adj) == ([r.basic for r in runs], steps + 1)
+            for i, r in enumerate(runs):
+                row = block[i:i + 1]
+                w = weights if np.ndim(weights) == 1 else weights[i:i + 1]
+                a = adj if adj.ndim == 2 else adj[i:i + 1]
+                assert _runs(row, w, a) == ([r.basic], r.steps + 1), (g.weights, rows[i])
+    empty = QFormContext(parse_forest(""))
+    assert [engine.run_path(empty, k).steps for k in empty.iter_box()] == [0]
+    for weights, adj in _runner_forms(empty, np.zeros((3, 0), dtype=np.int64)):
+        assert _runs(np.zeros((3, 0), dtype=np.int64), weights, adj) == ([True] * 3, 0)
+    # weight 0: the move adds nothing, so the run never ends; the limit is 10
+    ctx = QFormContext(chain_forest([-1]))
+    for weights, adj in _runner_forms(ctx, np.zeros((2, 1), dtype=np.int64)):
+        zero = np.zeros_like(weights)
+        with pytest.raises(engine.SafetyLimitError, match="within 10 steps"):
+            engine._basic_rows(np.zeros((2, 1), dtype=np.int64), zero, adj)
+
+
 def test_canonical_pair_rows_are_the_walks_first_members():
     """The batched pair is the oracle walk's first two members: the
     canonical vector and, when the walk has a second member, the one
